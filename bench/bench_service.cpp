@@ -303,9 +303,8 @@ ServeMeasurement measureServePlane() {
   std::filesystem::remove_all(storeDir);
 
   // Warm in-memory: pre-warmed cache, every request a hit. The store is
-  // attached so this run also populates it for the restart measurement
-  // (writes are behind the response path, so they do not distort timing
-  // materially at this batch size).
+  // attached so the untimed warm-up batch also populates it for the restart
+  // measurement; the timed batch is all hits and writes nothing.
   {
     CompileService::Config config;
     config.threads = kThreads;

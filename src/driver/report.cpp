@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "support/string_utils.hpp"
+
 namespace mat2c::report {
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {}
@@ -62,28 +64,6 @@ std::string Table::cycles(double v) {
 
 namespace {
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string jsonNum(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6f", v);
@@ -102,8 +82,8 @@ std::string telemetryJson(const opt::PipelineReport& report, const std::string& 
                           const std::string& isaName) {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"entry\": \"" << jsonEscape(entry) << "\",\n";
-  os << "  \"isa\": \"" << jsonEscape(isaName) << "\",\n";
+  os << "  \"entry\": " << jsonQuote(entry) << ",\n";
+  os << "  \"isa\": " << jsonQuote(isaName) << ",\n";
   os << "  \"totalMillis\": " << jsonNum(report.totalMillis) << ",\n";
   os << "  \"idiomRewrites\": " << report.idiomRewrites << ",\n";
   os << "  \"checksRemoved\": " << report.checksRemoved << ",\n";
@@ -118,7 +98,7 @@ std::string telemetryJson(const opt::PipelineReport& report, const std::string& 
   for (std::size_t i = 0; i < report.passes.size(); ++i) {
     const opt::PassRecord& p = report.passes[i];
     os << (i ? ",\n    {" : "\n    {");
-    os << "\"name\": \"" << jsonEscape(p.name) << "\", ";
+    os << "\"name\": " << jsonQuote(p.name) << ", ";
     os << "\"millis\": " << jsonNum(p.millis) << ", ";
     appendStats(os, "before", p.before);
     os << ", ";

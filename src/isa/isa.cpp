@@ -1,6 +1,7 @@
 #include "isa/isa.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 
 #include "support/string_utils.hpp"
@@ -344,23 +345,34 @@ IsaDescription IsaDescription::parse(const std::string& text, DiagnosticEngine& 
 }
 
 std::string IsaDescription::serialize() const {
-  std::ostringstream os;
-  os << "name " << name_ << "\n";
-  os << "simd f64 " << lanesF64_ << "\n";
-  os << "simd c64 " << lanesC64_ << "\n";
-  os << "memlanes " << memLanes_ << "\n";
-  if (fma_) os << "feature fma\n";
-  if (cmul_) os << "feature cmul\n";
-  if (cmac_) os << "feature cmac\n";
-  if (zol_) os << "feature zol\n";
-  if (agu_) os << "feature agu\n";
+  // Built with appends rather than a stream: every service cache key
+  // serializes the request's ISA. "%g" is the stream's default format.
+  std::string out = "name " + name_ + "\n";
+  out += "simd f64 " + std::to_string(lanesF64_) + "\n";
+  out += "simd c64 " + std::to_string(lanesC64_) + "\n";
+  out += "memlanes " + std::to_string(memLanes_) + "\n";
+  if (fma_) out += "feature fma\n";
+  if (cmul_) out += "feature cmul\n";
+  if (cmac_) out += "feature cmac\n";
+  if (zol_) out += "feature zol\n";
+  if (agu_) out += "feature agu\n";
   for (const auto& [op, cycles] : costOverride_) {
-    os << "cost " << mnemonic(op) << " " << cycles << "\n";
+    char num[32];
+    std::snprintf(num, sizeof num, "%g", cycles);
+    out += "cost ";
+    out += mnemonic(op);
+    out += ' ';
+    out += num;
+    out += '\n';
   }
   for (const auto& [op, cName] : intrinsicOverride_) {
-    os << "intrinsic " << mnemonic(op) << " " << cName << "\n";
+    out += "intrinsic ";
+    out += mnemonic(op);
+    out += ' ';
+    out += cName;
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 std::uint64_t IsaDescription::fingerprint() const { return fnv1a64(serialize()); }

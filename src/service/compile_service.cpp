@@ -21,24 +21,6 @@ double millisSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-/// Minimal JSON string escape for tenant names in statsJson (protocol.cpp's
-/// jsonQuote lives a layer above this one).
-std::string quoteName(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 /// Prometheus label-value escape (backslash, quote, newline).
 std::string promLabel(const std::string& s) {
   std::string out;
@@ -127,7 +109,7 @@ std::string statsJson(const ServiceStats& stats, double wallMillis) {
     for (const TenantStats& t : stats.tenants) {
       if (!first) os << ", ";
       first = false;
-      os << quoteName(t.name) << ": {\"submitted\": " << t.submitted
+      os << jsonQuote(t.name) << ": {\"submitted\": " << t.submitted
          << ", \"completed\": " << t.completed << ", \"queued\": " << t.queued
          << ", \"inflight\": " << t.inflight << "}";
     }
@@ -561,6 +543,11 @@ void CompileService::runJob(Job& job, const std::string& tenant) {
     cache_.insert(job.key, result);
     if (!result->degraded.empty())
       degraded_.fetch_add(1, std::memory_order_relaxed);
+    // Persist before ack: once a waiter holds a success, the artifact is on
+    // disk, so a kill -9 right after the response cannot lose it and a
+    // sibling server's next request hits the store. Best effort — a failed
+    // put is a counted degradation, not an error.
+    if (store_) store_->store(job.key, *result);
   }
 
   // Retire the flight first (under the lock), so later identical submits
@@ -594,10 +581,6 @@ void CompileService::runJob(Job& job, const std::string& tenant) {
     w.promise.set_value(std::move(r));
   }
 
-  // Write-behind: persist after the waiters have their responses, so store
-  // I/O never sits on the request's critical path. Best effort — a failed
-  // put is a counted degradation, not an error.
-  if (store_ && result) store_->store(job.key, *result);
 }
 
 ServiceStats CompileService::stats() const {

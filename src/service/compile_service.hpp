@@ -8,8 +8,8 @@
 //   * a content-addressed CompileCache (see cache_key.hpp) so repeated
 //     requests are served without recompiling,
 //   * an optional persistent ArtifactStore second tier (read-through on
-//     miss, write-behind after compile) so a restarted — or sibling —
-//     server starts warm, and
+//     miss, persisted after compile and before the response) so a
+//     restarted — or sibling — server starts warm, and
 //   * single-flight deduplication: N identical requests in flight at once
 //     trigger exactly one underlying compile; the other N-1 join the first
 //     one's "flight" and are fulfilled from its result.
@@ -174,7 +174,8 @@ class CompileService {
     /// queued work.
     std::size_t tenantInflightCap = 0;
     /// Persistent artifact store directory ("" = disabled). Read-through on
-    /// cache miss, write-behind after each successful compile.
+    /// cache miss, persisted after each successful compile and before its
+    /// waiters are answered.
     std::string storeDir;
     /// On-disk cap for the store (0 = unlimited), oldest-first eviction.
     std::size_t maxStoreBytes = 0;

@@ -260,29 +260,6 @@ std::optional<JsonValue> parseJson(std::string_view text, std::string& error) {
   return JsonParser(text).parse(error);
 }
 
-std::string jsonQuote(std::string_view s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 bool parseArgSpecList(const std::string& text, std::vector<sema::ArgSpec>& out,
                       std::string& badSpec) {
   out.clear();
@@ -471,54 +448,30 @@ bool parseCompileRequest(std::string_view line, CompileRequest& out, std::string
   return true;
 }
 
-std::string responseJson(const CompileResponse& response) {
-  std::string out = "{\"id\": " + jsonQuote(response.id);
-  out += ", \"ok\": ";
-  out += response.ok ? "true" : "false";
-  out += ", \"cached\": ";
-  out += response.cacheHit ? "true" : "false";
-  out += ", \"deduped\": ";
-  out += response.deduped ? "true" : "false";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", response.millis);
-  out += ", \"millis\": ";
-  out += buf;
-  if (response.storeHit) out += ", \"storeHit\": true";
-  if (!response.adminInfo.empty()) out += ", \"adminInfo\": " + jsonQuote(response.adminInfo);
-  if (response.ok && response.result) {
-    // Denormalized metadata, not the CompiledUnit: store-rehydrated entries
-    // carry no LIR, and the response must not depend on having one.
-    const CachedResult& res = *response.result;
-    out += ", \"isa\": " + jsonQuote(res.isaName);
-    out += ", \"cBytes\": " + std::to_string(res.cCode.size());
-    out += ", \"loopsVectorized\": " + std::to_string(res.loopsVectorized);
-    out += ", \"idiomRewrites\": " + std::to_string(res.idiomRewrites);
-    if (response.result->tuned()) {
-      char num[64];
-      out += ", \"tuned\": true";
-      out += ", \"tunedSignature\": " + jsonQuote(response.result->tunedSignature);
-      out += ", \"tuneCandidates\": " + std::to_string(response.result->tuneCandidates);
-      std::snprintf(num, sizeof num, "%.1f", response.result->tunedCycles);
-      out += ", \"tunedCycles\": ";
-      out += num;
-      std::snprintf(num, sizeof num, "%.1f", response.result->tuneDefaultCycles);
-      out += ", \"tuneDefaultCycles\": ";
-      out += num;
-    }
-    if (!res.degraded.empty()) {
-      out += ", \"degraded\": [";
-      for (std::size_t i = 0; i < res.degraded.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += jsonQuote(res.degraded[i]);
-      }
-      out += "]";
-    }
-  } else {
-    out += ", \"error\": " + jsonQuote(response.error);
-    out += ", \"errorKind\": " + jsonQuote(toString(response.errorKind));
-  }
-  out += "}";
-  return out;
+BinaryResponse::BinaryResponse(const CompileResponse& response)
+    : id(response.id),
+      ok(response.ok),
+      cached(response.cacheHit),
+      deduped(response.deduped),
+      storeHit(response.storeHit),
+      errorKind(response.errorKind),
+      millis(response.millis),
+      error(response.error),
+      adminInfo(response.adminInfo) {
+  if (!response.ok || !response.result) return;
+  // Denormalized metadata, not the CompiledUnit: store-rehydrated entries
+  // carry no LIR, and the response must not depend on having one.
+  const CachedResult& res = *response.result;
+  isa = res.isaName;
+  cBytes = res.cCode.size();
+  loopsVectorized = res.loopsVectorized;
+  idiomRewrites = res.idiomRewrites;
+  degraded = res.degraded;
+  tuned = res.tuned();
+  tunedSignature = res.tunedSignature;
+  tuneCandidates = res.tuneCandidates;
+  tunedCycles = res.tunedCycles;
+  tuneDefaultCycles = res.tuneDefaultCycles;
 }
 
 std::string responseJson(const BinaryResponse& response) {
@@ -535,22 +488,24 @@ std::string responseJson(const BinaryResponse& response) {
   out += buf;
   if (response.storeHit) out += ", \"storeHit\": true";
   if (!response.adminInfo.empty()) out += ", \"adminInfo\": " + jsonQuote(response.adminInfo);
-  if (response.ok) {
+  if (!response.ok) {
+    out += ", \"error\": " + jsonQuote(response.error);
+    out += ", \"errorKind\": " + jsonQuote(toString(response.errorKind));
+  } else if (response.adminInfo.empty()) {
     out += ", \"isa\": " + jsonQuote(response.isa);
     out += ", \"cBytes\": " + std::to_string(response.cBytes);
     out += ", \"loopsVectorized\": " + std::to_string(response.loopsVectorized);
     out += ", \"idiomRewrites\": " + std::to_string(response.idiomRewrites);
     if (response.tuned) {
-      char num[64];
       out += ", \"tuned\": true";
       out += ", \"tunedSignature\": " + jsonQuote(response.tunedSignature);
       out += ", \"tuneCandidates\": " + std::to_string(response.tuneCandidates);
-      std::snprintf(num, sizeof num, "%.1f", response.tunedCycles);
+      std::snprintf(buf, sizeof buf, "%.1f", response.tunedCycles);
       out += ", \"tunedCycles\": ";
-      out += num;
-      std::snprintf(num, sizeof num, "%.1f", response.tuneDefaultCycles);
+      out += buf;
+      std::snprintf(buf, sizeof buf, "%.1f", response.tuneDefaultCycles);
       out += ", \"tuneDefaultCycles\": ";
-      out += num;
+      out += buf;
     }
     if (!response.degraded.empty()) {
       out += ", \"degraded\": [";
@@ -560,9 +515,6 @@ std::string responseJson(const BinaryResponse& response) {
       }
       out += "]";
     }
-  } else {
-    out += ", \"error\": " + jsonQuote(response.error);
-    out += ", \"errorKind\": " + jsonQuote(toString(response.errorKind));
   }
   out += "}";
   return out;
@@ -721,49 +673,15 @@ bool decodeBinaryRequest(std::string_view payload, WireRequest& out, std::string
   return true;
 }
 
-std::string encodeBinaryResponse(const CompileResponse& response) {
-  std::string out;
-  bin::appendStr(out, response.id);
-  std::uint8_t flags = 0;
-  if (response.ok) flags |= kRespOk;
-  if (response.cacheHit) flags |= kRespCached;
-  if (response.deduped) flags |= kRespDeduped;
-  if (response.storeHit) flags |= kRespStoreHit;
-  bool tuned = response.ok && response.result && response.result->tuned();
-  if (tuned) flags |= kRespTuned;
-  bin::appendU8(out, flags);
-  bin::appendU8(out, static_cast<std::uint8_t>(response.errorKind));
-  bin::appendF64(out, response.millis);
-  bin::appendStr(out, response.error);
-  if (response.ok && response.result) {
-    const CachedResult& res = *response.result;
-    bin::appendStr(out, res.isaName);
-    bin::appendU64(out, res.cCode.size());
-    bin::appendI32(out, res.loopsVectorized);
-    bin::appendI32(out, res.idiomRewrites);
-    bin::appendU32(out, static_cast<std::uint32_t>(res.degraded.size()));
-    for (const std::string& d : res.degraded) bin::appendStr(out, d);
-    bin::appendStr(out, res.tunedSignature);
-    bin::appendI32(out, res.tuneCandidates);
-    bin::appendF64(out, res.tunedCycles);
-    bin::appendF64(out, res.tuneDefaultCycles);
-  } else {
-    bin::appendStr(out, "");   // isa
-    bin::appendU64(out, 0);    // cBytes
-    bin::appendI32(out, 0);    // loopsVectorized
-    bin::appendI32(out, 0);    // idiomRewrites
-    bin::appendU32(out, 0);    // degraded count
-    bin::appendStr(out, "");   // tunedSignature
-    bin::appendI32(out, 0);    // tuneCandidates
-    bin::appendF64(out, 0.0);  // tunedCycles
-    bin::appendF64(out, 0.0);  // tuneDefaultCycles
-  }
-  bin::appendStr(out, response.adminInfo);  // v2
-  return out;
-}
-
 std::string encodeBinaryResponse(const BinaryResponse& response) {
+  // Exact payload size: five u32-prefixed strings, the degraded list, and
+  // 50 bytes of fixed-width fields.
+  std::size_t size = 5 * 4 + 50 + response.id.size() + response.error.size() +
+                     response.isa.size() + response.tunedSignature.size() +
+                     response.adminInfo.size();
+  for (const std::string& d : response.degraded) size += 4 + d.size();
   std::string out;
+  out.reserve(size);
   bin::appendStr(out, response.id);
   std::uint8_t flags = 0;
   if (response.ok) flags |= kRespOk;

@@ -15,6 +15,7 @@
 // docs/service.md documents both schemas and the frame layout.
 #pragma once
 
+#include <cstdint>
 #include <istream>
 #include <optional>
 #include <string>
@@ -41,9 +42,6 @@ struct JsonValue {
 /// Parses one complete JSON document; trailing non-whitespace is an error.
 /// Returns nullopt and sets `error` (with a byte offset) on malformed input.
 std::optional<JsonValue> parseJson(std::string_view text, std::string& error);
-
-/// JSON string literal (quoted, escaped) for response emission.
-std::string jsonQuote(std::string_view s);
 
 /// Parses a comma-separated arg-spec list ("1x1024,c1x64", the CLI --args
 /// syntax). On failure returns false and sets `badSpec` to the offending
@@ -114,18 +112,47 @@ bool parseCompileRequest(std::string_view line, CompileRequest& out, std::string
 bool parseWireRequest(std::string_view line, WireRequest& out, std::string& error,
                       ErrorKind* kind = nullptr, const ProtocolLimits& limits = {});
 
-/// One response line (no trailing newline): id, ok, cached, deduped, millis,
-/// and on success isa/cBytes/loopsVectorized/idiomRewrites (plus
-/// "storeHit": true when served from the artifact store, plus degraded when
-/// the compile used the degradation ladder, plus tuned/tunedSignature/
-/// tuneCandidates/tunedCycles/tuneDefaultCycles for autotuned results), else
-/// error + errorKind.
-std::string responseJson(const CompileResponse& response);
+/// One response as both wire formats carry it: the JSON line and the
+/// Response frame payload are both rendered from this, and nothing else. The
+/// C text itself never travels, only its size (`cBytes`).
+struct BinaryResponse {
+  BinaryResponse() = default;
+  /// The one CompileResponse → wire conversion, implicit so every encoder
+  /// call site takes either type. Result fields are filled only for a
+  /// successful compile (`ok` with a result); they stay zero otherwise.
+  BinaryResponse(const CompileResponse& response);
 
-/// Same response line rendered from a decoded BinaryResponse — the shard
-/// supervisor answers JSON-lines clients from its workers' binary frames
-/// without rehydrating a CompileResponse (it has no CachedResult).
-std::string responseJson(const struct BinaryResponse& response);
+  std::string id;
+  bool ok = false;
+  bool cached = false;
+  bool deduped = false;
+  bool storeHit = false;
+  ErrorKind errorKind = ErrorKind::None;
+  double millis = 0.0;
+  std::string error;
+  std::string isa;
+  std::uint64_t cBytes = 0;
+  std::int32_t loopsVectorized = 0;
+  std::int32_t idiomRewrites = 0;
+  std::vector<std::string> degraded;
+  bool tuned = false;
+  std::string tunedSignature;
+  std::int32_t tuneCandidates = 0;
+  double tunedCycles = 0.0;
+  double tuneDefaultCycles = 0.0;
+  std::string adminInfo;  ///< admin-request result text ("" for compiles)
+};
+
+/// One response line (no trailing newline): id, ok, cached, deduped, millis,
+/// "storeHit": true when served from the artifact store, adminInfo for an
+/// admin request, then
+///   * a successful compile: isa/cBytes/loopsVectorized/idiomRewrites, plus
+///     degraded when the compile used the degradation ladder, plus
+///     tuned/tunedSignature/tuneCandidates/tunedCycles/tuneDefaultCycles for
+///     autotuned results;
+///   * a failure: error + errorKind;
+///   * a successful admin request: nothing more.
+std::string responseJson(const BinaryResponse& response);
 
 // --- binary framing --------------------------------------------------------
 //
@@ -164,36 +191,7 @@ std::string encodeBinaryRequest(const WireRequest& req);
 /// arbitrary bytes (fuzz_smoke feeds it garbage).
 bool decodeBinaryRequest(std::string_view payload, WireRequest& out, std::string& error);
 
-/// Decoded Response frame, mirroring the JSON response fields (client side /
-/// tests; the server encodes straight from CompileResponse).
-struct BinaryResponse {
-  std::string id;
-  bool ok = false;
-  bool cached = false;
-  bool deduped = false;
-  bool storeHit = false;
-  ErrorKind errorKind = ErrorKind::None;
-  double millis = 0.0;
-  std::string error;
-  std::string isa;
-  std::uint64_t cBytes = 0;
-  std::int32_t loopsVectorized = 0;
-  std::int32_t idiomRewrites = 0;
-  std::vector<std::string> degraded;
-  bool tuned = false;
-  std::string tunedSignature;
-  std::int32_t tuneCandidates = 0;
-  double tunedCycles = 0.0;
-  double tuneDefaultCycles = 0.0;
-  std::string adminInfo;  ///< admin-request result text ("" for compiles)
-};
-
 /// Response frame payload for `response`.
-std::string encodeBinaryResponse(const CompileResponse& response);
-
-/// Response frame payload from an already-decoded (or synthesized)
-/// BinaryResponse — the supervisor uses this for the failure responses it
-/// fabricates itself (no CachedResult exists to encode from).
 std::string encodeBinaryResponse(const BinaryResponse& response);
 
 /// Parses a Response frame payload; never crashes on arbitrary bytes.

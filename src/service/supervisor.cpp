@@ -307,6 +307,9 @@ void ShardSupervisor::submit(const WireRequest& request, ResponseHandler done) {
   std::string failWhy;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Counted even when it fails fast: markDelivered() runs for every
+    // request, and drainPending() must wait for its handler too.
+    ++pendingCount_;
     if (stopping_ || !started_) {
       failWhy = "supervisor is not running";
     } else {
@@ -317,7 +320,6 @@ void ShardSupervisor::submit(const WireRequest& request, ResponseHandler done) {
         failWhy = "no shards available (all permanently ejected)";
       } else {
         p->primaryShard = idx;
-        ++pendingCount_;
         Shard& sh = *shards_[static_cast<std::size_t>(idx)];
         if (!sh.alive || !sendLocked(sh, p)) sh.backlog.push_back(p);
       }
@@ -363,18 +365,26 @@ void ShardSupervisor::failPending(const std::shared_ptr<Pending>& p, const std::
     std::lock_guard<std::mutex> lock(mu_);
     if (p->completed || p->isProbe) return;
     p->completed = true;
-    ++completed_;
-    if (pendingCount_ > 0) --pendingCount_;
     done = std::move(p->done);
   }
+  if (done) {
+    BinaryResponse r;
+    r.id = p->id;
+    r.ok = false;
+    r.error = why;
+    r.errorKind = ErrorKind::ResourceExhausted;
+    done(encodeBinaryResponse(r), r);
+  }
+  markDelivered();
+}
+
+void ShardSupervisor::markDelivered() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++completed_;
+    if (pendingCount_ > 0) --pendingCount_;
+  }
   idleCv_.notify_all();
-  if (!done) return;
-  BinaryResponse r;
-  r.id = p->id;
-  r.ok = false;
-  r.error = why;
-  r.errorKind = ErrorKind::ResourceExhausted;
-  done(encodeBinaryResponse(r), r);
 }
 
 void ShardSupervisor::completeFromShard(std::size_t idx, std::string rawPayload) {
@@ -407,13 +417,11 @@ void ShardSupervisor::completeFromShard(std::size_t idx, std::string rawPayload)
       rawPayload = encodeBinaryResponse(decoded);
     }
     p->completed = true;
-    ++completed_;
-    if (pendingCount_ > 0) --pendingCount_;
     if (p->hedged && static_cast<int>(idx) != p->primaryShard) ++hedgeWins_;
     done = std::move(p->done);
   }
-  idleCv_.notify_all();
   if (done) done(rawPayload, decoded);
+  markDelivered();
 }
 
 void ShardSupervisor::onShardDown(std::size_t idx) {

@@ -109,7 +109,8 @@ class ShardSupervisor {
   /// of shards the reload was queued to.
   int broadcastReload();
 
-  /// Blocks until every submitted request has been answered.
+  /// Blocks until every submitted request has been answered and its
+  /// handler has returned.
   void drainPending();
 
   /// Graceful stop: close worker stdin, let them drain, reap. Idempotent.
@@ -140,6 +141,9 @@ class ShardSupervisor {
   int pickShardLocked(std::uint64_t hash) const;  ///< -1 when all ejected
   void failPending(const std::shared_ptr<Pending>& p, const std::string& why);
   void completeFromShard(std::size_t idx, std::string rawPayload);
+  /// Counts one request done. Runs only after its handler has returned, so
+  /// drainPending() never wakes with a response still undelivered.
+  void markDelivered();
 
   Config config_;
   mutable std::mutex mu_;
@@ -149,7 +153,7 @@ class ShardSupervisor {
   std::thread monitor_;
   bool started_ = false;
   bool stopping_ = false;
-  std::size_t pendingCount_ = 0;  ///< submitted, not yet answered
+  std::size_t pendingCount_ = 0;  ///< submitted, handler not yet returned
 
   std::uint64_t submitted_ = 0;
   std::uint64_t completed_ = 0;

@@ -16,19 +16,21 @@
 
 namespace mat2c::bin {
 
+/// Appends `v` least-significant byte first, in one append.
+template <typename T>
+inline void appendLittleEndian(std::string& out, T v) {
+  char bytes[sizeof(T)];
+  for (std::size_t i = 0; i < sizeof(T); ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  out.append(bytes, sizeof bytes);
+}
+
 inline void appendU8(std::string& out, std::uint8_t v) { out += static_cast<char>(v); }
 
-inline void appendU16(std::string& out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) out += static_cast<char>((v >> (8 * i)) & 0xFF);
-}
+inline void appendU16(std::string& out, std::uint16_t v) { appendLittleEndian(out, v); }
 
-inline void appendU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out += static_cast<char>((v >> (8 * i)) & 0xFF);
-}
+inline void appendU32(std::string& out, std::uint32_t v) { appendLittleEndian(out, v); }
 
-inline void appendU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out += static_cast<char>((v >> (8 * i)) & 0xFF);
-}
+inline void appendU64(std::string& out, std::uint64_t v) { appendLittleEndian(out, v); }
 
 inline void appendI32(std::string& out, std::int32_t v) {
   appendU32(out, static_cast<std::uint32_t>(v));

@@ -52,6 +52,29 @@ std::string join(const std::vector<std::string>& items, std::string_view sep) {
   return out;
 }
 
+std::string jsonQuote(std::string_view s) {
+  std::string out = "\"";
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
 bool isIdentifier(std::string_view name) {
   if (name.empty()) return false;
   if (!(std::isalpha(static_cast<unsigned char>(name[0])) || name[0] == '_')) return false;

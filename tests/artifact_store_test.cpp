@@ -447,6 +447,25 @@ TEST_F(ArtifactStoreTest, CorruptArtifactTriggersCleanRecompile) {
   svc.compileBatch({request});
 }
 
+TEST_F(ArtifactStoreTest, CompileIsPersistedBeforeItsResponse) {
+  // Persist-before-ack: a caller holding a successful response may kill the
+  // server at once, so the artifact must already be on disk — counted and
+  // loadable — the moment the future is ready.
+  CompileService::Config config;
+  config.threads = 2;
+  config.storeDir = dir_.string();
+  CompileService svc(config);
+  ArtifactStore reader({dir_.string(), 0});
+  for (int k = 0; k < 8; ++k) {
+    CompileRequest request = kernelRequest(20 + k);
+    CacheKey key = CacheKey::make(request.source, request.entry, request.args, request.options);
+    auto response = svc.submit(request).get();
+    ASSERT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(svc.stats().store.puts, static_cast<std::uint64_t>(k + 1)) << "kernel " << k;
+    EXPECT_NE(reader.load(key), nullptr) << "kernel " << k;
+  }
+}
+
 TEST_F(ArtifactStoreTest, ConcurrentServersShareOneDirectory) {
   // Two live services on the same directory (the sibling-server scenario):
   // whichever compiles first persists; the other's NEXT request for the same
@@ -458,7 +477,7 @@ TEST_F(ArtifactStoreTest, ConcurrentServersShareOneDirectory) {
   CompileService svcB(config);
 
   ASSERT_TRUE(svcA.compileBatch({kernelRequest(1)})[0].ok);
-  // svcA's write-behind is asynchronous; poll the directory briefly.
+  // svcA persists before it answers; the poll only bounds the wait.
   for (int spin = 0; spin < 200 && fs::is_empty(dir_); ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

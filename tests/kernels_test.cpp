@@ -15,6 +15,11 @@ struct SpeedupExpectation {
   double maxSpeedup;
 };
 
+// Without a printer gtest shows a parameter as its raw bytes, `name` is a
+// pointer, and the test name ctest records would change with every load
+// address. Print the kernel name instead.
+void PrintTo(const SpeedupExpectation& e, std::ostream* os) { *os << e.name; }
+
 class KernelSuiteTest : public ::testing::TestWithParam<SpeedupExpectation> {};
 
 TEST_P(KernelSuiteTest, ValidatesAndSpeedsUp) {
@@ -58,6 +63,8 @@ struct ExtendedExpectation {
   double maxSpeedup;
   int minVecLoops;  // vectorized-loop floor; deeper loop nests must fire
 };
+
+void PrintTo(const ExtendedExpectation& e, std::ostream* os) { *os << e.name; }
 
 class ExtendedKernelTest : public ::testing::TestWithParam<ExtendedExpectation> {};
 

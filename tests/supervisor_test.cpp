@@ -163,6 +163,36 @@ TEST(ShardSupervisor, FleetAnswersBatchAndRepeatsHitShardCache) {
   sup.shutdown();
 }
 
+TEST(ShardSupervisor, DrainPendingWaitsForSlowHandlers) {
+  // drainPending() counts a request done only once its handler has
+  // returned; a handler that is slow to record its response must still be
+  // seen by the caller that drained.
+  fs::path store = freshDir("fleet_drain");
+  ShardSupervisor sup(fleetConfig(2, store));
+  std::string error;
+  ASSERT_TRUE(sup.start(error)) << error;
+  ASSERT_TRUE(waitForAlive(sup, 2));
+
+  Collector out;
+  auto slow = [&out](const std::string& raw, const BinaryResponse& decoded) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    out.handler()(raw, decoded);
+  };
+  sup.submit(makeRequest("a", kFirSource, "fir", "1x64,1x64"), slow);
+  sup.submit(makeRequest("b", kScaleSource, "scale", "1x64"), slow);
+  sup.drainPending();
+  EXPECT_EQ(out.take().size(), 2u);
+  EXPECT_EQ(sup.stats().completed, 2u);
+
+  // A fail-fast submit after shutdown is delivered and drained the same way.
+  sup.shutdown();
+  sup.submit(makeRequest("late", kFirSource, "fir", "1x64,1x64"), slow);
+  sup.drainPending();
+  auto responses = out.take();
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_FALSE(responses[2].ok);
+}
+
 TEST(ShardSupervisor, KillNineMidLoadRedispatchesAndRestartsWarm) {
   fs::path store = freshDir("fleet_kill");
   ShardSupervisor sup(fleetConfig(2, store));

@@ -1,68 +1,16 @@
-// mat2c — command-line front end.
+// mat2c — command-line front end: MATLAB source plus MATLAB-Coder-style
+// `--args` shape specs in, ANSI C with ASIP intrinsics out.
 //
-// Usage:
-//   mat2c compile <file.m> --entry <name> --args <spec,...> [options]
-//   mat2c serve [<requests.jsonl>|-] [--jobs <n>] [--cache-entries <n>]
-//               [--stats-json <file>] [--metrics <file>]
-//               [--max-request-bytes <n>] [--deadline-ms <ms>]
-//               [--store-dir <dir>] [--max-store-bytes <n>]
-//               [--tenant-inflight <n>] [--binary] [--isa-file <file>]
-//               [--shards <n>] [--hedge-ms <ms>] [--max-restarts <n>]
-//               [--seed <n>]
-//   mat2c isa [--preset <name> | --isa-file <file>]
-//   mat2c list-kernels
+// Subcommands: compile, serve, isa, list-isas, list-kernels, explore, tune.
+// Each one declares its flags once, in the flag tables below; one argv loop
+// (parseFlags) parses them all, and `mat2c` with no arguments prints them.
 //
-// Argument specs (the MATLAB Coder -args equivalent):
-//   1x1        real scalar         c1x1      complex scalar
-//   1x1024     real row vector     c1x1024   complex row vector
-//   64x3       real matrix         c8x8      complex matrix
-//
-// Options for `compile`:
-//   --isa <preset>        target preset (default dspx; see `mat2c isa`)
-//   --isa-file <file>     textual ISA description instead of a preset
-//   --style coder         MATLAB-Coder-style baseline code
-//   --emit-c <out.c>      write the generated translation unit
-//   --dump-lir            print the optimized LIR
-//   --run                 execute on the cycle-model VM with seeded inputs
-//   --validate            also run the reference interpreter and compare
-//   --seed <n>            input seed for --run/--validate (default 1)
-//   --no-vectorize        disable the SIMD vectorizer
-//   --no-idioms           disable MAC/complex idiom mapping
-//   --no-sink-decls       disable declaration sinking
-//   --no-fuse-loops       disable cross-statement loop fusion
-//   --no-unroll           disable recurrence unrolling
-//   --no-licm             disable loop-invariant code motion / promotion
-//   --no-cse              disable common-subexpression elimination
-//   --no-dead-stores      disable dead-store / dead-loop cleanup
-//   --reassoc             allow reassociating fma rewrites (changes rounding)
-//   --unroll-max-trip <n> max trip count fully unrolled (default 8)
-//   --time-passes         print per-pass wall time and LIR stat deltas
-//   --verify-each         verify the LIR after every pass (names the
-//                         offending pass on failure)
-//   --trace-passes        dump the LIR after every pass (stderr)
-//   --telemetry-json <f>  write per-pass telemetry as JSON (see
-//                         docs/pipeline.md for the schema)
-//
-// `serve` reads JSON-lines compile requests (one object per line; see
-// docs/service.md for the schema) from a file or stdin, compiles them on a
-// worker pool with a content-addressed compile cache, writes one JSON
-// response line per request to stdout in input order, and finishes with a
-// cache/throughput stats JSON (stderr, or --stats-json <file>).
-// With --binary, requests and responses are length-prefixed binary frames
-// instead of JSON lines (docs/service.md has the frame layout). --store-dir
-// persists compiled artifacts across restarts; --tenant-inflight caps each
-// tenant's concurrent compiles (fair-share round-robin admission); --metrics
-// writes Prometheus text-format metrics.
-//
-// Resilience (docs/service.md "Resilience"): responses stream out in input
-// order as they complete (not batched at EOF). --isa-file makes that file the
-// server-default target with zero-downtime hot reload — a `{"admin":
-// "reload"}` request or SIGHUP re-parses it; in-flight requests finish on the
-// ISA they were submitted under. --shards N runs N worker processes behind a
-// supervisor that restarts crashed workers with backed-off jitter, re-routes
-// after permanent ejection, and optionally hedges slow requests (--hedge-ms).
+// `serve` answers JSON-lines (or, with --binary, length-prefixed M2CB frame)
+// compile requests from a file or stdin, streaming one response per request
+// in input order, then prints cache/throughput stats. --shards N puts N
+// worker processes behind a restarting, hedging supervisor. docs/service.md
+// has the wire formats, persistence, hot ISA reload and the supervisor.
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -70,16 +18,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <iostream>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "driver/report.hpp"
 
@@ -97,30 +46,6 @@
 namespace {
 
 using namespace mat2c;
-
-int usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  mat2c compile <file.m> --entry <name> --args <spec,...> [options]\n"
-               "  mat2c compile -e '<matlab source>' --entry <name> --args <spec,...>\n"
-               "  mat2c serve [<requests.jsonl>|-] [--jobs <n>] [--cache-entries <n>]"
-               " [--stats-json <file>]\n"
-               "              [--max-request-bytes <n>] [--deadline-ms <ms>]"
-               " [--metrics <file>]\n"
-               "              [--store-dir <dir>] [--max-store-bytes <n>]"
-               " [--tenant-inflight <n>] [--binary]\n"
-               "              [--isa-file <file>] [--shards <n>] [--hedge-ms <ms>]"
-               " [--max-restarts <n>] [--seed <n>]\n"
-               "  mat2c isa [--preset <name>] [--isa-file <file>]\n"
-               "  mat2c list-isas\n"
-               "  mat2c list-kernels\n"
-               "  mat2c explore [--kernels <name,...>] [--top <n>] [--no-fused]\n"
-               "                [--json <file>] [--emit-isa <file>] [--quiet]\n"
-               "  mat2c tune [--kernels <name,...>] [--budget <n>] [--json <file>]\n"
-               "             [--isa <preset>] [--isa-file <file>] [--seed <n>] [--quiet]\n"
-               "run `head tools/mat2c_cli.cpp` for the full option list\n");
-  return 2;
-}
 
 /// Strict numeric-flag parsing: the whole token must parse and land in
 /// [lo, hi]; anything else ("abc", "1e999", trailing junk, overflow) is the
@@ -150,70 +75,396 @@ double parseDoubleFlag(const char* flag, const char* text, double lo, double hi)
   return v;
 }
 
-/// Reads and parses a textual ISA description file, printing the open error
-/// or parse diagnostics on failure. Shared by `isa` and `compile`.
-std::optional<isa::IsaDescription> loadIsaFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "mat2c: cannot open '%s'\n", path.c_str());
-    return std::nullopt;
+// --- flag tables -----------------------------------------------------------
+
+/// What follows a flag on the command line.
+enum class Arg {
+  None,    ///< nothing: a switch
+  Text,    ///< any string
+  Choice,  ///< one of the '|'-separated words in Flag::meta
+  Int,     ///< an integer in [Flag::lo, Flag::hi]
+  Real,    ///< a number in [Flag::lo, Flag::hi]
+};
+
+/// A flag's value: the argv text plus its checked numeric reading (every
+/// accepted integer is exact in a double).
+struct FlagValue {
+  const char* text = "";
+  double number = 0.0;
+};
+
+/// One row of a subcommand's flag table.
+template <class Opts>
+struct Flag {
+  const char* name;
+  Arg arg;
+  const char* meta;  ///< value placeholder for usage ("<n>"); the words of an Arg::Choice
+  const char* help;
+  void (*set)(Opts&, const FlagValue&);  ///< where the value goes
+  double lo = 0, hi = 0;                 ///< accepted range of an Arg::Int / Arg::Real
+  bool forward = false;                  ///< serve: also passed to every shard worker
+};
+constexpr bool kForward = true;
+
+/// Flag setter storing into one field: `true` for a switch, else the text or
+/// the checked number, whichever the field's type holds.
+template <auto Field, class Opts>
+void store(Opts& opts, const FlagValue& v) {
+  auto& dst = opts.*Field;
+  using T = std::remove_reference_t<decltype(dst)>;
+  if constexpr (std::is_same_v<T, bool>) {
+    dst = true;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    dst = v.text;
+  } else {
+    dst = static_cast<T>(v.number);
   }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  DiagnosticEngine diags;
-  isa::IsaDescription d = isa::IsaDescription::parse(ss.str(), diags);
-  if (diags.hasErrors()) {
-    std::fprintf(stderr, "%s", diags.renderAll().c_str());
-    return std::nullopt;
-  }
-  return d;
 }
 
-Matrix makeInput(const sema::ArgSpec& spec, kernels::InputGen& gen) {
-  const sema::Shape& s = spec.type.shape;
-  auto rows = s.rows.extent();
-  auto cols = s.cols.extent();
-  if (spec.type.elem == sema::Elem::Complex) {
-    Matrix m = Matrix::zeros(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols),
-                             true);
-    for (std::size_t i = 0; i < m.numel(); ++i) m.set(i, Complex{gen.next(), gen.next()});
-    return m;
-  }
-  Matrix m = gen.matrix(rows, cols);
-  return m;
+struct CompileArgs {
+  std::string source;
+  std::string entry;
+  std::string argsText;
+  std::string isaPreset = "dspx";
+  std::string isaFile;
+  std::string style = "proposed";
+  std::string emitPath;
+  std::string telemetryPath;
+  bool dumpLir = false;
+  bool run = false;
+  bool validate = false;
+  bool timePasses = false;
+  bool tracePasses = false;
+  unsigned seed = 1;
+  int unrollMaxTrip = -1;  ///< -1 = the style's default
+  /// Pass-toggle overrides in argv order, applied on top of the base options
+  /// --style/--isa/--isa-file pick, wherever they sit in argv.
+  std::vector<std::pair<bool CompileOptions::*, bool>> toggles;
+};
+
+template <bool CompileOptions::*Field, bool Value>
+void toggle(CompileArgs& a, const FlagValue&) {
+  a.toggles.emplace_back(Field, Value);
 }
 
-int cmdIsa(int argc, char** argv) {
+const Flag<CompileArgs> kCompileFlags[] = {
+    {"-e", Arg::Text, "<source>", "MATLAB source text instead of a file",
+     store<&CompileArgs::source>},
+    {"--entry", Arg::Text, "<name>", "entry-point function (required)", store<&CompileArgs::entry>},
+    {"--args", Arg::Text, "<spec,...>",
+     "argument shapes: 1x1 scalar, 1x1024 row, 64x3 matrix, c1x64 complex",
+     store<&CompileArgs::argsText>},
+    {"--isa", Arg::Text, "<preset>", "target preset (default dspx; see `mat2c list-isas`)",
+     store<&CompileArgs::isaPreset>},
+    {"--isa-file", Arg::Text, "<file>", "textual ISA description instead of a preset",
+     store<&CompileArgs::isaFile>},
+    {"--style", Arg::Choice, "proposed|coder",
+     "proposed pipeline (default) or MATLAB-Coder-style baseline", store<&CompileArgs::style>},
+    {"--emit-c", Arg::Text, "<out.c>", "write the generated translation unit",
+     store<&CompileArgs::emitPath>},
+    {"--dump-lir", Arg::None, "", "print the optimized LIR", store<&CompileArgs::dumpLir>},
+    {"--run", Arg::None, "", "execute on the cycle-model VM with seeded inputs",
+     store<&CompileArgs::run>},
+    {"--validate", Arg::None, "", "also run the reference interpreter and compare",
+     store<&CompileArgs::validate>},
+    {"--seed", Arg::Int, "<n>", "input seed for --run/--validate (default 1)",
+     store<&CompileArgs::seed>, 0, 4294967295.0},
+    {"--no-vectorize", Arg::None, "", "disable the SIMD vectorizer",
+     toggle<&CompileOptions::vectorize, false>},
+    {"--no-idioms", Arg::None, "", "disable MAC/complex idiom mapping",
+     toggle<&CompileOptions::idioms, false>},
+    {"--no-sink-decls", Arg::None, "", "disable declaration sinking",
+     toggle<&CompileOptions::sinkDecls, false>},
+    {"--no-fuse-loops", Arg::None, "", "disable cross-statement loop fusion",
+     toggle<&CompileOptions::fuseLoops, false>},
+    {"--no-unroll", Arg::None, "", "disable recurrence unrolling",
+     toggle<&CompileOptions::unrollRecurrences, false>},
+    {"--no-licm", Arg::None, "", "disable loop-invariant code motion / promotion",
+     toggle<&CompileOptions::licm, false>},
+    {"--no-cse", Arg::None, "", "disable common-subexpression elimination",
+     toggle<&CompileOptions::cse, false>},
+    {"--no-dead-stores", Arg::None, "", "disable dead-store / dead-loop cleanup",
+     toggle<&CompileOptions::deadStores, false>},
+    {"--reassoc", Arg::None, "", "allow reassociating fma rewrites (changes rounding)",
+     toggle<&CompileOptions::reassoc, true>},
+    {"--unroll-max-trip", Arg::Int, "<n>", "max trip count fully unrolled (default 8)",
+     store<&CompileArgs::unrollMaxTrip>, 0, 1 << 20},
+    {"--time-passes", Arg::None, "", "print per-pass wall time and LIR stat deltas",
+     store<&CompileArgs::timePasses>},
+    {"--verify-each", Arg::None, "", "verify the LIR after every pass (names the culprit)",
+     toggle<&CompileOptions::verifyEach, true>},
+    {"--trace-passes", Arg::None, "", "dump the LIR after every pass (stderr)",
+     store<&CompileArgs::tracePasses>},
+    {"--telemetry-json", Arg::Text, "<file>",
+     "write per-pass telemetry as JSON (docs/pipeline.md)", store<&CompileArgs::telemetryPath>},
+};
+
+struct ServeOptions {
+  std::string inputPath;  ///< "" or "-" = stdin
+  bool binary = false;
+  service::CompileService::Config config;
+  service::ProtocolLimits protocolLimits;
+  double defaultDeadlineMillis = 0.0;  // applied to requests without their own
+  std::string statsPath;
+  std::string metricsPath;
+  std::string isaFile;    ///< server-default ISA with hot reload ("" = dspx)
+  int shards = 0;         ///< >0: supervisor mode (N worker processes)
+  double hedgeMillis = 0.0;
+  int maxRestarts = 8;
+  std::uint64_t seed = 1;
+  /// The kForward flags, verbatim, for every shard worker in supervisor mode.
+  std::vector<std::string> workerArgs;
+};
+
+const Flag<ServeOptions> kServeFlags[] = {
+    {"--jobs", Arg::Int, "<n>", "compile worker threads",
+     [](ServeOptions& o, const FlagValue& v) { o.config.threads = v.number; }, 1, 4096,
+     kForward},
+    {"--cache-entries", Arg::Int, "<n>", "memory compile-cache capacity",
+     [](ServeOptions& o, const FlagValue& v) { o.config.cacheEntries = v.number; }, 0,
+     1 << 30, kForward},
+    {"--stats-json", Arg::Text, "<file>", "end-of-run stats JSON here instead of stderr",
+     store<&ServeOptions::statsPath>},
+    {"--metrics", Arg::Text, "<file>", "write Prometheus text-format metrics",
+     store<&ServeOptions::metricsPath>},
+    {"--max-request-bytes", Arg::Int, "<n>", "reject longer request lines / frames",
+     [](ServeOptions& o, const FlagValue& v) { o.protocolLimits.maxRequestBytes = v.number; },
+     1, 1LL << 40, kForward},
+    {"--deadline-ms", Arg::Real, "<ms>", "deadline of requests that set none",
+     store<&ServeOptions::defaultDeadlineMillis>, 0, 1e9, kForward},
+    {"--store-dir", Arg::Text, "<dir>", "persist compiled artifacts across restarts",
+     [](ServeOptions& o, const FlagValue& v) { o.config.storeDir = v.text; }, 0, 0, kForward},
+    {"--max-store-bytes", Arg::Int, "<n>", "artifact-store byte cap (0 = none)",
+     [](ServeOptions& o, const FlagValue& v) { o.config.maxStoreBytes = v.number; }, 0,
+     1LL << 50, kForward},
+    {"--tenant-inflight", Arg::Int, "<n>", "per-tenant concurrent-compile cap (0 = none)",
+     [](ServeOptions& o, const FlagValue& v) { o.config.tenantInflightCap = v.number; }, 0,
+     1 << 20, kForward},
+    {"--binary", Arg::None, "", "M2CB frames instead of JSON lines, both ways",
+     store<&ServeOptions::binary>},
+    {"--isa-file", Arg::Text, "<file>", "default target, reloaded on SIGHUP or admin reload",
+     store<&ServeOptions::isaFile>, 0, 0, kForward},
+    {"--shards", Arg::Int, "<n>", "n worker processes behind a supervisor",
+     store<&ServeOptions::shards>, 1, 256},
+    {"--hedge-ms", Arg::Real, "<ms>", "re-send slower requests to a second shard",
+     store<&ServeOptions::hedgeMillis>, 0, 1e9},
+    {"--max-restarts", Arg::Int, "<n>", "restarts per shard before ejection (default 8)",
+     store<&ServeOptions::maxRestarts>, 0, 1 << 20},
+    {"--seed", Arg::Int, "<n>", "supervisor restart-jitter seed",
+     store<&ServeOptions::seed>, 0, 4294967295.0},
+};
+
+struct IsaArgs {
   std::string preset = "dspx";
   std::string file;
+};
+
+const Flag<IsaArgs> kIsaFlags[] = {
+    {"--preset", Arg::Text, "<name>", "print this preset (default dspx)", store<&IsaArgs::preset>},
+    {"--isa-file", Arg::Text, "<file>", "parse and print this description instead",
+     store<&IsaArgs::file>},
+};
+
+struct ExploreArgs {
+  std::string kernels;
+  std::string jsonPath;
+  std::string emitPath;
+  bool quiet = false;
+  dse::ExploreOptions opts;
+};
+
+const Flag<ExploreArgs> kExploreFlags[] = {
+    {"--kernels", Arg::Text, "<name,...>", "corpus subset (default: all nine)",
+     store<&ExploreArgs::kernels>},
+    {"--top", Arg::Int, "<n>", "fused-instruction candidates admitted (default 4)",
+     [](ExploreArgs& a, const FlagValue& v) { a.opts.topCandidates = v.number; }, 0, 64},
+    {"--no-fused", Arg::None, "", "leave fused instructions out of the space",
+     [](ExploreArgs& a, const FlagValue&) { a.opts.exploreFused = false; }},
+    {"--json", Arg::Text, "<file>", "write the results as JSON", store<&ExploreArgs::jsonPath>},
+    {"--emit-isa", Arg::Text, "<file>", "write the winning design as an ISA file",
+     store<&ExploreArgs::emitPath>},
+    {"--quiet", Arg::None, "", "no progress lines", store<&ExploreArgs::quiet>},
+};
+
+struct TuneArgs {
+  std::string kernels;
+  std::string jsonPath;
+  std::string isaPreset = "dspx";
+  std::string isaFile;
+  bool quiet = false;
+  tune::TuneOptions topt;
+};
+
+const Flag<TuneArgs> kTuneFlags[] = {
+    {"--kernels", Arg::Text, "<name,...>", "kernels to tune (default: the tune corpus)",
+     store<&TuneArgs::kernels>},
+    {"--budget", Arg::Int, "<n>", "candidates compiled per kernel (default 48)",
+     [](TuneArgs& a, const FlagValue& v) { a.topt.budget = v.number; }, 1, 100000},
+    {"--json", Arg::Text, "<file>", "write the results as JSON", store<&TuneArgs::jsonPath>},
+    {"--isa", Arg::Text, "<preset>", "target preset (default dspx)", store<&TuneArgs::isaPreset>},
+    {"--isa-file", Arg::Text, "<file>", "textual ISA description instead of a preset",
+     store<&TuneArgs::isaFile>},
+    {"--seed", Arg::Int, "<n>", "input seed (default 1)",
+     [](TuneArgs& a, const FlagValue& v) { a.topt.seed = v.number; }, 0, 4294967295.0},
+    {"--quiet", Arg::None, "", "no progress lines", store<&TuneArgs::quiet>},
+};
+
+/// The one argv loop: parses argv[2..] against `flags` into `opts`. An
+/// argument that is no flag goes to `positional`, which may refuse it. A
+/// missing value, an unknown option, a bad choice or a malformed number is a
+/// usage error (exit 2). Returns the kForward flags and their values.
+template <class Opts, std::size_t N>
+std::vector<std::string> parseFlags(int argc, char** argv, const Flag<Opts> (&flags)[N],
+                                    Opts& opts,
+                                    bool (*positional)(Opts&, const std::string&) = nullptr) {
+  std::vector<std::string> forwarded;
   for (int i = 2; i < argc; ++i) {
     std::string a = argv[i];
-    if (a == "--preset" && i + 1 < argc) {
-      preset = argv[++i];
-    } else if (a == "--isa-file" && i + 1 < argc) {
-      file = argv[++i];
-    } else {
-      return usage();
+    const Flag<Opts>* f = std::find_if(std::begin(flags), std::end(flags),
+                                       [&](const Flag<Opts>& row) { return a == row.name; });
+    if (f == std::end(flags)) {
+      if (positional && positional(opts, a)) continue;
+      std::fprintf(stderr, "mat2c: unknown option '%s'\n", a.c_str());
+      std::exit(2);
     }
-  }
-  isa::IsaDescription d;
-  if (!file.empty()) {
-    auto loaded = loadIsaFile(file);
-    if (!loaded) return 1;
-    d = *loaded;
-  } else {
-    try {
-      d = isa::IsaDescription::preset(preset);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "mat2c: %s\navailable presets:", e.what());
-      for (const auto& n : isa::IsaDescription::presetNames()) {
-        std::fprintf(stderr, " %s", n.c_str());
+    FlagValue v;
+    if (f->arg != Arg::None) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "mat2c: %s expects a value\n", f->name);
+        std::exit(2);
       }
-      std::fprintf(stderr, "\n");
-      return 1;
+      v.text = argv[++i];
+    }
+    if (f->arg == Arg::Int) {
+      v.number = static_cast<double>(parseIntFlag(
+          f->name, v.text, static_cast<long long>(f->lo), static_cast<long long>(f->hi)));
+    } else if (f->arg == Arg::Real) {
+      v.number = parseDoubleFlag(f->name, v.text, f->lo, f->hi);
+    } else if (f->arg == Arg::Choice) {
+      std::vector<std::string> words = split(f->meta, '|');
+      if (std::find(words.begin(), words.end(), v.text) == words.end()) {
+        std::fprintf(stderr, "mat2c: %s expects one of %s, got '%s'\n", f->name, f->meta,
+                     v.text);
+        std::exit(2);
+      }
+    }
+    if (f->forward) forwarded.insert(forwarded.end(), {a, v.text});
+    f->set(opts, v);
+  }
+  return forwarded;
+}
+
+template <class Opts, std::size_t N>
+void printFlags(const char* synopsis, const Flag<Opts> (&flags)[N]) {
+  std::fprintf(stderr, "  mat2c %s\n", synopsis);
+  for (const Flag<Opts>& f : flags) {
+    std::string spelled = f.name;
+    if (f.arg != Arg::None) spelled += std::string(" ") + f.meta;
+    std::fprintf(stderr, "      %-27s %s", spelled.c_str(), f.help);
+    if (f.arg == Arg::Int || f.arg == Arg::Real) {
+      std::fprintf(stderr, " [%.0f, %.0f]", f.lo, f.hi);
+    }
+    std::fprintf(stderr, "\n");
+  }
+}
+
+int usage() {
+  std::fprintf(stderr, "usage:\n");
+  printFlags("compile (<file.m> | -e '<matlab source>') --entry <name> --args <spec,...>",
+             kCompileFlags);
+  printFlags("serve [<requests.jsonl> | -]", kServeFlags);
+  printFlags("isa", kIsaFlags);
+  std::fprintf(stderr, "  mat2c list-isas\n  mat2c list-kernels\n");
+  printFlags("explore", kExploreFlags);
+  printFlags("tune", kTuneFlags);
+  return 2;
+}
+
+// --- shared helpers --------------------------------------------------------
+
+/// Writes `text` to `path`, announcing it on stderr when `announce`; prints
+/// "cannot write" and returns false when the file does not open.
+bool writeFile(const std::string& path, const std::string& text, bool announce = true) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "mat2c: cannot write '%s'\n", path.c_str());
+    return false;
+  }
+  out << text;
+  if (announce) std::fprintf(stderr, "mat2c: wrote %s\n", path.c_str());
+  return true;
+}
+
+/// The target ISA of `isa`, `compile` and `tune`: the --isa-file description
+/// when one is given (nullopt, with the reason printed, when it does not
+/// load), else the named preset. An unknown preset is a usage error (exit 2)
+/// that lists the presets.
+std::optional<isa::IsaDescription> resolveIsa(const std::string& preset,
+                                              const std::string& file) {
+  if (!file.empty()) {
+    try {
+      return service::IsaRegistry::parseFile(file);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "mat2c: %s\n", e.what());
+      return std::nullopt;
     }
   }
-  std::printf("%s", d.serialize().c_str());
+  try {
+    return isa::IsaDescription::preset(preset);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "mat2c: %s\navailable presets (see `mat2c list-isas`):", e.what());
+    for (const auto& n : isa::IsaDescription::presetNames()) {
+      std::fprintf(stderr, " %s", n.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
+}
+
+/// The --kernels selection of `explore` and `tune`: each comma-separated name
+/// from `pool`, else (when `anyKernel`) from the full kernel suite. An
+/// unknown name is a usage error (exit 2) naming it as `what`, pointing at
+/// `see`.
+std::vector<kernels::KernelSpec> selectKernels(const std::string& csv,
+                                               const std::vector<kernels::KernelSpec>& pool,
+                                               bool anyKernel, const char* what,
+                                               const char* see) {
+  std::vector<kernels::KernelSpec> picked;
+  for (const auto& name : split(csv, ',')) {
+    std::string trimmed(trim(name));
+    if (trimmed.empty()) continue;
+    auto it = std::find_if(pool.begin(), pool.end(),
+                           [&](const kernels::KernelSpec& k) { return k.name == trimmed; });
+    if (it != pool.end()) {
+      picked.push_back(*it);
+      continue;
+    }
+    if (anyKernel) {
+      try {
+        picked.push_back(kernels::kernelByName(trimmed));
+        continue;
+      } catch (const std::exception&) {
+      }
+    }
+    std::fprintf(stderr, "mat2c: unknown %s '%s' (see %s)\n", what, trimmed.c_str(), see);
+    std::exit(2);
+  }
+  return picked;
+}
+
+double millisSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// --- subcommands -----------------------------------------------------------
+
+int cmdIsa(int argc, char** argv) {
+  IsaArgs a;
+  parseFlags(argc, argv, kIsaFlags, a);
+  auto d = resolveIsa(a.preset, a.file);
+  if (!d) return 1;
+  std::printf("%s", d->serialize().c_str());
   return 0;
 }
 
@@ -234,63 +485,16 @@ int cmdListIsas() {
 }
 
 int cmdExplore(int argc, char** argv) {
-  std::string kernelsCsv;
-  std::string jsonPath;
-  std::string emitPath;
-  dse::ExploreOptions opts;
-  bool quiet = false;
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    auto need = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "mat2c: %s expects a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--kernels") {
-      kernelsCsv = need("--kernels");
-    } else if (a == "--top") {
-      opts.topCandidates = static_cast<int>(parseIntFlag("--top", need("--top"), 0, 64));
-    } else if (a == "--no-fused") {
-      opts.exploreFused = false;
-    } else if (a == "--json") {
-      jsonPath = need("--json");
-    } else if (a == "--emit-isa") {
-      emitPath = need("--emit-isa");
-    } else if (a == "--quiet") {
-      quiet = true;
-    } else {
-      std::fprintf(stderr, "mat2c: unknown option '%s'\n", a.c_str());
-      return 2;
-    }
+  ExploreArgs a;
+  parseFlags(argc, argv, kExploreFlags, a);
+  if (!a.kernels.empty()) {
+    a.opts.corpus = selectKernels(a.kernels, kernels::dseCorpus(), false, "corpus kernel",
+                                  "the first nine of `mat2c list-kernels`");
   }
-  if (!kernelsCsv.empty()) {
-    std::vector<kernels::KernelSpec> corpus;
-    for (const auto& name : split(kernelsCsv, ',')) {
-      std::string trimmed(trim(name));
-      if (trimmed.empty()) continue;
-      bool found = false;
-      for (auto& spec : kernels::dseCorpus()) {
-        if (spec.name == trimmed) {
-          corpus.push_back(std::move(spec));
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        std::fprintf(stderr, "mat2c: unknown corpus kernel '%s' (see the first nine of "
-                             "`mat2c list-kernels`)\n",
-                     trimmed.c_str());
-        return 2;
-      }
-    }
-    opts.corpus = std::move(corpus);
-  }
-  if (!quiet) opts.progress = &std::cerr;
+  if (!a.quiet) a.opts.progress = &std::cerr;
 
   try {
-    dse::ExploreResult result = dse::explore(opts);
+    dse::ExploreResult result = dse::explore(a.opts);
     std::printf("Mined idioms (top %zu by dynamic count):\n%s\n", result.idioms.size(),
                 dse::idiomTable(result).c_str());
     if (!result.candidates.empty()) {
@@ -306,24 +510,8 @@ int cmdExplore(int argc, char** argv) {
     double worstErr = 0.0;
     for (const auto& [name, err] : result.bestMaxAbsErr) worstErr = std::max(worstErr, err);
     std::printf("oracle check at winner: max |error| vs interpreter = %g\n", worstErr);
-    if (!emitPath.empty()) {
-      std::ofstream out(emitPath);
-      if (!out) {
-        std::fprintf(stderr, "mat2c: cannot write '%s'\n", emitPath.c_str());
-        return 1;
-      }
-      out << dse::isaFileText(result);
-      std::fprintf(stderr, "mat2c: wrote %s\n", emitPath.c_str());
-    }
-    if (!jsonPath.empty()) {
-      std::ofstream out(jsonPath);
-      if (!out) {
-        std::fprintf(stderr, "mat2c: cannot write '%s'\n", jsonPath.c_str());
-        return 1;
-      }
-      out << dse::benchJson(result);
-      std::fprintf(stderr, "mat2c: wrote %s\n", jsonPath.c_str());
-    }
+    if (!a.emitPath.empty() && !writeFile(a.emitPath, dse::isaFileText(result))) return 1;
+    if (!a.jsonPath.empty() && !writeFile(a.jsonPath, dse::benchJson(result))) return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mat2c: explore failed: %s\n", e.what());
     return 1;
@@ -332,88 +520,19 @@ int cmdExplore(int argc, char** argv) {
 }
 
 int cmdTune(int argc, char** argv) {
-  std::string kernelsCsv;
-  std::string jsonPath;
-  std::string isaPreset = "dspx";
-  std::string isaFile;
-  tune::TuneOptions topt;
-  bool quiet = false;
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    auto need = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "mat2c: %s expects a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--kernels") {
-      kernelsCsv = need("--kernels");
-    } else if (a == "--budget") {
-      topt.budget = static_cast<int>(parseIntFlag("--budget", need("--budget"), 1, 100000));
-    } else if (a == "--json") {
-      jsonPath = need("--json");
-    } else if (a == "--isa") {
-      isaPreset = need("--isa");
-    } else if (a == "--isa-file") {
-      isaFile = need("--isa-file");
-    } else if (a == "--seed") {
-      topt.seed =
-          static_cast<unsigned>(parseIntFlag("--seed", need("--seed"), 0, 4294967295LL));
-    } else if (a == "--quiet") {
-      quiet = true;
-    } else {
-      std::fprintf(stderr, "mat2c: unknown option '%s'\n", a.c_str());
-      return 2;
-    }
-  }
-
+  TuneArgs a;
+  parseFlags(argc, argv, kTuneFlags, a);
   CompileOptions base;
-  try {
-    base = CompileOptions::proposed(isaPreset);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mat2c: %s\navailable presets (see `mat2c list-isas`):",
-                 e.what());
-    for (const auto& n : isa::IsaDescription::presetNames()) {
-      std::fprintf(stderr, " %s", n.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    return 2;
-  }
-  if (!isaFile.empty()) {
-    auto loaded = loadIsaFile(isaFile);
-    if (!loaded) return 1;
-    base.isa = *loaded;
-  }
+  auto target = resolveIsa(a.isaPreset, a.isaFile);
+  if (!target) return 1;
+  base.isa = std::move(*target);
 
   // Kernel selection: the tune corpus (reduced sizes) by name when possible,
   // any full-size corpus kernel otherwise, so `--kernels fft` still works.
-  std::vector<kernels::KernelSpec> corpus;
-  if (kernelsCsv.empty()) {
-    corpus = kernels::tuneCorpus();
-  } else {
-    std::vector<kernels::KernelSpec> pool = kernels::tuneCorpus();
-    for (const auto& name : split(kernelsCsv, ',')) {
-      std::string trimmed(trim(name));
-      if (trimmed.empty()) continue;
-      bool found = false;
-      for (auto& spec : pool) {
-        if (spec.name == trimmed) {
-          corpus.push_back(spec);
-          found = true;
-          break;
-        }
-      }
-      if (found) continue;
-      try {
-        corpus.push_back(kernels::kernelByName(trimmed));
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "mat2c: unknown kernel '%s' (see `mat2c list-kernels`)\n",
-                     trimmed.c_str());
-        return 2;
-      }
-    }
-  }
+  std::vector<kernels::KernelSpec> corpus =
+      a.kernels.empty() ? kernels::tuneCorpus()
+                        : selectKernels(a.kernels, kernels::tuneCorpus(), true, "kernel",
+                                        "`mat2c list-kernels`");
   if (corpus.empty()) {
     std::fprintf(stderr, "mat2c: no kernels selected\n");
     return 2;
@@ -422,7 +541,7 @@ int cmdTune(int argc, char** argv) {
   std::vector<tune::TuneReport> reports;
   int improved = 0;
   for (const auto& spec : corpus) {
-    if (!quiet) std::fprintf(stderr, "mat2c: tuning %s...\n", spec.name.c_str());
+    if (!a.quiet) std::fprintf(stderr, "mat2c: tuning %s...\n", spec.name.c_str());
     tune::TuneInput input;
     input.source = spec.source;
     input.entry = spec.entry;
@@ -430,7 +549,7 @@ int cmdTune(int argc, char** argv) {
     input.args = spec.args;
     input.base = base;
     try {
-      tune::TuneResult result = tune::autotune(input, topt);
+      tune::TuneResult result = tune::autotune(input, a.topt);
       result.report.kernel = spec.name;  // corpus id, not just the entry name
       if (result.report.tunedCycles < result.report.defaultCycles) ++improved;
       reports.push_back(std::move(result.report));
@@ -441,18 +560,12 @@ int cmdTune(int argc, char** argv) {
     }
   }
 
-  std::printf("Autotune results (budget %d, search space %d):\n%s\n", topt.budget,
-              tune::searchSpaceSize(topt), tune::reportTable(reports).c_str());
+  std::printf("Autotune results (budget %d, search space %d):\n%s\n", a.topt.budget,
+              tune::searchSpaceSize(a.topt), tune::reportTable(reports).c_str());
   std::printf("%d of %zu kernel(s) beat the default pipeline\n", improved,
               reports.size());
-  if (!jsonPath.empty()) {
-    std::ofstream out(jsonPath);
-    if (!out) {
-      std::fprintf(stderr, "mat2c: cannot write '%s'\n", jsonPath.c_str());
-      return 1;
-    }
-    out << tune::benchJson(reports, base.isa.name());
-    std::fprintf(stderr, "mat2c: wrote %s\n", jsonPath.c_str());
+  if (!a.jsonPath.empty() && !writeFile(a.jsonPath, tune::benchJson(reports, base.isa.name()))) {
+    return 1;
   }
   return 0;
 }
@@ -467,112 +580,28 @@ int cmdListKernels() {
   return 0;
 }
 
-int cmdCompile(int argc, char** argv) {
-  std::string source;
-  std::string entry;
-  std::string argsText;
-  std::string emitPath;
-  std::string isaFile;
-  std::string isaPreset = "dspx";
-  bool coder = false;
-  bool dumpLir = false;
-  bool run = false;
-  bool validate = false;
-  bool noVectorize = false;
-  bool noIdioms = false;
-  bool noSinkDecls = false;
-  bool noFuseLoops = false;
-  bool noUnroll = false;
-  bool noLicm = false;
-  bool noCse = false;
-  bool noDeadStores = false;
-  bool reassoc = false;
-  int unrollMaxTrip = -1;
-  bool timePasses = false;
-  bool verifyEach = false;
-  bool tracePasses = false;
-  std::string telemetryPath;
-  unsigned seed = 1;
-
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    auto need = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "mat2c: %s expects a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--entry") {
-      entry = need("--entry");
-    } else if (a == "--args") {
-      argsText = need("--args");
-    } else if (a == "--emit-c") {
-      emitPath = need("--emit-c");
-    } else if (a == "--isa") {
-      isaPreset = need("--isa");
-    } else if (a == "--isa-file") {
-      isaFile = need("--isa-file");
-    } else if (a == "--style") {
-      coder = std::string(need("--style")) == "coder";
-    } else if (a == "--seed") {
-      seed = static_cast<unsigned>(parseIntFlag("--seed", need("--seed"), 0, 4294967295LL));
-    } else if (a == "--dump-lir") {
-      dumpLir = true;
-    } else if (a == "--run") {
-      run = true;
-    } else if (a == "--validate") {
-      validate = true;
-    } else if (a == "--no-vectorize") {
-      noVectorize = true;
-    } else if (a == "--no-idioms") {
-      noIdioms = true;
-    } else if (a == "--no-sink-decls") {
-      noSinkDecls = true;
-    } else if (a == "--no-fuse-loops") {
-      noFuseLoops = true;
-    } else if (a == "--no-unroll") {
-      noUnroll = true;
-    } else if (a == "--no-licm") {
-      noLicm = true;
-    } else if (a == "--no-cse") {
-      noCse = true;
-    } else if (a == "--no-dead-stores") {
-      noDeadStores = true;
-    } else if (a == "--reassoc") {
-      reassoc = true;
-    } else if (a == "--unroll-max-trip") {
-      unrollMaxTrip = static_cast<int>(
-          parseIntFlag("--unroll-max-trip", need("--unroll-max-trip"), 0, 1 << 20));
-    } else if (a == "--time-passes") {
-      timePasses = true;
-    } else if (a == "--verify-each") {
-      verifyEach = true;
-    } else if (a == "--trace-passes") {
-      tracePasses = true;
-    } else if (a == "--telemetry-json") {
-      telemetryPath = need("--telemetry-json");
-    } else if (a == "-e") {
-      source = need("-e");
-    } else if (!a.empty() && a[0] != '-' && source.empty()) {
-      std::ifstream in(a);
-      if (!in) {
-        std::fprintf(stderr, "mat2c: cannot open '%s'\n", a.c_str());
-        return 1;
-      }
-      std::stringstream ss;
-      ss << in.rdbuf();
-      source = ss.str();
-    } else {
-      std::fprintf(stderr, "mat2c: unknown option '%s'\n", a.c_str());
-      return 2;
-    }
+/// `compile`'s positional argument: the first non-flag names the .m file.
+bool readSourceFile(CompileArgs& a, const std::string& path) {
+  if (path.empty() || path[0] == '-' || !a.source.empty()) return false;
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "mat2c: cannot open '%s'\n", path.c_str());
+    std::exit(1);
   }
-  if (source.empty() || entry.empty()) return usage();
+  std::stringstream ss;
+  ss << in.rdbuf();
+  a.source = ss.str();
+  return true;
+}
+
+int cmdCompile(int argc, char** argv) {
+  CompileArgs a;
+  parseFlags(argc, argv, kCompileFlags, a, readSourceFile);
+  if (a.source.empty() || a.entry.empty()) return usage();
 
   std::vector<sema::ArgSpec> specs;
   std::string badSpec;
-  if (!service::parseArgSpecList(argsText, specs, badSpec)) {
+  if (!service::parseArgSpecList(a.argsText, specs, badSpec)) {
     std::fprintf(stderr,
                  "mat2c: bad arg spec '%s' (dims must be positive integers with no "
                  "trailing characters; want e.g. 1x1024 or c1x64)\n",
@@ -580,37 +609,14 @@ int cmdCompile(int argc, char** argv) {
     return 2;
   }
 
-  CompileOptions options;
-  try {
-    options = coder ? CompileOptions::coderLike(isaPreset)
-                    : CompileOptions::proposed(isaPreset);
-  } catch (const std::exception& e) {
-    // Unknown --isa spelling is a usage error (exit 2), not an abort.
-    std::fprintf(stderr, "mat2c: %s\navailable presets (see `mat2c list-isas`):",
-                 e.what());
-    for (const auto& n : isa::IsaDescription::presetNames()) {
-      std::fprintf(stderr, " %s", n.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    return 2;
-  }
-  if (!isaFile.empty()) {
-    auto loaded = loadIsaFile(isaFile);
-    if (!loaded) return 1;
-    options.isa = *loaded;
-  }
-  if (noVectorize) options.vectorize = false;
-  if (noIdioms) options.idioms = false;
-  if (noSinkDecls) options.sinkDecls = false;
-  if (noFuseLoops) options.fuseLoops = false;
-  if (noUnroll) options.unrollRecurrences = false;
-  if (noLicm) options.licm = false;
-  if (noCse) options.cse = false;
-  if (noDeadStores) options.deadStores = false;
-  if (reassoc) options.reassoc = true;
-  if (unrollMaxTrip >= 0) options.unrollMaxTrip = unrollMaxTrip;
-  options.verifyEach = verifyEach;
-  if (tracePasses) {
+  CompileOptions options =
+      a.style == "coder" ? CompileOptions::coderLike() : CompileOptions::proposed();
+  auto target = resolveIsa(a.isaPreset, a.isaFile);
+  if (!target) return 1;
+  options.isa = std::move(*target);
+  for (const auto& [field, value] : a.toggles) options.*field = value;
+  if (a.unrollMaxTrip >= 0) options.unrollMaxTrip = a.unrollMaxTrip;
+  if (a.tracePasses) {
     options.tracePasses = [](const opt::PassRecord& rec, const lir::Function& fn) {
       std::fprintf(stderr, "mat2c: --- LIR after pass '%s' (%.3f ms) ---\n%s\n",
                    rec.name.c_str(), rec.millis, lir::print(fn).c_str());
@@ -619,47 +625,34 @@ int cmdCompile(int argc, char** argv) {
 
   Compiler compiler;
   try {
-    auto unit = compiler.compileSource(source, entry, specs, options);
+    auto unit = compiler.compileSource(a.source, a.entry, specs, options);
+    const opt::PipelineReport& report = unit.optimizationReport();
 
     std::fprintf(stderr, "mat2c: compiled '%s' for target '%s' (%d loop(s) vectorized, "
                          "%d MAC rewrite(s))\n",
-                 entry.c_str(), options.isa.name().c_str(),
-                 unit.optimizationReport().vec.loopsVectorized,
-                 unit.optimizationReport().idiomRewrites);
-    for (const auto& note : unit.optimizationReport().vec.missed) {
+                 a.entry.c_str(), options.isa.name().c_str(), report.vec.loopsVectorized,
+                 report.idiomRewrites);
+    for (const auto& note : report.vec.missed) {
       std::fprintf(stderr, "mat2c: note: %s\n", note.c_str());
     }
-    if (timePasses) {
+    if (a.timePasses) {
       std::fprintf(stderr, "mat2c: per-pass telemetry (%.3f ms total):\n%s",
-                   unit.optimizationReport().totalMillis,
-                   report::passTable(unit.optimizationReport()).toString().c_str());
+                   report.totalMillis, report::passTable(report).toString().c_str());
     }
-    if (!telemetryPath.empty()) {
-      std::ofstream out(telemetryPath);
-      if (!out) {
-        std::fprintf(stderr, "mat2c: cannot write '%s'\n", telemetryPath.c_str());
-        return 1;
-      }
-      out << report::telemetryJson(unit.optimizationReport(), entry,
-                                   options.isa.name());
-      std::fprintf(stderr, "mat2c: wrote %s\n", telemetryPath.c_str());
+    if (!a.telemetryPath.empty() &&
+        !writeFile(a.telemetryPath,
+                   report::telemetryJson(report, a.entry, options.isa.name()))) {
+      return 1;
     }
 
-    if (dumpLir) std::printf("%s\n", unit.lirDump().c_str());
-    if (!emitPath.empty()) {
-      std::ofstream out(emitPath);
-      out << unit.cCode();
-      std::fprintf(stderr, "mat2c: wrote %s\n", emitPath.c_str());
-    }
-    if (emitPath.empty() && !dumpLir && !run && !validate) {
+    if (a.dumpLir) std::printf("%s\n", unit.lirDump().c_str());
+    if (!a.emitPath.empty() && !writeFile(a.emitPath, unit.cCode())) return 1;
+    if (a.emitPath.empty() && !a.dumpLir && !a.run && !a.validate) {
       std::printf("%s", unit.cCode().c_str());
     }
 
-    if (run || validate) {
-      kernels::InputGen gen(seed);
-      std::vector<Matrix> inputs;
-      inputs.reserve(specs.size());
-      for (const auto& spec : specs) inputs.push_back(makeInput(spec, gen));
+    if (a.run || a.validate) {
+      std::vector<Matrix> inputs = tune::makeTuneInputs(specs, a.seed);
       auto result = unit.run(inputs);
       std::printf("cycles: %.0f\n", result.cycles.total);
       for (const auto& [cat, v] : result.cycles.byCategory) {
@@ -668,8 +661,8 @@ int cmdCompile(int argc, char** argv) {
       for (std::size_t i = 0; i < result.outputs.size(); ++i) {
         std::printf("out%zu = %s\n", i, result.outputs[i].toString().c_str());
       }
-      if (validate) {
-        double err = validateAgainstInterpreter(source, entry, unit, inputs);
+      if (a.validate) {
+        double err = validateAgainstInterpreter(a.source, a.entry, unit, inputs);
         std::printf("max |error| vs interpreter: %g\n", err);
         if (err > 1e-9) {
           std::fprintf(stderr, "mat2c: VALIDATION FAILED\n");
@@ -687,30 +680,232 @@ int cmdCompile(int argc, char** argv) {
   return 0;
 }
 
+// --- serve -----------------------------------------------------------------
+
 volatile std::sig_atomic_t gSighup = 0;
 void sighupHandler(int) { gSighup = 1; }
 
-struct ServeOptions {
-  std::string inputPath = "-";
-  bool binary = false;
-  service::CompileService::Config config;
-  service::ProtocolLimits protocolLimits;
-  double defaultDeadlineMillis = 0.0;  // applied to requests without their own
-  std::string statsPath;
-  std::string metricsPath;
-  std::string isaFile;    ///< server-default ISA with hot reload ("" = dspx)
-  int shards = 0;         ///< >0: supervisor mode (N worker processes)
-  double hedgeMillis = 0.0;
-  int maxRestarts = 8;
-  std::uint64_t seed = 1;
-  /// Flags forwarded verbatim to shard workers in supervisor mode.
-  std::vector<std::string> workerArgs;
+/// Input-order response stream, shared by both serve modes. Ingest opens one
+/// slot per request; answers land in any order (an in-band error at once, a
+/// CompileService future, a shard's callback), and the writer thread emits
+/// them strictly in input order as they complete. Streaming instead of
+/// batching at EOF is what lets a worker run under the shard supervisor,
+/// whose readmission probe would otherwise deadlock.
+class ResponseWriter {
+ public:
+  struct Slot {
+    bool ready = false;
+    service::BinaryResponse response;
+    std::string payload;  ///< a shard's raw response payload ("" = encode `response`)
+    std::future<service::CompileResponse> future;  ///< a local compile in flight
+  };
+  using SlotPtr = std::shared_ptr<Slot>;
+
+  /// `faultPoint` arms the frame.write chaos point (shard workers only).
+  ResponseWriter(bool binary, bool faultPoint)
+      : binary_(binary), faultPoint_(faultPoint), thread_([this] { run(); }) {}
+
+  /// Appends an unanswered slot; answer() or await() fills it.
+  SlotPtr open() {
+    auto slot = std::make_shared<Slot>();
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      queue_.push_back(slot);
+      ++requests_;
+    }
+    return slot;
+  }
+  void answer(const SlotPtr& slot, service::BinaryResponse response, std::string payload = {}) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      slot->response = std::move(response);
+      slot->payload = std::move(payload);
+      slot->ready = true;
+    }
+    cv_.notify_all();
+  }
+  void await(const SlotPtr& slot, std::future<service::CompileResponse> future) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      slot->future = std::move(future);
+    }
+    cv_.notify_all();
+  }
+
+  /// Emits every remaining slot, then stops the writer thread.
+  void finish() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+  std::size_t requests() const { return requests_; }
+  std::size_t failures() const { return failures_; }
+  /// Per-request failures are reported in-band (the "ok" field); only a
+  /// completely failed batch is an error exit.
+  int exitCode() const { return requests_ > 0 && failures_ == requests_ ? 1 : 0; }
+
+ private:
+  void run() {
+    while (true) {
+      SlotPtr slot;
+      {
+        std::unique_lock<std::mutex> lk(mu_);
+        cv_.wait(lk, [&] {
+          return queue_.empty() ? done_ : queue_.front()->ready || queue_.front()->future.valid();
+        });
+        if (queue_.empty()) return;
+        slot = std::move(queue_.front());
+        queue_.pop_front();
+      }
+      if (!slot->ready) slot->response = slot->future.get();
+      if (!slot->response.ok) ++failures_;
+      if (binary_) {
+        std::string frame = service::encodeFrame(
+            service::FrameType::Response,
+            slot->payload.empty() ? service::encodeBinaryResponse(slot->response)
+                                  : slot->payload);
+        // Chaos point: a worker dying mid-write leaves the client a torn
+        // frame (Torn: half the bytes) or nothing (Fail). Either way the
+        // process must die — continuing after a skipped frame would shift
+        // every later response onto the wrong request.
+        fault::PointAction chaos =
+            faultPoint_ ? fault::atPoint("frame.write") : fault::PointAction::None;
+        if (chaos != fault::PointAction::None) {
+          if (chaos == fault::PointAction::Torn) {
+            std::fwrite(frame.data(), 1, frame.size() / 2, stdout);
+          }
+          std::fflush(stdout);
+          std::_Exit(9);
+        }
+        std::fwrite(frame.data(), 1, frame.size(), stdout);
+      } else {
+        std::printf("%s\n", service::responseJson(slot->response).c_str());
+      }
+      // Flush per response: downstream (supervisor, live clients) blocks on
+      // answers, and stdout is fully buffered on a pipe.
+      std::fflush(stdout);
+    }
+  }
+
+  const bool binary_;
+  const bool faultPoint_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<SlotPtr> queue_;
+  bool done_ = false;
+  std::size_t requests_ = 0;  ///< opened slots (admin + compile + errors)
+  std::size_t failures_ = 0;  ///< written by the writer thread only
+  std::thread thread_;        ///< last: starts once the members above exist
 };
 
-/// Single-process serve loop: ingest on this thread, emit on a writer thread
-/// so responses stream out in input order as they complete — a prerequisite
-/// for running under the shard supervisor, whose readmission probe would
-/// deadlock against batch-at-EOF emission.
+service::BinaryResponse errorResponse(std::string id, std::string error, ErrorKind kind) {
+  service::BinaryResponse r;
+  r.id = std::move(id);
+  r.error = std::move(error);
+  r.errorKind = kind;
+  return r;
+}
+
+service::BinaryResponse adminResponse(std::string id, std::string info) {
+  service::BinaryResponse r;
+  r.id = std::move(id);
+  r.ok = true;
+  r.adminInfo = std::move(info);
+  return r;
+}
+
+/// What tells the two serve modes apart: who answers admin requests and
+/// where compile requests go. ingest() and ResponseWriter do the rest.
+struct ServeBackend {
+  /// healthz / stats / reload, answered synchronously with ingest — so a
+  /// reload orders naturally against compiles: requests already submitted
+  /// keep the ISA they were stamped with, later ones see the new one.
+  std::function<service::BinaryResponse(const service::WireRequest&)> admin;
+  /// Routes one compile request; its answer must land in `slot`.
+  std::function<void(const service::WireRequest&, const ResponseWriter::SlotPtr&)> submit;
+  /// SIGHUP: re-read the server-default ISA.
+  std::function<void()> reload;
+};
+
+/// The one serve ingest loop: reads M2CB request frames (--binary) or JSON
+/// lines until EOF and gives every request one slot in `out`. Blank and '#'
+/// lines are skipped; a request without an id is named after its position
+/// (line<n> / frame<n>); malformed input gets an in-band error. A framing
+/// error is not resynchronizable (the stream position is unknown), so it
+/// ends ingest; a per-request decode error does not.
+void ingest(std::istream& in, const ServeOptions& opt, const ServeBackend& backend,
+            ResponseWriter& out) {
+  auto reject = [&](std::string id, std::string error, ErrorKind kind) {
+    out.answer(out.open(), errorResponse(std::move(id), std::move(error), kind));
+  };
+  std::string line, payload, error;
+  for (std::size_t n = 1;; ++n) {
+    service::FrameType type{};
+    int rc = 1;
+    if (opt.binary) {
+      rc = service::readFrame(in, type, payload, error, opt.protocolLimits);
+    } else if (!std::getline(in, line)) {
+      rc = 0;
+    }
+    if (rc == 0) break;
+    if (gSighup) {
+      gSighup = 0;
+      backend.reload();
+    }
+    service::WireRequest wire;
+    std::string position = (opt.binary ? "frame" : "line") + std::to_string(n);
+    if (opt.binary) {
+      if (rc < 0) {
+        reject(position, "bad frame: " + error,
+               startsWith(error, "frame payload is") ? ErrorKind::ResourceExhausted
+                                                     : ErrorKind::ParseError);
+        break;
+      }
+      if (type != service::FrameType::Request) {
+        reject(position, "bad frame: expected a request frame", ErrorKind::ParseError);
+        continue;
+      }
+      if (!service::decodeBinaryRequest(payload, wire, error)) {
+        reject(wire.id.empty() ? position : wire.id, "bad request: " + error,
+               ErrorKind::ParseError);
+        continue;
+      }
+    } else {
+      std::string_view stripped = trim(line);
+      if (stripped.empty() || stripped[0] == '#') continue;
+      ErrorKind kind = ErrorKind::None;
+      if (!service::parseWireRequest(stripped, wire, error, &kind, opt.protocolLimits)) {
+        reject(position, "bad request: " + error, kind);
+        continue;
+      }
+    }
+    if (wire.id.empty()) wire.id = position;
+    if (wire.admin.empty()) {
+      backend.submit(wire, out.open());
+    } else if (wire.admin == "healthz" || wire.admin == "stats" || wire.admin == "reload") {
+      out.answer(out.open(), backend.admin(wire));
+    } else {
+      reject(wire.id, "unknown admin command '" + wire.admin + "'", ErrorKind::ParseError);
+    }
+  }
+}
+
+/// End-of-run reports: the stats JSON (--stats-json, else stderr) and the
+/// --metrics text. False after a "cannot write" message.
+bool writeServeReports(const ServeOptions& opt, const std::string& stats,
+                       const std::string& metrics) {
+  if (opt.statsPath.empty()) {
+    std::fprintf(stderr, "%s", stats.c_str());
+  } else if (!writeFile(opt.statsPath, stats, false)) {
+    return false;
+  }
+  return opt.metricsPath.empty() || writeFile(opt.metricsPath, metrics, false);
+}
+
+/// Single-process serve: compiles on this process's CompileService.
 int runServeSingle(const ServeOptions& opt, std::istream& in) {
   std::optional<service::IsaRegistry> registry;
   if (!opt.isaFile.empty()) {
@@ -734,115 +929,38 @@ int runServeSingle(const ServeOptions& opt, std::istream& in) {
   }
 
   auto t0 = std::chrono::steady_clock::now();
-
-  // One slot per request; the writer fulfills them strictly in input order,
-  // so output order is deterministic even though the pool completes jobs in
-  // any order. Malformed requests get an immediate in-band error response.
-  struct Slot {
-    bool ready = false;
-    service::CompileResponse response;
-    std::future<service::CompileResponse> future;
-  };
-  std::deque<Slot> queue;
-  std::mutex qmu;
-  std::condition_variable qcv;
-  bool ingestDone = false;
-  std::atomic<std::size_t> failed{0};
-
-  std::thread writer([&] {
-    while (true) {
-      Slot slot;
-      {
-        std::unique_lock<std::mutex> lk(qmu);
-        qcv.wait(lk, [&] { return ingestDone || !queue.empty(); });
-        if (queue.empty()) break;
-        slot = std::move(queue.front());
-        queue.pop_front();
-      }
-      service::CompileResponse response =
-          slot.ready ? std::move(slot.response) : slot.future.get();
-      if (!response.ok) ++failed;
-      if (opt.binary) {
-        std::string frame = service::encodeFrame(service::FrameType::Response,
-                                                 service::encodeBinaryResponse(response));
-        // Chaos point: a worker dying mid-write leaves the client a torn
-        // frame (Torn: half the bytes) or nothing (Fail). Either way the
-        // process must die — continuing after a skipped frame would shift
-        // every later response onto the wrong request.
-        fault::PointAction chaos = fault::atPoint("frame.write");
-        if (chaos != fault::PointAction::None) {
-          if (chaos == fault::PointAction::Torn) {
-            std::fwrite(frame.data(), 1, frame.size() / 2, stdout);
-          }
-          std::fflush(stdout);
-          std::_Exit(9);
-        }
-        std::fwrite(frame.data(), 1, frame.size(), stdout);
-      } else {
-        std::printf("%s\n", service::responseJson(response).c_str());
-      }
-      // Flush per response: downstream (supervisor, live clients) blocks on
-      // answers, and stdout is fully buffered on a pipe.
-      std::fflush(stdout);
-    }
-  });
-
-  std::size_t requestCount = 0;  // answered requests (admin + compile + errors)
-  auto push = [&](Slot&& slot) {
-    ++requestCount;
-    {
-      std::lock_guard<std::mutex> lk(qmu);
-      queue.push_back(std::move(slot));
-    }
-    qcv.notify_one();
-  };
-  auto pushReady = [&](service::CompileResponse r) {
-    Slot slot;
-    slot.ready = true;
-    slot.response = std::move(r);
-    push(std::move(slot));
-  };
-
-  // Admin requests are answered by the serve loop itself, synchronously with
-  // ingest — so a reload orders naturally against compiles: requests already
-  // submitted keep the ISA they were stamped with, later ones see the new one.
-  auto handleAdmin = [&](const service::WireRequest& wire) {
-    service::CompileResponse r;
-    r.id = wire.id;
+  ResponseWriter out(opt.binary, /*faultPoint=*/true);
+  ServeBackend backend;
+  backend.admin = [&](const service::WireRequest& wire) {
     if (wire.admin == "healthz") {
-      r.ok = true;
-      r.adminInfo = service::healthzText(serviceInstance.stats());
-    } else if (wire.admin == "stats") {
-      double wallSoFar =
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-              .count();
-      r.ok = true;
-      r.adminInfo = service::statsJson(serviceInstance.stats(), wallSoFar);
-    } else if (wire.admin == "reload") {
-      if (!registry) {
-        r.error = "reload requires --isa-file";
-        r.errorKind = ErrorKind::ParseError;
-      } else {
-        std::string why = registry->reload();
-        if (why.empty()) {
-          r.ok = true;
-          r.adminInfo = "reloaded '" + opt.isaFile + "' as '" +
-                        registry->snapshot().isa->name() + "' (version " +
-                        std::to_string(registry->version()) + ")";
-        } else {
-          r.error = "reload failed (previous ISA kept): " + why;
-          r.errorKind = ErrorKind::ParseError;
-        }
-      }
-    } else {
-      r.error = "unknown admin command '" + wire.admin + "'";
-      r.errorKind = ErrorKind::ParseError;
+      return adminResponse(wire.id, service::healthzText(serviceInstance.stats()));
     }
-    return r;
+    if (wire.admin == "stats") {
+      return adminResponse(wire.id, service::statsJson(serviceInstance.stats(), millisSince(t0)));
+    }
+    if (!registry) {
+      return errorResponse(wire.id, "reload requires --isa-file", ErrorKind::ParseError);
+    }
+    std::string why = registry->reload();
+    if (!why.empty()) {
+      return errorResponse(wire.id, "reload failed (previous ISA kept): " + why,
+                           ErrorKind::ParseError);
+    }
+    return adminResponse(wire.id, "reloaded '" + opt.isaFile + "' as '" +
+                                      registry->snapshot().isa->name() + "' (version " +
+                                      std::to_string(registry->version()) + ")");
   };
-  auto checkSighup = [&] {
-    if (!gSighup) return;
-    gSighup = 0;
+  backend.submit = [&](const service::WireRequest& wire, const ResponseWriter::SlotPtr& slot) {
+    service::CompileRequest request;
+    std::string error;
+    if (!wire.resolve(request, error)) {
+      out.answer(slot, errorResponse(wire.id, "bad request: " + error, ErrorKind::ParseError));
+      return;
+    }
+    if (request.deadlineMillis <= 0) request.deadlineMillis = opt.defaultDeadlineMillis;
+    out.await(slot, serviceInstance.submit(std::move(request)));
+  };
+  backend.reload = [&] {
     if (!registry) return;
     std::string why = registry->reload();
     if (why.empty()) {
@@ -854,148 +972,26 @@ int runServeSingle(const ServeOptions& opt, std::istream& in) {
                    why.c_str());
     }
   };
-
-  std::size_t lineNo = 0;
-  if (opt.binary) {
-    // Length-prefixed frames: no line structure, no JSON. A framing error is
-    // not resynchronizable (the stream position is unknown), so it produces
-    // one in-band error response and ends ingest; a *request* decode error
-    // is per-frame and ingest continues.
-    while (true) {
-      checkSighup();
-      service::FrameType type{};
-      std::string payload;
-      std::string error;
-      int rc = service::readFrame(in, type, payload, error, opt.protocolLimits);
-      if (rc == 0) break;
-      ++lineNo;
-      if (rc < 0) {
-        service::CompileResponse r;
-        r.id = "frame" + std::to_string(lineNo);
-        r.error = "bad frame: " + error;
-        r.errorKind = startsWith(error, "frame payload is") ? ErrorKind::ResourceExhausted
-                                                            : ErrorKind::ParseError;
-        pushReady(std::move(r));
-        break;
-      }
-      if (type != service::FrameType::Request) {
-        service::CompileResponse r;
-        r.id = "frame" + std::to_string(lineNo);
-        r.error = "bad frame: expected a request frame";
-        r.errorKind = ErrorKind::ParseError;
-        pushReady(std::move(r));
-        continue;
-      }
-      service::WireRequest wire;
-      if (!service::decodeBinaryRequest(payload, wire, error)) {
-        service::CompileResponse r;
-        r.id = wire.id.empty() ? "frame" + std::to_string(lineNo) : wire.id;
-        r.error = "bad request: " + error;
-        r.errorKind = ErrorKind::ParseError;
-        pushReady(std::move(r));
-        continue;
-      }
-      if (wire.id.empty()) wire.id = "frame" + std::to_string(lineNo);
-      if (!wire.admin.empty()) {
-        pushReady(handleAdmin(wire));
-        continue;
-      }
-      service::CompileRequest request;
-      if (!wire.resolve(request, error)) {
-        service::CompileResponse r;
-        r.id = wire.id;
-        r.error = "bad request: " + error;
-        r.errorKind = ErrorKind::ParseError;
-        pushReady(std::move(r));
-        continue;
-      }
-      if (request.deadlineMillis <= 0) request.deadlineMillis = opt.defaultDeadlineMillis;
-      Slot slot;
-      slot.future = serviceInstance.submit(std::move(request));
-      push(std::move(slot));
-    }
-  } else {
-    std::string line;
-    while (std::getline(in, line)) {
-      checkSighup();
-      ++lineNo;
-      std::string_view stripped = trim(line);
-      if (stripped.empty() || stripped[0] == '#') continue;
-      service::WireRequest wire;
-      std::string error;
-      ErrorKind errorKind = ErrorKind::None;
-      if (!service::parseWireRequest(stripped, wire, error, &errorKind,
-                                     opt.protocolLimits)) {
-        service::CompileResponse r;
-        r.id = "line" + std::to_string(lineNo);
-        r.error = "bad request: " + error;
-        r.errorKind = errorKind;
-        pushReady(std::move(r));
-        continue;
-      }
-      if (wire.id.empty()) wire.id = "line" + std::to_string(lineNo);
-      if (!wire.admin.empty()) {
-        pushReady(handleAdmin(wire));
-        continue;
-      }
-      service::CompileRequest request;
-      if (!wire.resolve(request, error)) {
-        service::CompileResponse r;
-        r.id = wire.id;
-        r.error = "bad request: " + error;
-        r.errorKind = ErrorKind::ParseError;
-        pushReady(std::move(r));
-        continue;
-      }
-      if (request.deadlineMillis <= 0) request.deadlineMillis = opt.defaultDeadlineMillis;
-      Slot slot;
-      slot.future = serviceInstance.submit(std::move(request));
-      push(std::move(slot));
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lk(qmu);
-    ingestDone = true;
-  }
-  qcv.notify_all();
-  writer.join();
-  double wallMillis =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  ingest(in, opt, backend, out);
+  out.finish();
+  double wallMillis = millisSince(t0);
 
   service::ServiceStats stats = serviceInstance.stats();
-  std::string statsDoc = service::statsJson(stats, wallMillis);
-  if (!opt.statsPath.empty()) {
-    std::ofstream out(opt.statsPath);
-    if (!out) {
-      std::fprintf(stderr, "mat2c: cannot write '%s'\n", opt.statsPath.c_str());
-      return 1;
-    }
-    out << statsDoc;
-  } else {
-    std::fprintf(stderr, "%s", statsDoc.c_str());
-  }
-  if (!opt.metricsPath.empty()) {
-    std::ofstream out(opt.metricsPath);
-    if (!out) {
-      std::fprintf(stderr, "mat2c: cannot write '%s'\n", opt.metricsPath.c_str());
-      return 1;
-    }
-    out << service::metricsText(stats, wallMillis);
+  if (!writeServeReports(opt, service::statsJson(stats, wallMillis),
+                         service::metricsText(stats, wallMillis))) {
+    return 1;
   }
   std::fprintf(stderr,
                "mat2c: served %zu request(s) on %zu thread(s): %llu compile(s), "
                "%llu cache hit(s) (%llu from store), %llu dedup join(s), "
                "%zu failure(s), %.1f ms, healthz: %s\n",
-               requestCount, serviceInstance.threadCount(),
+               out.requests(), serviceInstance.threadCount(),
                static_cast<unsigned long long>(stats.compiles),
                static_cast<unsigned long long>(stats.cacheHits),
                static_cast<unsigned long long>(stats.storeHits),
-               static_cast<unsigned long long>(stats.dedupJoins), failed.load(), wallMillis,
+               static_cast<unsigned long long>(stats.dedupJoins), out.failures(), wallMillis,
                service::healthzText(stats).c_str());
-  // Per-request failures are reported in-band (the "ok" field); only a
-  // completely failed batch is an error exit.
-  return requestCount > 0 && failed.load() == requestCount ? 1 : 0;
+  return out.exitCode();
 }
 
 std::string supervisorStatsJson(const service::ShardSupervisor::Stats& s,
@@ -1011,7 +1007,7 @@ std::string supervisorStatsJson(const service::ShardSupervisor::Stats& s,
   return os.str();
 }
 
-/// Supervisor serve loop: N worker processes behind consistent-hash routing,
+/// Supervisor serve: N worker processes behind consistent-hash routing,
 /// crash restart with backoff, re-dispatch, and optional hedging. The
 /// supervisor itself never compiles; it forwards wire requests and relays the
 /// workers' binary responses (re-rendered as JSON lines when the client side
@@ -1031,300 +1027,67 @@ int runServeSupervisor(const ServeOptions& opt, std::istream& in) {
   }
 
   auto t0 = std::chrono::steady_clock::now();
-
-  // Input-order emission, same contract as the single-process server: the
-  // writer waits on the oldest un-answered slot even while younger ones are
-  // already done.
-  struct OutSlot {
-    bool ready = false;
-    std::string payload;  ///< raw worker payload ("" = synthesized locally)
-    service::BinaryResponse decoded;
+  ResponseWriter out(opt.binary, /*faultPoint=*/false);
+  ServeBackend backend;
+  backend.admin = [&](const service::WireRequest& wire) {
+    if (wire.admin == "reload") {
+      return adminResponse(wire.id, "reload broadcast to " +
+                                        std::to_string(supervisor.broadcastReload()) +
+                                        " shard(s)");
+    }
+    service::ShardSupervisor::Stats s = supervisor.stats();
+    if (wire.admin == "stats") {
+      return adminResponse(wire.id, supervisorStatsJson(s, 0, millisSince(t0)));
+    }
+    std::string shards = std::to_string(s.shardsAlive) + "/" + std::to_string(s.pids.size());
+    if (s.shardsAlive == static_cast<int>(s.pids.size())) {
+      return adminResponse(wire.id, "ok (" + shards + " shards alive)");
+    }
+    return adminResponse(wire.id, "degraded (" + shards + " shards alive, " +
+                                      std::to_string(s.shardsEjected) + " ejected)");
   };
-  std::deque<std::shared_ptr<OutSlot>> order;
-  std::mutex omu;
-  std::condition_variable ocv;
-  bool ingestDone = false;
-  std::atomic<std::size_t> failed{0};
-
-  std::thread writer([&] {
-    while (true) {
-      std::shared_ptr<OutSlot> slot;
-      {
-        std::unique_lock<std::mutex> lk(omu);
-        ocv.wait(lk, [&] {
-          return (ingestDone && order.empty()) || (!order.empty() && order.front()->ready);
-        });
-        if (order.empty()) break;
-        slot = order.front();
-        order.pop_front();
-      }
-      if (!slot->decoded.ok) ++failed;
-      if (opt.binary) {
-        std::string payload =
-            slot->payload.empty() ? service::encodeBinaryResponse(slot->decoded)
-                                  : slot->payload;
-        std::string frame = service::encodeFrame(service::FrameType::Response, payload);
-        std::fwrite(frame.data(), 1, frame.size(), stdout);
-      } else {
-        std::printf("%s\n", service::responseJson(slot->decoded).c_str());
-      }
-      std::fflush(stdout);
-    }
-  });
-
-  std::size_t requestCount = 0;  // answered requests (admin + compile + errors)
-  auto pushReady = [&](service::BinaryResponse r) {
-    ++requestCount;
-    auto slot = std::make_shared<OutSlot>();
-    slot->decoded = std::move(r);
-    slot->ready = true;
-    {
-      std::lock_guard<std::mutex> lk(omu);
-      order.push_back(slot);
-    }
-    ocv.notify_all();
-  };
-  auto submitWire = [&](const service::WireRequest& wire) {
-    ++requestCount;
-    auto slot = std::make_shared<OutSlot>();
-    {
-      std::lock_guard<std::mutex> lk(omu);
-      order.push_back(slot);
-    }
-    supervisor.submit(wire, [slot, &omu, &ocv](const std::string& raw,
-                                               const service::BinaryResponse& decoded) {
-      {
-        std::lock_guard<std::mutex> lk(omu);
-        slot->payload = raw;
-        slot->decoded = decoded;
-        slot->ready = true;
-      }
-      ocv.notify_all();
+  backend.submit = [&](const service::WireRequest& wire, const ResponseWriter::SlotPtr& slot) {
+    supervisor.submit(wire, [&out, slot](const std::string& raw,
+                                         const service::BinaryResponse& decoded) {
+      out.answer(slot, decoded, raw);
     });
   };
-
-  auto handleAdmin = [&](const service::WireRequest& wire) {
-    service::BinaryResponse r;
-    r.id = wire.id;
-    if (wire.admin == "reload") {
-      int n = supervisor.broadcastReload();
-      r.ok = true;
-      r.adminInfo = "reload broadcast to " + std::to_string(n) + " shard(s)";
-    } else if (wire.admin == "healthz") {
-      service::ShardSupervisor::Stats s = supervisor.stats();
-      r.ok = true;
-      int total = static_cast<int>(s.pids.size());
-      if (s.shardsAlive == total) {
-        r.adminInfo = "ok (" + std::to_string(s.shardsAlive) + "/" +
-                      std::to_string(total) + " shards alive)";
-      } else {
-        r.adminInfo = "degraded (" + std::to_string(s.shardsAlive) + "/" +
-                      std::to_string(total) + " shards alive, " +
-                      std::to_string(s.shardsEjected) + " ejected)";
-      }
-    } else if (wire.admin == "stats") {
-      double wallSoFar =
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-              .count();
-      r.ok = true;
-      r.adminInfo = supervisorStatsJson(supervisor.stats(), 0, wallSoFar);
-    } else {
-      r.error = "unknown admin command '" + wire.admin + "'";
-      r.errorKind = ErrorKind::ParseError;
-    }
-    pushReady(std::move(r));
-  };
-  auto checkSighup = [&] {
-    if (!gSighup) return;
-    gSighup = 0;
+  backend.reload = [&] {
     int n = supervisor.broadcastReload();
     std::fprintf(stderr, "mat2c: SIGHUP: reload broadcast to %d shard(s)\n", n);
   };
-
-  std::size_t lineNo = 0;
-  if (opt.binary) {
-    while (true) {
-      checkSighup();
-      service::FrameType type{};
-      std::string payload;
-      int rc = service::readFrame(in, type, payload, error, opt.protocolLimits);
-      if (rc == 0) break;
-      ++lineNo;
-      if (rc < 0 || type != service::FrameType::Request) {
-        service::BinaryResponse r;
-        r.id = "frame" + std::to_string(lineNo);
-        r.error = rc < 0 ? "bad frame: " + error : "bad frame: expected a request frame";
-        r.errorKind = rc < 0 && startsWith(error, "frame payload is")
-                          ? ErrorKind::ResourceExhausted
-                          : ErrorKind::ParseError;
-        pushReady(std::move(r));
-        if (rc < 0) break;
-        continue;
-      }
-      service::WireRequest wire;
-      if (!service::decodeBinaryRequest(payload, wire, error)) {
-        service::BinaryResponse r;
-        r.id = wire.id.empty() ? "frame" + std::to_string(lineNo) : wire.id;
-        r.error = "bad request: " + error;
-        r.errorKind = ErrorKind::ParseError;
-        pushReady(std::move(r));
-        continue;
-      }
-      if (wire.id.empty()) wire.id = "frame" + std::to_string(lineNo);
-      if (!wire.admin.empty()) {
-        handleAdmin(wire);
-        continue;
-      }
-      submitWire(wire);
-    }
-  } else {
-    std::string line;
-    while (std::getline(in, line)) {
-      checkSighup();
-      ++lineNo;
-      std::string_view stripped = trim(line);
-      if (stripped.empty() || stripped[0] == '#') continue;
-      service::WireRequest wire;
-      ErrorKind errorKind = ErrorKind::None;
-      if (!service::parseWireRequest(stripped, wire, error, &errorKind,
-                                     opt.protocolLimits)) {
-        service::BinaryResponse r;
-        r.id = "line" + std::to_string(lineNo);
-        r.error = "bad request: " + error;
-        r.errorKind = errorKind;
-        pushReady(std::move(r));
-        continue;
-      }
-      if (wire.id.empty()) wire.id = "line" + std::to_string(lineNo);
-      if (!wire.admin.empty()) {
-        handleAdmin(wire);
-        continue;
-      }
-      submitWire(wire);
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lk(omu);
-    ingestDone = true;
-  }
-  ocv.notify_all();
-  writer.join();
+  ingest(in, opt, backend, out);
+  out.finish();
   supervisor.shutdown();
-  double wallMillis =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  double wallMillis = millisSince(t0);
 
   service::ShardSupervisor::Stats ss = supervisor.stats();
-  std::string statsDoc = supervisorStatsJson(ss, requestCount, wallMillis);
-  if (!opt.statsPath.empty()) {
-    std::ofstream out(opt.statsPath);
-    if (!out) {
-      std::fprintf(stderr, "mat2c: cannot write '%s'\n", opt.statsPath.c_str());
-      return 1;
-    }
-    out << statsDoc;
-  } else {
-    std::fprintf(stderr, "%s", statsDoc.c_str());
-  }
-  if (!opt.metricsPath.empty()) {
-    std::ofstream out(opt.metricsPath);
-    if (!out) {
-      std::fprintf(stderr, "mat2c: cannot write '%s'\n", opt.metricsPath.c_str());
-      return 1;
-    }
-    out << supervisor.metricsText();
+  if (!writeServeReports(opt, supervisorStatsJson(ss, out.requests(), wallMillis),
+                         supervisor.metricsText())) {
+    return 1;
   }
   std::fprintf(stderr,
                "mat2c: supervised %d shard(s): %zu request(s), %llu restart(s), "
                "%llu redispatch(es), %llu hedge(s) (%llu won), %llu reload "
                "broadcast(s), %zu failure(s), %.1f ms\n",
-               opt.shards, requestCount, static_cast<unsigned long long>(ss.restarts),
+               opt.shards, out.requests(), static_cast<unsigned long long>(ss.restarts),
                static_cast<unsigned long long>(ss.redispatched),
                static_cast<unsigned long long>(ss.hedges),
                static_cast<unsigned long long>(ss.hedgeWins),
-               static_cast<unsigned long long>(ss.reloads), failed.load(), wallMillis);
-  return requestCount > 0 && failed.load() == requestCount ? 1 : 0;
+               static_cast<unsigned long long>(ss.reloads), out.failures(), wallMillis);
+  return out.exitCode();
+}
+
+/// `serve`'s positional argument: the request file ("-" = stdin).
+bool serveInput(ServeOptions& o, const std::string& path) {
+  if (!o.inputPath.empty() || (path.size() > 1 && path[0] == '-')) return false;
+  o.inputPath = path;
+  return true;
 }
 
 int cmdServe(int argc, char** argv) {
   ServeOptions opt;
-  bool sawInput = false;
-
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    auto need = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "mat2c: %s expects a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    // Worker-relevant flags are remembered verbatim so --shards mode can
-    // forward them to every worker process unchanged.
-    auto passthrough = [&](const char* flag, const char* value) {
-      opt.workerArgs.push_back(flag);
-      opt.workerArgs.push_back(value);
-    };
-    if (a == "--jobs") {
-      const char* v = need("--jobs");
-      opt.config.threads = static_cast<std::size_t>(parseIntFlag("--jobs", v, 1, 4096));
-      passthrough("--jobs", v);
-    } else if (a == "--cache-entries") {
-      const char* v = need("--cache-entries");
-      opt.config.cacheEntries =
-          static_cast<std::size_t>(parseIntFlag("--cache-entries", v, 0, 1 << 30));
-      passthrough("--cache-entries", v);
-    } else if (a == "--stats-json") {
-      opt.statsPath = need("--stats-json");
-    } else if (a == "--metrics") {
-      opt.metricsPath = need("--metrics");
-    } else if (a == "--max-request-bytes") {
-      const char* v = need("--max-request-bytes");
-      opt.protocolLimits.maxRequestBytes =
-          static_cast<std::size_t>(parseIntFlag("--max-request-bytes", v, 1, 1LL << 40));
-      passthrough("--max-request-bytes", v);
-    } else if (a == "--deadline-ms") {
-      const char* v = need("--deadline-ms");
-      opt.defaultDeadlineMillis = parseDoubleFlag("--deadline-ms", v, 0.0, 1e9);
-      passthrough("--deadline-ms", v);
-    } else if (a == "--store-dir") {
-      const char* v = need("--store-dir");
-      opt.config.storeDir = v;
-      passthrough("--store-dir", v);
-    } else if (a == "--max-store-bytes") {
-      const char* v = need("--max-store-bytes");
-      opt.config.maxStoreBytes =
-          static_cast<std::size_t>(parseIntFlag("--max-store-bytes", v, 0, 1LL << 50));
-      passthrough("--max-store-bytes", v);
-    } else if (a == "--tenant-inflight") {
-      const char* v = need("--tenant-inflight");
-      opt.config.tenantInflightCap =
-          static_cast<std::size_t>(parseIntFlag("--tenant-inflight", v, 0, 1 << 20));
-      passthrough("--tenant-inflight", v);
-    } else if (a == "--isa-file") {
-      const char* v = need("--isa-file");
-      opt.isaFile = v;
-      passthrough("--isa-file", v);
-    } else if (a == "--shards") {
-      opt.shards = static_cast<int>(parseIntFlag("--shards", need("--shards"), 1, 256));
-    } else if (a == "--hedge-ms") {
-      opt.hedgeMillis = parseDoubleFlag("--hedge-ms", need("--hedge-ms"), 0.0, 1e9);
-    } else if (a == "--max-restarts") {
-      opt.maxRestarts =
-          static_cast<int>(parseIntFlag("--max-restarts", need("--max-restarts"), 0, 1 << 20));
-    } else if (a == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(
-          parseIntFlag("--seed", need("--seed"), 0, 4294967295LL));
-    } else if (a == "--binary") {
-      opt.binary = true;
-    } else if ((a == "-" || a[0] != '-') && !sawInput) {
-      opt.inputPath = a;
-      sawInput = true;
-    } else {
-      std::fprintf(stderr, "mat2c: unknown option '%s'\n", a.c_str());
-      return 2;
-    }
-  }
+  opt.workerArgs = parseFlags(argc, argv, kServeFlags, opt, serveInput);
 
   // Path validation is a usage error (exit 2), consistent with the strict
   // numeric flags: pointing the store at a file would silently disable
@@ -1339,15 +1102,16 @@ int cmdServe(int argc, char** argv) {
     }
   }
 
+  bool fromStdin = opt.inputPath.empty() || opt.inputPath == "-";
   std::ifstream file;
-  if (opt.inputPath != "-") {
+  if (!fromStdin) {
     file.open(opt.inputPath, opt.binary ? std::ios::in | std::ios::binary : std::ios::in);
     if (!file) {
       std::fprintf(stderr, "mat2c: cannot open '%s'\n", opt.inputPath.c_str());
       return 1;
     }
   }
-  std::istream& in = opt.inputPath == "-" ? std::cin : file;
+  std::istream& in = fromStdin ? std::cin : file;
 
   std::signal(SIGHUP, sighupHandler);
   if (opt.shards > 0) return runServeSupervisor(opt, in);
