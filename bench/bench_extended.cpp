@@ -11,134 +11,34 @@
 // `--json <path>` writes the same machine-readable schema as bench_table1
 // (per-kernel cycles, speedups, geomean) so tools/check_perf.py can gate the
 // extended corpus against BENCH_extended.json.
-#include <benchmark/benchmark.h>
-
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
+#include <vector>
 
-#include "driver/compiler.hpp"
-#include "driver/kernels.hpp"
+#include "bench_harness.hpp"
 #include "driver/report.hpp"
 
 namespace {
 
 using namespace mat2c;
 
-struct Row {
-  kernels::KernelSpec spec;
-  CompiledUnit proposed;
-  CompiledUnit baseline;
-};
-
-std::vector<Row>& rows() {
-  static std::vector<Row> r = [] {
-    std::vector<Row> out;
-    Compiler compiler;
-    for (auto& k : kernels::extendedKernelSuite()) {
-      auto prop = compiler.compileSource(k.source, k.entry, k.argSpecs,
-                                         CompileOptions::proposed());
-      auto base = compiler.compileSource(k.source, k.entry, k.argSpecs,
-                                         CompileOptions::coderLike());
-      out.push_back(Row{std::move(k), std::move(prop), std::move(base)});
-    }
-    return out;
-  }();
-  return r;
-}
-
-void printTable() {
+void printTable(const std::vector<bench::SuiteRow>& rows) {
   std::printf("\n=== Extended kernels: proposed vs CoderLike baseline (dspx) ===\n\n");
   report::Table table({"kernel", "description", "baseline cycles", "proposed cycles",
                        "speedup", "max |err|", "vectorized loops"});
-  for (auto& row : rows()) {
-    double err = std::max(
-        validateAgainstInterpreter(row.spec.source, row.spec.entry, row.proposed,
-                                   row.spec.args),
-        validateAgainstInterpreter(row.spec.source, row.spec.entry, row.baseline,
-                                   row.spec.args));
-    auto rp = row.proposed.run(row.spec.args);
-    auto rb = row.baseline.run(row.spec.args);
-    table.addRow({row.spec.name, row.spec.title, report::Table::cycles(rb.cycles.total),
-                  report::Table::cycles(rp.cycles.total),
-                  report::Table::num(rb.cycles.total / rp.cycles.total, 1) + "x",
-                  report::Table::num(err, 15),
+  for (const auto& row : rows) {
+    table.addRow({row.spec.name, row.spec.title, report::Table::cycles(row.baselineCycles),
+                  report::Table::cycles(row.proposedCycles),
+                  report::Table::num(row.baselineCycles / row.proposedCycles, 1) + "x",
+                  report::Table::num(std::max(row.proposedErr, row.baselineErr), 15),
                   std::to_string(row.proposed.optimizationReport().vec.loopsVectorized)});
   }
   std::printf("%s\n", table.toString().c_str());
 }
 
-/// Writes the extended-corpus numbers as JSON for the perf-regression gate
-/// (same schema as bench_table1).
-bool writeJson(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "bench_extended: cannot write '%s'\n", path.c_str());
-    return false;
-  }
-  double logSum = 0.0;
-  std::string kernelsJson;
-  for (auto& row : rows()) {
-    auto rp = row.proposed.run(row.spec.args);
-    auto rb = row.baseline.run(row.spec.args);
-    double speedup = rb.cycles.total / rp.cycles.total;
-    logSum += std::log(speedup);
-    double err = validateAgainstInterpreter(row.spec.source, row.spec.entry, row.proposed,
-                                            row.spec.args);
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "    \"%s\": {\"baseline_cycles\": %.0f, \"proposed_cycles\": %.0f, "
-                  "\"speedup\": %.4f, \"max_abs_err\": %.3e},\n",
-                  row.spec.name.c_str(), rb.cycles.total, rp.cycles.total, speedup, err);
-    kernelsJson += buf;
-  }
-  if (!kernelsJson.empty()) kernelsJson.erase(kernelsJson.size() - 2, 1);  // drop last comma
-  double geomean = std::exp(logSum / static_cast<double>(rows().size()));
-  out << "{\n  \"bench\": \"extended\",\n  \"isa\": \"dspx\",\n  \"kernels\": {\n"
-      << kernelsJson << "  },\n";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.4f", geomean);
-  out << "  \"geomean_speedup\": " << buf << "\n}\n";
-  std::fprintf(stderr, "bench_extended: wrote %s (geomean %.2fx)\n", path.c_str(), geomean);
-  return true;
-}
-
-void BM_Extended(benchmark::State& state, std::size_t idx, bool proposed) {
-  Row& row = rows()[idx];
-  const CompiledUnit& unit = proposed ? row.proposed : row.baseline;
-  double cycles = 0;
-  for (auto _ : state) {
-    auto r = unit.run(row.spec.args);
-    cycles = r.cycles.total;
-    benchmark::DoNotOptimize(r.outputs.data());
-  }
-  state.counters["asip_cycles"] = cycles;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string jsonPath;
-  // Strip --json <path> before google-benchmark sees the argument list.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      jsonPath = argv[i + 1];
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-      break;
-    }
-  }
-  printTable();
-  if (!jsonPath.empty() && !writeJson(jsonPath)) return 1;
-  for (std::size_t i = 0; i < rows().size(); ++i) {
-    benchmark::RegisterBenchmark(("extended/" + rows()[i].spec.name + "/proposed").c_str(),
-                                 BM_Extended, i, true);
-    benchmark::RegisterBenchmark(("extended/" + rows()[i].spec.name + "/coder").c_str(),
-                                 BM_Extended, i, false);
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::runSuite("extended", kernels::extendedKernelSuite(), printTable, argc, argv);
 }

@@ -1,0 +1,106 @@
+#include "bench_harness.hpp"
+
+#include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+
+#include "driver/report.hpp"
+
+namespace mat2c::bench {
+
+std::string takeJsonPath(const std::string& tool, int& argc, char** argv) {
+  std::string path;
+  for (int i = 1; i < argc;) {
+    if (std::strcmp(argv[i], "--json") != 0) {
+      ++i;
+      continue;
+    }
+    if (i + 1 >= argc || argv[i + 1][0] == '-') {
+      std::fprintf(stderr, "%s: --json expects a path\n", tool.c_str());
+      std::exit(2);
+    }
+    path = argv[i + 1];
+    for (int j = i; j + 2 <= argc; ++j) argv[j] = argv[j + 2];
+    argc -= 2;
+  }
+  return path;
+}
+
+bool writeFile(const std::string& tool, const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "%s: cannot write '%s'\n", tool.c_str(), path.c_str());
+    return false;
+  }
+  out << text;
+  return true;
+}
+
+void registerVmRun(const std::string& name, CompiledUnit unit, std::vector<Matrix> args,
+                   std::map<std::string, double> counters) {
+  benchmark::RegisterBenchmark(name.c_str(), [unit = std::move(unit), args = std::move(args),
+                                              counters = std::move(counters)](
+                                                 benchmark::State& state) {
+    double cycles = 0;
+    for (auto _ : state) {
+      auto r = unit.run(args);
+      cycles = r.cycles.total;
+      benchmark::DoNotOptimize(r.outputs.data());
+    }
+    state.counters["asip_cycles"] = cycles;
+    for (const auto& [key, value] : counters) state.counters[key] = value;
+  });
+}
+
+int runTimers(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
+  return 0;
+}
+
+int runSuite(const std::string& name, const std::vector<kernels::KernelSpec>& suite,
+             void (*printTable)(const std::vector<SuiteRow>&), int argc, char** argv) {
+  const std::string tool = "bench_" + name;
+  const std::string jsonPath = takeJsonPath(tool, argc, argv);
+
+  Compiler compiler;
+  std::vector<SuiteRow> rows;
+  for (const auto& k : suite) {
+    SuiteRow row{k,
+                 compiler.compileSource(k.source, k.entry, k.argSpecs,
+                                        CompileOptions::proposed()),
+                 compiler.compileSource(k.source, k.entry, k.argSpecs,
+                                        CompileOptions::coderLike())};
+    row.proposedCycles = row.proposed.run(k.args).cycles.total;
+    row.baselineCycles = row.baseline.run(k.args).cycles.total;
+    row.proposedErr = validateAgainstInterpreter(k.source, k.entry, row.proposed, k.args);
+    row.baselineErr = validateAgainstInterpreter(k.source, k.entry, row.baseline, k.args);
+    rows.push_back(std::move(row));
+  }
+  printTable(rows);
+
+  if (!jsonPath.empty()) {
+    std::vector<report::SpeedupRow> json;
+    for (const SuiteRow& r : rows) {
+      json.push_back({r.spec.name, r.baselineCycles, r.proposedCycles,
+                      r.baselineCycles / r.proposedCycles, r.proposedErr, {}});
+    }
+    if (!writeFile(tool, jsonPath,
+                   report::speedupJson(name, {report::textField("isa", "dspx")}, json))) {
+      return 1;
+    }
+    std::fprintf(stderr, "%s: wrote %s (geomean %.2fx)\n", tool.c_str(), jsonPath.c_str(),
+                 report::geomeanSpeedup(json));
+  }
+
+  for (const SuiteRow& r : rows) {
+    registerVmRun(name + "/" + r.spec.name + "/proposed", r.proposed, r.spec.args);
+    registerVmRun(name + "/" + r.spec.name + "/coder", r.baseline, r.spec.args);
+  }
+  return runTimers(argc, argv);
+}
+
+}  // namespace mat2c::bench

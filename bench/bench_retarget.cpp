@@ -15,14 +15,10 @@
 // BENCH_dse.json — the best auto-designed ISA's per-kernel cycles vs the
 // scalar baseline plus the dspx reference block — which tools/check_perf.py
 // gates in CI (ctest perf_dse_regression).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
-#include <vector>
 
+#include "bench_harness.hpp"
 #include "driver/compiler.hpp"
 #include "driver/kernels.hpp"
 #include "driver/report.hpp"
@@ -57,6 +53,13 @@ isa::IsaDescription customIsa() {
   return d;
 }
 
+/// Proposed options for an ISA preset, or for the textual "vecstar".
+CompileOptions targetOptions(const std::string& target) {
+  CompileOptions opts = CompileOptions::proposed();
+  opts.isa = target == "vecstar" ? customIsa() : isa::IsaDescription::preset(target);
+  return opts;
+}
+
 int countOccurrences(const std::string& text, const std::string& needle) {
   int n = 0;
   for (std::size_t pos = text.find(needle); pos != std::string::npos;
@@ -66,7 +69,9 @@ int countOccurrences(const std::string& text, const std::string& needle) {
   return n;
 }
 
-void printTable() {
+/// Prints the retargeting table; returns false when any oracle check failed.
+bool printTable() {
+  bool ok = true;
   std::printf("\n=== Retargeting: one MATLAB source, four ISA descriptions ===\n\n");
   report::Table table({"kernel", "target", "f64xW", "c64xW", "cycles", "speedup vs scalar",
                        "intrinsic calls in C"});
@@ -74,35 +79,22 @@ void printTable() {
   for (const char* kernel : {"fir", "fdeq"}) {
     auto k = kernels::kernelByName(kernel);
     double scalarCycles = 0;
-    for (int t = 0; t < 4; ++t) {
-      CompileOptions opts;
-      std::string label;
-      if (t == 0) {
-        opts = CompileOptions::proposed("scalar");
-        label = "scalar";
-      } else if (t == 1) {
-        opts = CompileOptions::proposed("dspx_w4");
-        label = "dspx_w4";
-      } else if (t == 2) {
-        opts = CompileOptions::proposed("dspx");
-        label = "dspx";
-      } else {
-        opts = CompileOptions::proposed();
-        opts.isa = customIsa();
-        label = "vecstar (textual)";
-      }
+    for (std::string target : {"scalar", "dspx_w4", "dspx", "vecstar"}) {
+      CompileOptions opts = targetOptions(target);
+      std::string label = target == "vecstar" ? "vecstar (textual)" : target;
       auto unit = compiler.compileSource(k.source, k.entry, k.argSpecs, opts);
       if (validateAgainstInterpreter(k.source, k.entry, unit, k.args) > 1e-9) {
         std::fprintf(stderr, "VALIDATION FAILED: %s on %s\n", kernel, label.c_str());
+        ok = false;
       }
       double cycles = unit.run(k.args).cycles.total;
-      if (t == 0) scalarCycles = cycles;
+      if (target == "scalar") scalarCycles = cycles;
       codegen::EmitOptions body;
       body.embedRuntime = false;
       std::string c = unit.cCode(body);
       int intrinsics = countOccurrences(c, opts.isa.name() + "_") +
                        countOccurrences(c, "vs_");
-      table.addRow({t == 0 ? k.name : "", label, std::to_string(opts.isa.lanesF64()),
+      table.addRow({target == "scalar" ? k.name : "", label, std::to_string(opts.isa.lanesF64()),
                     std::to_string(opts.isa.lanesC64()), report::Table::cycles(cycles),
                     report::Table::num(scalarCycles / cycles, 1) + "x",
                     std::to_string(intrinsics)});
@@ -113,9 +105,7 @@ void printTable() {
   // Show a slice of the emitted C for the textual target, proving the
   // intrinsic vocabulary follows the description.
   auto k = kernels::kernelByName("fir");
-  CompileOptions opts;
-  opts.isa = customIsa();
-  auto unit = compiler.compileSource(k.source, k.entry, k.argSpecs, opts);
+  auto unit = compiler.compileSource(k.source, k.entry, k.argSpecs, targetOptions("vecstar"));
   codegen::EmitOptions body;
   body.embedRuntime = false;
   std::string c = unit.cCode(body);
@@ -126,25 +116,7 @@ void printTable() {
     std::size_t stop = c.find('\n', c.find('\n', pos) + 1);
     std::printf("%s\n\n", c.substr(start, stop - start).c_str());
   }
-}
-
-void BM_Retarget(benchmark::State& state, std::string label) {
-  auto k = kernels::kernelByName("fir");
-  Compiler compiler;
-  CompileOptions opts;
-  if (label == "vecstar") {
-    opts.isa = customIsa();
-  } else {
-    opts = CompileOptions::proposed(label);
-  }
-  auto unit = compiler.compileSource(k.source, k.entry, k.argSpecs, opts);
-  double cycles = 0;
-  for (auto _ : state) {
-    auto r = unit.run(k.args);
-    cycles = r.cycles.total;
-    benchmark::DoNotOptimize(r.outputs.data());
-  }
-  state.counters["asip_cycles"] = cycles;
+  return ok;
 }
 
 /// Runs the src/dse exploration loop over the nine-kernel corpus and writes
@@ -153,12 +125,7 @@ void BM_Retarget(benchmark::State& state, std::string label) {
 bool writeDseJson(const std::string& path) {
   try {
     dse::ExploreResult r = dse::explore(dse::ExploreOptions{});
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "bench_retarget: cannot write '%s'\n", path.c_str());
-      return false;
-    }
-    out << dse::benchJson(r);
+    if (!bench::writeFile("bench_retarget", path, dse::benchJson(r))) return false;
     std::fprintf(stderr,
                  "bench_retarget: wrote %s (auto ISA '%s': geomean %.2fx at hw %.0f; "
                  "dspx %.2fx at %.0f; %d points)\n",
@@ -174,23 +141,15 @@ bool writeDseJson(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string jsonPath;
-  // Strip --json <path> before google-benchmark sees the argument list.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      jsonPath = argv[i + 1];
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-      break;
-    }
-  }
+  std::string jsonPath = bench::takeJsonPath("bench_retarget", argc, argv);
   if (!jsonPath.empty() && !writeDseJson(jsonPath)) return 1;
-  printTable();
-  for (const char* t : {"scalar", "dspx", "vecstar"}) {
-    benchmark::RegisterBenchmark(("retarget/fir/" + std::string(t)).c_str(), BM_Retarget,
-                                 std::string(t));
+  if (!printTable()) return 1;
+  auto k = kernels::kernelByName("fir");
+  Compiler compiler;
+  for (std::string t : {"scalar", "dspx", "vecstar"}) {
+    bench::registerVmRun("retarget/fir/" + t,
+                         compiler.compileSource(k.source, k.entry, k.argSpecs, targetOptions(t)),
+                         k.args);
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::runTimers(argc, argv);
 }

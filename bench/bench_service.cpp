@@ -18,11 +18,8 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <future>
 #include <memory>
 #include <string>
@@ -31,6 +28,7 @@
 
 #include <unistd.h>
 
+#include "bench_harness.hpp"
 #include "driver/report.hpp"
 #include "service/compile_service.hpp"
 #include "service/protocol.hpp"
@@ -181,6 +179,8 @@ void BM_IdenticalBurst(benchmark::State& state) {
 
 // --- serve-plane baseline (--json) -----------------------------------------
 
+constexpr std::size_t kThreads = 4;
+
 struct ServeMeasurement {
   double coldNsPerReq = 0;
   double warmNsPerReq = 0;
@@ -283,7 +283,6 @@ void measureFraming(ServeMeasurement& m) {
 ServeMeasurement measureServePlane() {
   constexpr int kDistinct = 8;
   constexpr int kWarmRepeats = 2000;  // 16k warm requests per timed run
-  constexpr std::size_t kThreads = 4;
   ServeMeasurement m;
 
   // Cold: every request a distinct compile, cache off.
@@ -363,39 +362,23 @@ int writeServeJson(const std::string& path) {
   }
   if (!ok) return 1;
 
-  double warmSpeedup = m.coldNsPerReq / m.warmNsPerReq;
-  double restartSpeedup = m.coldNsPerReq / m.restartNsPerReq;
-  double framingSpeedup = m.jsonFrameNs / m.binaryFrameNs;
-  double geomean = std::cbrt(warmSpeedup * restartSpeedup * framingSpeedup);
-
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "bench_service: cannot write '%s'\n", path.c_str());
+  // Nanoseconds per request go in the *_cycles fields.
+  std::vector<report::SpeedupRow> rows = {
+      {"framing", m.jsonFrameNs, m.binaryFrameNs, m.jsonFrameNs / m.binaryFrameNs, 0.0, {}},
+      {"warm_hit", m.coldNsPerReq, m.warmNsPerReq, m.coldNsPerReq / m.warmNsPerReq, 0.0,
+       {report::numField("rps", m.warmRps, 0),
+        report::numField("p50_millis", m.warmLatency.p50Millis, 4),
+        report::numField("p99_millis", m.warmLatency.p99Millis, 4)}},
+      {"warm_restart", m.coldNsPerReq, m.restartNsPerReq, m.coldNsPerReq / m.restartNsPerReq,
+       0.0,
+       {report::numField("rps", m.restartRps, 0),
+        report::numField("compiles", static_cast<double>(m.restartCompiles), 0)}},
+  };
+  if (!bench::writeFile("bench_service", path,
+                        report::speedupJson("service", {report::numField("threads", kThreads, 0)},
+                                            rows))) {
     return 1;
   }
-  char buf[512];
-  out << "{\n  \"bench\": \"service\",\n  \"threads\": 4,\n  \"kernels\": {\n";
-  std::snprintf(buf, sizeof buf,
-                "    \"framing\": {\"baseline_cycles\": %.0f, \"proposed_cycles\": %.0f, "
-                "\"speedup\": %.4f, \"max_abs_err\": 0.0},\n",
-                m.jsonFrameNs, m.binaryFrameNs, framingSpeedup);
-  out << buf;
-  std::snprintf(buf, sizeof buf,
-                "    \"warm_hit\": {\"baseline_cycles\": %.0f, \"proposed_cycles\": %.0f, "
-                "\"speedup\": %.4f, \"max_abs_err\": 0.0, \"rps\": %.0f, "
-                "\"p50_millis\": %.4f, \"p99_millis\": %.4f},\n",
-                m.coldNsPerReq, m.warmNsPerReq, warmSpeedup, m.warmRps,
-                m.warmLatency.p50Millis, m.warmLatency.p99Millis);
-  out << buf;
-  std::snprintf(buf, sizeof buf,
-                "    \"warm_restart\": {\"baseline_cycles\": %.0f, \"proposed_cycles\": "
-                "%.0f, \"speedup\": %.4f, \"max_abs_err\": 0.0, \"rps\": %.0f, "
-                "\"compiles\": %llu}\n",
-                m.coldNsPerReq, m.restartNsPerReq, restartSpeedup, m.restartRps,
-                static_cast<unsigned long long>(m.restartCompiles));
-  out << buf;
-  std::snprintf(buf, sizeof buf, "  },\n  \"geomean_speedup\": %.4f\n}\n", geomean);
-  out << buf;
   std::fprintf(stderr,
                "bench_service: wrote %s (warm %.0f req/s, restart %.0f req/s, "
                "framing %.0f -> %.0f ns)\n",
@@ -406,16 +389,7 @@ int writeServeJson(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --json <path> before google-benchmark sees the argument list.
-  std::string jsonPath;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      jsonPath = argv[i + 1];
-      for (int j = i; j + 2 <= argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-      break;
-    }
-  }
+  std::string jsonPath = bench::takeJsonPath("bench_service", argc, argv);
   if (!jsonPath.empty()) {
     int rc = writeServeJson(jsonPath);
     if (rc != 0) return rc;
@@ -430,7 +404,5 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark("service/identical_burst", BM_IdenticalBurst)->Arg(threads)
         ->Unit(benchmark::kMillisecond)->UseRealTime();
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::runTimers(argc, argv);
 }

@@ -11,14 +11,11 @@
 // tools/check_perf.py gates in CI (ctest perf_tuned_regression): a pipeline
 // change that erodes a tuned win or breaks a winner's oracle bound fails the
 // gate.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_harness.hpp"
 #include "driver/kernels.hpp"
 #include "tune/tune.hpp"
 
@@ -26,70 +23,40 @@ namespace {
 
 using namespace mat2c;
 
-std::vector<tune::TuneReport> runTuneSweep() {
-  std::vector<tune::TuneReport> reports;
-  for (const auto& spec : kernels::tuneCorpus()) {
+std::vector<tune::TuneResult> runTuneSweep(const std::vector<kernels::KernelSpec>& corpus) {
+  std::vector<tune::TuneResult> results;
+  for (const auto& spec : corpus) {
     tune::TuneInput input;
     input.source = spec.source;
     input.entry = spec.entry;
     input.argSpecs = spec.argSpecs;
     input.args = spec.args;
-    tune::TuneResult result = tune::autotune(input, tune::TuneOptions{});
-    result.report.kernel = spec.name;
-    reports.push_back(std::move(result.report));
+    results.push_back(tune::autotune(input, tune::TuneOptions{}));
+    results.back().report.kernel = spec.name;
   }
-  return reports;
-}
-
-void BM_Tuned(benchmark::State& state, std::string kernel) {
-  kernels::KernelSpec spec = kernels::kernelByName(kernel);
-  tune::TuneInput input;
-  input.source = spec.source;
-  input.entry = spec.entry;
-  input.argSpecs = spec.argSpecs;
-  input.args = spec.args;
-  tune::TuneResult tuned = tune::autotune(input, tune::TuneOptions{});
-  double cycles = 0;
-  for (auto _ : state) {
-    auto r = tuned.unit.run(spec.args);
-    cycles = r.cycles.total;
-    benchmark::DoNotOptimize(r.outputs.data());
-  }
-  state.counters["asip_cycles"] = cycles;
-  state.counters["default_cycles"] = tuned.report.defaultCycles;
+  return results;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string jsonPath;
-  // Strip --json <path> before google-benchmark sees the argument list.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      jsonPath = argv[i + 1];
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-      break;
-    }
-  }
+  std::string jsonPath = bench::takeJsonPath("bench_tuned", argc, argv);
 
-  std::vector<tune::TuneReport> reports;
+  const std::vector<kernels::KernelSpec> corpus = kernels::tuneCorpus();
+  std::vector<tune::TuneResult> results;
   try {
-    reports = runTuneSweep();
+    results = runTuneSweep(corpus);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_tuned: tune sweep failed: %s\n", e.what());
     return 1;
   }
+  std::vector<tune::TuneReport> reports;
+  for (const auto& r : results) reports.push_back(r.report);
   std::printf("\n=== Autotuned vs default pipeline (dspx) ===\n\n%s\n",
               tune::reportTable(reports).c_str());
 
   if (!jsonPath.empty()) {
-    std::ofstream out(jsonPath);
-    if (!out) {
-      std::fprintf(stderr, "bench_tuned: cannot write '%s'\n", jsonPath.c_str());
-      return 1;
-    }
-    out << tune::benchJson(reports, "dspx");
+    if (!bench::writeFile("bench_tuned", jsonPath, tune::benchJson(reports, "dspx"))) return 1;
     int improved = 0;
     for (const auto& r : reports) {
       if (r.tunedCycles < r.defaultCycles) ++improved;
@@ -98,11 +65,11 @@ int main(int argc, char** argv) {
                  jsonPath.c_str(), improved, reports.size());
   }
 
-  for (const char* k : {"iir", "iir16"}) {
-    benchmark::RegisterBenchmark(("tuned/" + std::string(k)).c_str(), BM_Tuned,
-                                 std::string(k));
+  // Time the sweep's own winners on the two kernels where tuning wins.
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    if (corpus[i].name != "iir" && corpus[i].name != "iir16") continue;
+    bench::registerVmRun("tuned/" + corpus[i].name, results[i].unit, corpus[i].args,
+                         {{"default_cycles", results[i].report.defaultCycles}});
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::runTimers(argc, argv);
 }

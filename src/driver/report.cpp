@@ -1,6 +1,7 @@
 #include "driver/report.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -141,6 +142,50 @@ Table passTable(const opt::PipelineReport& report) {
               std::to_string(p.after.decls - p.before.decls), counters});
   }
   return t;
+}
+
+JsonField textField(std::string key, std::string_view text) {
+  return {std::move(key), jsonQuote(text)};
+}
+
+JsonField numField(std::string key, double v, int decimals) {
+  return {std::move(key), Table::num(v, decimals)};
+}
+
+JsonField objectField(std::string key, const std::vector<JsonField>& members) {
+  std::string value = "{";
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    value += (i ? ", " : "") + jsonQuote(members[i].key) + ": " + members[i].value;
+  }
+  return {std::move(key), value + "}"};
+}
+
+double geomeanSpeedup(const std::vector<SpeedupRow>& rows) {
+  double logSum = 0.0;
+  for (const SpeedupRow& r : rows) logSum += std::log(r.speedup);
+  return rows.empty() ? 1.0 : std::exp(logSum / static_cast<double>(rows.size()));
+}
+
+std::string speedupJson(const std::string& bench, const std::vector<JsonField>& head,
+                        const std::vector<SpeedupRow>& rows,
+                        const std::vector<JsonField>& tail) {
+  auto member = [](const JsonField& f) { return jsonQuote(f.key) + ": " + f.value; };
+  std::string out = "{\n  " + member(textField("bench", bench)) + ",\n";
+  for (const JsonField& f : head) out += "  " + member(f) + ",\n";
+  out += "  \"kernels\": {\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const SpeedupRow& r = rows[i];
+    char err[32];
+    std::snprintf(err, sizeof err, "%.3e", r.maxAbsErr);
+    std::vector<JsonField> cells{numField("baseline_cycles", r.baselineCycles, 0),
+                                 numField("proposed_cycles", r.proposedCycles, 0),
+                                 numField("speedup", r.speedup, 4), {"max_abs_err", err}};
+    cells.insert(cells.end(), r.extra.begin(), r.extra.end());
+    out += "    " + member(objectField(r.name, cells)) + (i + 1 < rows.size() ? ",\n" : "\n");
+  }
+  out += "  },\n  " + member(numField("geomean_speedup", geomeanSpeedup(rows), 4));
+  for (const JsonField& f : tail) out += ",\n  " + member(f);
+  return out + "\n}\n";
 }
 
 }  // namespace mat2c::report

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "opt/passes.hpp"
@@ -35,5 +36,34 @@ std::string telemetryJson(const opt::PipelineReport& report, const std::string& 
 
 /// Plain-text per-pass telemetry table (CLI --time-passes, benches).
 Table passTable(const opt::PipelineReport& report);
+
+/// One `"key": value` member of a bench JSON document; `value` is JSON text.
+struct JsonField {
+  std::string key;
+  std::string value;
+};
+JsonField textField(std::string key, std::string_view text);  // quoted
+JsonField numField(std::string key, double v, int decimals);  // %.<decimals>f
+JsonField objectField(std::string key, const std::vector<JsonField>& members);
+
+/// One kernel row of the speedup schema tools/check_perf.py gates.
+struct SpeedupRow {
+  std::string name;
+  double baselineCycles = 0.0;
+  double proposedCycles = 0.0;
+  double speedup = 0.0;
+  double maxAbsErr = 0.0;
+  std::vector<JsonField> extra;  // written after max_abs_err, in order
+};
+
+/// Geometric mean of the rows' speedups (1.0 for no rows).
+double geomeanSpeedup(const std::vector<SpeedupRow>& rows);
+
+/// The bench speedup document (BENCH_*.json): `bench`, the `head` fields, one
+/// `kernels` entry per row in order, `geomean_speedup` over the rows, then
+/// the `tail` fields.
+std::string speedupJson(const std::string& bench, const std::vector<JsonField>& head,
+                        const std::vector<SpeedupRow>& rows,
+                        const std::vector<JsonField>& tail = {});
 
 }  // namespace mat2c::report

@@ -339,42 +339,23 @@ std::string isaFileText(const ExploreResult& r) {
 }
 
 std::string benchJson(const ExploreResult& r) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os << "{\n  \"bench\": \"dse\",\n  \"isa\": \"" << r.bestIsa.name() << "\",\n"
-     << "  \"point\": \"" << r.best.point.label() << "\",\n  \"kernels\": {\n";
-  std::size_t i = 0;
+  std::vector<report::SpeedupRow> rows;
   for (const auto& [name, cycles] : r.best.kernelCycles) {
     double baseline = r.scalarCycles.at(name);
-    double err = 0.0;
-    auto it = r.bestMaxAbsErr.find(name);
-    if (it != r.bestMaxAbsErr.end()) err = it->second;
-    os.precision(0);
-    os << "    \"" << name << "\": {\"baseline_cycles\": " << baseline
-       << ", \"proposed_cycles\": " << cycles << ", \"speedup\": ";
-    os.precision(4);
-    os << (baseline / cycles) << ", \"max_abs_err\": ";
-    os.unsetf(std::ios::fixed);
-    os << std::scientific;
-    os.precision(3);
-    os << err;
-    os.unsetf(std::ios::scientific);
-    os.setf(std::ios::fixed);
-    os << "}";
-    if (++i < r.best.kernelCycles.size()) os << ",";
-    os << "\n";
+    auto err = r.bestMaxAbsErr.find(name);
+    rows.push_back({name, baseline, cycles, baseline / cycles,
+                    err == r.bestMaxAbsErr.end() ? 0.0 : err->second, {}});
   }
-  os.precision(4);
-  os << "  },\n  \"geomean_speedup\": " << r.best.geomean << ",\n";
-  os.precision(1);
-  os << "  \"hw_cost\": " << r.best.hwCost << ",\n"
-     << "  \"points_evaluated\": " << r.pointsEvaluated << ",\n";
-  os.precision(4);
-  os << "  \"reference\": {\"name\": \"dspx\", \"geomean_speedup\": " << r.dspxRef.geomean
-     << ", \"hw_cost\": ";
-  os.precision(1);
-  os << r.dspxRef.hwCost << "}\n}\n";
-  return os.str();
+  return report::speedupJson(
+      "dse", {report::textField("isa", r.bestIsa.name()),
+              report::textField("point", r.best.point.label())},
+      rows,
+      {report::numField("hw_cost", r.best.hwCost, 1),
+       report::numField("points_evaluated", r.pointsEvaluated, 0),
+       report::objectField("reference",
+                           {report::textField("name", "dspx"),
+                            report::numField("geomean_speedup", r.dspxRef.geomean, 4),
+                            report::numField("hw_cost", r.dspxRef.hwCost, 1)})});
 }
 
 }  // namespace mat2c::dse

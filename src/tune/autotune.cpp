@@ -1,12 +1,10 @@
 #include "tune/tune.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <map>
 #include <set>
-#include <sstream>
 #include <unordered_map>
 
 #include "driver/report.hpp"
@@ -348,29 +346,13 @@ std::string benchJson(const std::vector<TuneReport>& reports, const std::string&
   std::map<std::string, const TuneReport*> byName;
   for (const TuneReport& r : reports) byName[r.kernel] = &r;
 
-  std::ostringstream os;
-  os << "{\n  \"bench\": \"tuned\",\n  \"isa\": \"" << isaName << "\",\n  \"kernels\": {\n";
-  double logSum = 0.0;
-  std::size_t i = 0;
+  std::vector<report::SpeedupRow> rows;
   for (const auto& [name, r] : byName) {
-    logSum += std::log(r->speedup);
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "    \"%s\": {\"baseline_cycles\": %.0f, \"proposed_cycles\": %.0f, "
-                  "\"speedup\": %.4f, \"max_abs_err\": %.3e, \"candidates\": %d, "
-                  "\"tuned\": \"%s\"}%s\n",
-                  name.c_str(), r->defaultCycles, r->tunedCycles, r->speedup,
-                  r->bestMaxAbsErr, r->candidatesTried,
-                  optionsDelta(CompileOptions{}, r->best).c_str(),
-                  ++i < byName.size() ? "," : "");
-    os << buf;
+    rows.push_back({name, r->defaultCycles, r->tunedCycles, r->speedup, r->bestMaxAbsErr,
+                    {report::numField("candidates", r->candidatesTried, 0),
+                     report::textField("tuned", optionsDelta(CompileOptions{}, r->best))}});
   }
-  double geomean =
-      byName.empty() ? 1.0 : std::exp(logSum / static_cast<double>(byName.size()));
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.4f", geomean);
-  os << "  },\n  \"geomean_speedup\": " << buf << "\n}\n";
-  return os.str();
+  return report::speedupJson("tuned", {report::textField("isa", isaName)}, rows);
 }
 
 }  // namespace mat2c::tune

@@ -213,6 +213,9 @@ TEST(Autotune, ReportTableAndBenchJsonCarryTheWinners) {
   EXPECT_NE(json.find("\"proposed_cycles\""), std::string::npos);
   EXPECT_NE(json.find("\"geomean_speedup\""), std::string::npos);
   EXPECT_NE(json.find("\"tuned\": \"unrollMaxTrip=16"), std::string::npos);
+  // ISA names are user text (an .isa file's `name` line): quoted, not pasted.
+  EXPECT_NE(tune::benchJson({r.report}, "q\"dsp").find("\"isa\": \"q\\\"dsp\""),
+            std::string::npos);
 }
 
 TEST(Autotune, TuneCorpusContainsTheDeepIir) {

@@ -1,13 +1,20 @@
 #!/usr/bin/env python3
-"""Cycle-regression gate for the Table 1 benchmark.
+"""Regression gate for the bench speedup documents (BENCH_*.json).
 
-Compares a freshly generated BENCH_table1.json (bench_table1 --json) against
-the checked-in baseline and fails when any kernel's proposed cycle count
-regresses by more than the tolerance, or when the geometric-mean speedup
-drops below the baseline's. Cycle counts come from the deterministic ASIP
-cycle model, so the tolerance only needs to absorb deliberate cost-model
-retuning, not measurement noise; improvements never fail the gate and are
-reported so the baseline can be refreshed.
+Compares a freshly generated document against its checked-in baseline and
+fails when any kernel's proposed_cycles regresses by more than the
+tolerance, when the geometric-mean speedup drops below the baseline's, or
+when a max_abs_err exceeds 1e-9. A document with a `reference` block
+(BENCH_dse.json) must also stay at or above the reference's geomean and at
+or below its hw_cost. The `perf` ctests gate five documents this way:
+BENCH_table1.json (bench_table1), BENCH_extended.json (bench_extended),
+BENCH_dse.json (bench_retarget), BENCH_tuned.json (bench_tuned) and
+BENCH_service.json (bench_service). The first four hold deterministic ASIP
+cycle-model counts, so their tolerance only needs to absorb deliberate
+cost-model retuning, not measurement noise; BENCH_service.json holds
+wall-clock nanoseconds per request and runs with a wide tolerance.
+Improvements never fail the gate and are reported so the baseline can be
+refreshed.
 
 Usage: check_perf.py <baseline.json> <current.json> [--tolerance PCT]
 Exit codes: 0 ok, 1 regression, 2 bad input.
