@@ -5,7 +5,6 @@
 // description advertises (spelled with the description's intrinsic names).
 // An ASIP C compiler recognizes the intrinsic names; any other C compiler
 // just inlines the fallbacks — generated code runs everywhere.
-#include <set>
 #include <sstream>
 
 #include "codegen/cemit.hpp"
@@ -27,105 +26,60 @@ void emitVectorTypes(std::ostringstream& os, int wF, int wC) {
 std::string vf(int w) { return "mat2c_v" + std::to_string(w) + "f64"; }
 std::string vc(int w) { return "mat2c_v" + std::to_string(w) + "c64"; }
 
-/// Intrinsic name for op at a given f64 width: the ISA's full-width name, or
-/// a _w<N> variant for the narrower f64 width used inside complex loops.
-std::string opName(const isa::IsaDescription& isa, isa::Op op, int w, int fullW) {
-  std::string n = isa.intrinsicName(op);
-  if (w != fullW) n += "_w" + std::to_string(w);
-  return n;
+/// Portable C definition of `op` named `name`, generated from its op-table
+/// row. Vector rows loop over `w` lanes of vector type `V`; scalar rows take
+/// elements.
+void emitFallback(std::ostringstream& os, isa::Op op, const std::string& name, int w,
+                  const std::string& V) {
+  const isa::OpInfo& m = isa::opInfo(op);
+  const std::string E = m.elem == isa::Elem::C64 ? "mat2c_c64" : "double";
+  const std::string P = m.vector ? V : E;  // operand type
+  std::string params;
+  switch (m.shape) {
+    case isa::Shape::Load: params = "const " + E + "* p"; break;
+    case isa::Shape::Store: params = E + "* p, " + V + " a"; break;
+    case isa::Shape::Splat: params = E + " s"; break;
+    case isa::Shape::Map3: params = P + " a, " + P + " b, " + P + " c"; break;
+    case isa::Shape::Map2: params = P + " a, " + P + " b"; break;
+    default: params = P + " a"; break;
+  }
+  const bool reduce = m.shape == isa::Shape::Sum || m.shape == isa::Shape::Fold;
+  const bool store = m.shape == isa::Shape::Store;
+  const std::string ret = store ? "void" : reduce || !m.vector ? E : V;
+  os << "static inline " << ret << " " << name << "(" << params << ") {";
+  if (!m.vector) {
+    os << m.fallback << "}\n";
+    return;
+  }
+  const bool fold = m.shape == isa::Shape::Fold;
+  const std::string loop =
+      std::string("  for (i = ") + (fold ? "1" : "0") + "; i < " + std::to_string(w) + "; ++i) ";
+  if (store) {
+    os << "\n  int i;\n" << loop << m.fallback << ";\n}\n";
+  } else if (reduce) {
+    os << "\n  " << E << " s = " << (fold ? "a.v[0]" : "0.0") << "; int i;\n"
+       << loop << m.fallback << ";\n  return s;\n}\n";
+  } else {
+    os << "\n  " << V << " r; int i;\n" << loop << "r.v[i] = " << m.fallback
+       << ";\n  return r;\n}\n";
+  }
 }
 
-void emitF64VectorSet(std::ostringstream& os, const isa::IsaDescription& isa, int w) {
-  const int fullW = isa.lanesF64();
-  const std::string T = vf(w);
-  auto name = [&](isa::Op op) { return opName(isa, op, w, fullW); };
-  auto lanewise = [&](isa::Op op, const char* expr) {
-    os << "static inline " << T << " " << name(op) << "(" << T << " a, " << T << " b) {\n"
-       << "  " << T << " r; int i;\n"
-       << "  for (i = 0; i < " << w << "; ++i) r.v[i] = " << expr << ";\n"
-       << "  return r;\n}\n";
-  };
-  os << "static inline " << T << " " << name(isa::Op::VLoadF)
-     << "(const double* p) {\n  " << T << " r; int i;\n  for (i = 0; i < " << w
-     << "; ++i) r.v[i] = p[i];\n  return r;\n}\n";
-  os << "static inline void " << name(isa::Op::VStoreF) << "(double* p, " << T
-     << " a) {\n  int i;\n  for (i = 0; i < " << w << "; ++i) p[i] = a.v[i];\n}\n";
-  os << "static inline " << T << " " << name(isa::Op::VSplatF)
-     << "(double s) {\n  " << T << " r; int i;\n  for (i = 0; i < " << w
-     << "; ++i) r.v[i] = s;\n  return r;\n}\n";
-  lanewise(isa::Op::VAddF, "a.v[i] + b.v[i]");
-  lanewise(isa::Op::VSubF, "a.v[i] - b.v[i]");
-  lanewise(isa::Op::VMulF, "a.v[i] * b.v[i]");
-  lanewise(isa::Op::VDivF, "a.v[i] / b.v[i]");
-  lanewise(isa::Op::VMinF, "a.v[i] < b.v[i] ? a.v[i] : b.v[i]");
-  lanewise(isa::Op::VMaxF, "a.v[i] > b.v[i] ? a.v[i] : b.v[i]");
-  os << "static inline " << T << " " << name(isa::Op::VNegF) << "(" << T
-     << " a) {\n  " << T << " r; int i;\n  for (i = 0; i < " << w
-     << "; ++i) r.v[i] = -a.v[i];\n  return r;\n}\n";
-  os << "static inline " << T << " " << name(isa::Op::VAbsF) << "(" << T
-     << " a) {\n  " << T << " r; int i;\n  for (i = 0; i < " << w
-     << "; ++i) r.v[i] = fabs(a.v[i]);\n  return r;\n}\n";
-  if (isa.hasFma()) {
-    os << "static inline " << T << " " << name(isa::Op::VFmaF) << "(" << T << " a, " << T
-       << " b, " << T << " c) {\n  " << T << " r; int i;\n  for (i = 0; i < " << w
-       << "; ++i) r.v[i] = a.v[i] * b.v[i] + c.v[i];\n  return r;\n}\n";
+/// Fallbacks for every supported vector op of element kind `elem`, at `w`
+/// lanes. Names carry a _w<N> suffix below the ISA's full width (the f64 ops
+/// used inside complex loops).
+void emitVectorSet(std::ostringstream& os, const isa::IsaDescription& isa, isa::Elem elem,
+                   int w) {
+  const bool cplx = elem == isa::Elem::C64;
+  const int fullW = cplx ? isa.lanesC64() : isa.lanesF64();
+  for (int i = 0; i < isa::kNumOps; ++i) {
+    const auto op = static_cast<isa::Op>(i);
+    const isa::OpInfo& m = isa::opInfo(op);
+    if (!m.vector || m.elem != elem || !isa.supports(op)) continue;
+    std::string name = isa.intrinsicName(op);
+    if (w != fullW) name += "_w" + std::to_string(w);
+    emitFallback(os, op, name, w, cplx ? vc(w) : vf(w));
   }
-  os << "static inline double " << name(isa::Op::VReduceAddF) << "(" << T
-     << " a) {\n  double s = 0.0; int i;\n  for (i = 0; i < " << w
-     << "; ++i) s += a.v[i];\n  return s;\n}\n";
-  os << "static inline double " << name(isa::Op::VReduceMinF) << "(" << T
-     << " a) {\n  double s = a.v[0]; int i;\n  for (i = 1; i < " << w
-     << "; ++i) if (a.v[i] < s) s = a.v[i];\n  return s;\n}\n";
-  os << "static inline double " << name(isa::Op::VReduceMaxF) << "(" << T
-     << " a) {\n  double s = a.v[0]; int i;\n  for (i = 1; i < " << w
-     << "; ++i) if (a.v[i] > s) s = a.v[i];\n  return s;\n}\n";
-}
-
-void emitC64VectorSet(std::ostringstream& os, const isa::IsaDescription& isa) {
-  const int w = isa.lanesC64();
-  if (w <= 1) return;
-  const std::string T = vc(w);
-  const std::string TF = vf(w);
-  auto name = [&](isa::Op op) { return isa.intrinsicName(op); };
-  os << "static inline " << T << " " << name(isa::Op::VLoadC)
-     << "(const mat2c_c64* p) {\n  " << T << " r; int i;\n  for (i = 0; i < " << w
-     << "; ++i) r.v[i] = p[i];\n  return r;\n}\n";
-  os << "static inline void " << name(isa::Op::VStoreC) << "(mat2c_c64* p, " << T
-     << " a) {\n  int i;\n  for (i = 0; i < " << w << "; ++i) p[i] = a.v[i];\n}\n";
-  os << "static inline " << T << " " << name(isa::Op::VSplatC)
-     << "(mat2c_c64 s) {\n  " << T << " r; int i;\n  for (i = 0; i < " << w
-     << "; ++i) r.v[i] = s;\n  return r;\n}\n";
-  auto lanewise = [&](isa::Op op, const char* fn) {
-    os << "static inline " << T << " " << name(op) << "(" << T << " a, " << T << " b) {\n"
-       << "  " << T << " r; int i;\n  for (i = 0; i < " << w << "; ++i) r.v[i] = " << fn
-       << "(a.v[i], b.v[i]);\n  return r;\n}\n";
-  };
-  lanewise(isa::Op::VAddC, "mat2c_cadd");
-  lanewise(isa::Op::VSubC, "mat2c_csub");
-  os << "static inline " << T << " " << name(isa::Op::VNegC) << "(" << T << " a) {\n  " << T
-     << " r; int i;\n  for (i = 0; i < " << w
-     << "; ++i) r.v[i] = mat2c_cneg(a.v[i]);\n  return r;\n}\n";
-  if (isa.hasCmul()) {
-    lanewise(isa::Op::VMulC, "mat2c_cmul");
-    os << "static inline " << T << " " << name(isa::Op::VConjC) << "(" << T
-       << " a) {\n  " << T << " r; int i;\n  for (i = 0; i < " << w
-       << "; ++i) r.v[i] = mat2c_conj(a.v[i]);\n  return r;\n}\n";
-  }
-  if (isa.hasCmac()) {
-    os << "static inline " << T << " " << name(isa::Op::VFmaC) << "(" << T << " a, " << T
-       << " b, " << T << " c) {\n  " << T << " r; int i;\n  for (i = 0; i < " << w
-       << "; ++i) r.v[i] = mat2c_cadd(mat2c_cmul(a.v[i], b.v[i]), c.v[i]);\n  return r;\n}\n";
-  }
-  os << "static inline mat2c_c64 " << name(isa::Op::VReduceAddC) << "(" << T
-     << " a) {\n  mat2c_c64 s = a.v[0]; int i;\n  for (i = 1; i < " << w
-     << "; ++i) s = mat2c_cadd(s, a.v[i]);\n  return s;\n}\n";
-  // Lane-wise f64 -> c64 widen and complex construction at this width.
-  os << "static inline " << T << " mat2c_v" << w << "toc(" << TF << " a) {\n  " << T
-     << " r; int i;\n  for (i = 0; i < " << w
-     << "; ++i) { r.v[i].re = a.v[i]; r.v[i].im = 0.0; }\n  return r;\n}\n";
-  os << "static inline " << T << " mat2c_v" << w << "make(" << TF << " a, " << TF
-     << " b) {\n  " << T << " r; int i;\n  for (i = 0; i < " << w
-     << "; ++i) { r.v[i].re = a.v[i]; r.v[i].im = b.v[i]; }\n  return r;\n}\n";
 }
 
 }  // namespace
@@ -189,32 +143,35 @@ std::string runtimeHeader(const isa::IsaDescription& isa) {
      << "            (long long)idx, what, (long long)n);\n"
      << "    abort();\n  }\n}\n";
 
-  if (isa.hasFma()) {
-    os << "\n/* -- scalar custom instructions -- */\n"
-       << "static inline double " << isa.intrinsicName(isa::Op::FmaF)
-       << "(double a, double b, double c) { return a * b + c; }\n";
-  }
-  if (isa.hasCmul()) {
-    os << "static inline mat2c_c64 " << isa.intrinsicName(isa::Op::MulC)
-       << "(mat2c_c64 a, mat2c_c64 b) { return mat2c_cmul(a, b); }\n";
-  }
-  if (isa.hasCmac()) {
-    os << "static inline mat2c_c64 " << isa.intrinsicName(isa::Op::FmaC)
-       << "(mat2c_c64 a, mat2c_c64 b, mat2c_c64 c) {\n"
-       << "  return mat2c_cadd(mat2c_cmul(a, b), c);\n}\n";
+  bool scalarSection = false;
+  for (int i = 0; i < isa::kNumOps; ++i) {
+    const auto op = static_cast<isa::Op>(i);
+    if (isa::isVectorOp(op) || !isa.usesIntrinsic(op)) continue;
+    if (!scalarSection) os << "\n/* -- scalar custom instructions -- */\n";
+    scalarSection = true;
+    emitFallback(os, op, isa.intrinsicName(op), 1, "");
   }
 
   if (isa.lanesF64() > 1) {
     os << "\n/* -- " << isa.lanesF64() << "-lane f64 SIMD intrinsics -- */\n";
-    emitF64VectorSet(os, isa, isa.lanesF64());
+    emitVectorSet(os, isa, isa::Elem::F64, isa.lanesF64());
     if (isa.lanesC64() > 1 && isa.lanesC64() != isa.lanesF64()) {
       os << "\n/* -- " << isa.lanesC64() << "-lane f64 ops (complex-loop width) -- */\n";
-      emitF64VectorSet(os, isa, isa.lanesC64());
+      emitVectorSet(os, isa, isa::Elem::F64, isa.lanesC64());
     }
   }
-  if (isa.lanesC64() > 1) {
-    os << "\n/* -- " << isa.lanesC64() << "-lane c64 SIMD intrinsics -- */\n";
-    emitC64VectorSet(os, isa);
+  if (const int w = isa.lanesC64(); w > 1) {
+    os << "\n/* -- " << w << "-lane c64 SIMD intrinsics -- */\n";
+    emitVectorSet(os, isa, isa::Elem::C64, w);
+    // Lane-wise f64 -> c64 widen and complex construction at this width.
+    const std::string T = vc(w);
+    const std::string TF = vf(w);
+    os << "static inline " << T << " mat2c_v" << w << "toc(" << TF << " a) {\n  " << T
+       << " r; int i;\n  for (i = 0; i < " << w
+       << "; ++i) { r.v[i].re = a.v[i]; r.v[i].im = 0.0; }\n  return r;\n}\n";
+    os << "static inline " << T << " mat2c_v" << w << "make(" << TF << " a, " << TF
+       << " b) {\n  " << T << " r; int i;\n  for (i = 0; i < " << w
+       << "; ++i) { r.v[i].re = a.v[i]; r.v[i].im = b.v[i]; }\n  return r;\n}\n";
   }
   os << "\n";
   return os.str();

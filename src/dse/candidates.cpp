@@ -9,38 +9,6 @@
 namespace mat2c::dse {
 namespace {
 
-/// Abstract datapath units one lane of `op` costs. Calibrated against
-/// hwCostEstimate's per-feature increments (fma = 1 unit/lane, cmul = 6,
-/// cmac = +2) so fused candidates compete on the same scale as features.
-double unitPerLane(isa::Op op) {
-  using isa::Op;
-  switch (op) {
-    case Op::MulF: case Op::VMulF:
-      return 1.0;
-    case Op::AddF: case Op::SubF: case Op::NegF:
-    case Op::VAddF: case Op::VSubF: case Op::VNegF:
-      return 0.5;
-    case Op::FmaF: case Op::VFmaF:
-      return 1.5;
-    case Op::MulC: case Op::VMulC:
-      return 6.0;
-    case Op::FmaC: case Op::VFmaC:
-      return 8.0;
-    case Op::AddC: case Op::SubC: case Op::NegC:
-    case Op::VAddC: case Op::VSubC: case Op::VNegC:
-      return 1.0;
-    case Op::ConjC: case Op::VConjC:
-      return 0.5;
-    case Op::VSplatF: case Op::VSplatC:
-      return 0.5;
-    case Op::LoadF: case Op::LoadC: case Op::StoreF: case Op::StoreC:
-    case Op::VLoadF: case Op::VLoadC: case Op::VStoreF: case Op::VStoreC:
-      return 1.0;  // an extra memory-port connection into the fused datapath
-    default:
-      return 1.0;
-  }
-}
-
 std::string shortToken(isa::Op op) {
   std::string t = isa::mnemonic(op);
   std::replace(t.begin(), t.end(), '.', '_');
@@ -67,7 +35,7 @@ std::vector<CandidateInstr> synthesizeCandidates(const std::vector<MinedIdiom>& 
       double cost = costRef.cost(op);
       sum += cost;
       maxMember = std::max(maxMember, cost);
-      c.hwUnits += unitPerLane(op);
+      c.hwUnits += isa::opInfo(op).unitsPerLane;
     }
     // Dual-issue fusion: the fused instruction still flows every member
     // micro-op, but two per cycle, and never beats the slowest member.

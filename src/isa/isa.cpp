@@ -1,8 +1,11 @@
 #include "isa/isa.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
+#include <iterator>
 
 #include "support/string_utils.hpp"
 
@@ -10,107 +13,38 @@ namespace mat2c::isa {
 
 namespace {
 
-struct OpMeta {
-  Op op;
-  const char* mnemonic;
-  double defaultCost;
+constexpr OpInfo kOps[] = {
+#define NO_EXPAND {{0, Op::AddF}, {0, Op::AddF}}
+#define EXPAND(n1, a, n2, b) {{n1, Op::a}, {n2, Op::b}}
+#define MAT2C_OP(name, mn, elem, vec, cost, gate, rule, expansion, units, shape, fallback) \
+  {mn, Elem::elem, vec != 0, cost, Gate::gate, CostRule::rule, expansion, units, Shape::shape, fallback},
+#include "isa/ops.def"
+#undef MAT2C_OP
+#undef EXPAND
+#undef NO_EXPAND
 };
+static_assert(std::size(kOps) == kNumOps);
 
-// Default cycle costs are data-sheet-style figures for a mid-range DSP ASIP:
-// single-cycle ALU/MAC, pipelined wide memory port, microcoded
-// transcendentals. They are deliberately round numbers — the experiments
-// measure *relative* speedups, which depend on the ratios, not the absolute
-// scale.
-constexpr OpMeta kOps[] = {
-    {Op::AddF, "add.f64", 1},       {Op::SubF, "sub.f64", 1},
-    {Op::MulF, "mul.f64", 1},       {Op::DivF, "div.f64", 8},
-    {Op::NegF, "neg.f64", 1},       {Op::MinF, "min.f64", 1},
-    {Op::MaxF, "max.f64", 1},       {Op::AbsF, "abs.f64", 1},
-    {Op::FmaF, "fma.f64", 1},       {Op::CmpF, "cmp.f64", 1},
-    {Op::SqrtF, "sqrt.f64", 12},    {Op::ExpF, "exp.f64", 20},
-    {Op::LogF, "log.f64", 20},      {Op::SinF, "sin.f64", 18},
-    {Op::CosF, "cos.f64", 18},      {Op::TanF, "tan.f64", 22},
-    {Op::AtanF, "atan.f64", 22},    {Op::Atan2F, "atan2.f64", 24},
-    {Op::PowF, "pow.f64", 30},      {Op::FloorF, "floor.f64", 2},
-    {Op::RoundF, "round.f64", 2},   {Op::ModF, "mod.f64", 12},
-
-    {Op::AddC, "add.c64", 2},       {Op::SubC, "sub.c64", 2},
-    {Op::MulC, "cmul.c64", 1},      {Op::DivC, "cdiv.c64", 20},
-    {Op::NegC, "neg.c64", 2},       {Op::ConjC, "conj.c64", 1},
-    {Op::FmaC, "cmac.c64", 1},
-
-    {Op::AddI, "add.i64", 1},       {Op::MulI, "mul.i64", 1},
-    {Op::CmpI, "cmp.i64", 1},       {Op::Branch, "branch", 1},
-    {Op::LoopOverhead, "loop", 2},
-
-    {Op::LoadF, "ld.f64", 2},       {Op::StoreF, "st.f64", 2},
-    {Op::LoadC, "ld.c64", 2},       {Op::StoreC, "st.c64", 2},
-    {Op::VLoadF, "vld.f64", 2},     {Op::VStoreF, "vst.f64", 2},
-    {Op::VLoadC, "vld.c64", 2},     {Op::VStoreC, "vst.c64", 2},
-
-    {Op::VAddF, "vadd.f64", 1},     {Op::VSubF, "vsub.f64", 1},
-    {Op::VMulF, "vmul.f64", 1},     {Op::VDivF, "vdiv.f64", 10},
-    {Op::VMinF, "vmin.f64", 1},     {Op::VMaxF, "vmax.f64", 1},
-    {Op::VAbsF, "vabs.f64", 1},     {Op::VNegF, "vneg.f64", 1},
-    {Op::VFmaF, "vfma.f64", 1},     {Op::VSplatF, "vsplat.f64", 1},
-    {Op::VReduceAddF, "vredadd.f64", 4},
-    {Op::VReduceMinF, "vredmin.f64", 4},
-    {Op::VReduceMaxF, "vredmax.f64", 4},
-
-    {Op::VAddC, "vadd.c64", 1},     {Op::VSubC, "vsub.c64", 1},
-    {Op::VMulC, "vcmul.c64", 1},    {Op::VNegC, "vneg.c64", 1},
-    {Op::VConjC, "vconj.c64", 1},   {Op::VFmaC, "vcmac.c64", 1},
-    {Op::VSplatC, "vsplat.c64", 1}, {Op::VReduceAddC, "vredadd.c64", 3},
-
-    {Op::BoundsCheck, "boundscheck", 2},
-    {Op::AllocTemp, "alloctemp", 30},
-};
-
-const OpMeta& meta(Op op) {
-  for (const auto& m : kOps) {
-    if (m.op == op) return m;
-  }
-  throw std::logic_error("unknown isa::Op");
+int lanes(const IsaDescription& d, Elem elem) {
+  return elem == Elem::F64 ? d.lanesF64() : elem == Elem::C64 ? d.lanesC64() : 1;
 }
 
 }  // namespace
 
-const char* mnemonic(Op op) { return meta(op).mnemonic; }
+const OpInfo& opInfo(Op op) { return kOps[static_cast<int>(op)]; }
+
+const char* mnemonic(Op op) { return opInfo(op).mnemonic; }
 
 std::optional<Op> opFromMnemonic(const std::string& name) {
-  for (const auto& m : kOps) {
-    if (name == m.mnemonic) return m.op;
+  for (int i = 0; i < kNumOps; ++i) {
+    if (name == kOps[i].mnemonic) return static_cast<Op>(i);
   }
   return std::nullopt;
 }
 
-bool isVectorOp(Op op) {
-  switch (op) {
-    case Op::VLoadF: case Op::VStoreF: case Op::VLoadC: case Op::VStoreC:
-    case Op::VAddF: case Op::VSubF: case Op::VMulF: case Op::VDivF:
-    case Op::VMinF: case Op::VMaxF: case Op::VAbsF: case Op::VNegF:
-    case Op::VFmaF: case Op::VSplatF:
-    case Op::VReduceAddF: case Op::VReduceMinF: case Op::VReduceMaxF:
-    case Op::VAddC: case Op::VSubC: case Op::VMulC: case Op::VNegC:
-    case Op::VConjC: case Op::VFmaC: case Op::VSplatC: case Op::VReduceAddC:
-      return true;
-    default:
-      return false;
-  }
-}
+bool isVectorOp(Op op) { return opInfo(op).vector; }
 
-bool isComplexOp(Op op) {
-  switch (op) {
-    case Op::AddC: case Op::SubC: case Op::MulC: case Op::DivC:
-    case Op::NegC: case Op::ConjC: case Op::FmaC:
-    case Op::LoadC: case Op::StoreC: case Op::VLoadC: case Op::VStoreC:
-    case Op::VAddC: case Op::VSubC: case Op::VMulC: case Op::VNegC:
-    case Op::VConjC: case Op::VFmaC: case Op::VSplatC: case Op::VReduceAddC:
-      return true;
-    default:
-      return false;
-  }
-}
+bool isComplexOp(Op op) { return opInfo(op).elem == Elem::C64; }
 
 void IsaDescription::setLanes(int f64Lanes, int c64Lanes) {
   lanesF64_ = f64Lanes < 1 ? 1 : f64Lanes;
@@ -134,66 +68,49 @@ void IsaDescription::setFeature(const std::string& feature, bool on, DiagnosticE
 }
 
 bool IsaDescription::supports(Op op) const {
-  switch (op) {
-    case Op::FmaF: return fma_;
-    case Op::MulC: return cmul_;
-    case Op::FmaC: return cmac_;
-    case Op::VFmaF: return lanesF64_ > 1 && fma_;
-    case Op::VMulC: return lanesC64_ > 1 && cmul_;
-    case Op::VFmaC: return lanesC64_ > 1 && cmac_;
-    case Op::VConjC: return lanesC64_ > 1 && cmul_;  // part of the complex unit
-    default:
-      if (isVectorOp(op)) {
-        return isComplexOp(op) ? lanesC64_ > 1 : lanesF64_ > 1;
-      }
-      return true;  // baseline scalar/integer/memory ops always exist
+  const OpInfo& m = opInfo(op);
+  if (m.vector && lanes(*this, m.elem) <= 1) return false;
+  switch (m.gate) {
+    case Gate::None: return true;
+    case Gate::Fma: return fma_;
+    case Gate::Cmul: return cmul_;
+    case Gate::Cmac: return cmac_;
   }
+  return false;
 }
 
 double IsaDescription::rawCost(Op op) const {
+  const OpInfo& m = opInfo(op);
   auto it = costOverride_.find(op);
-  double base = it != costOverride_.end() ? it->second : meta(op).defaultCost;
-  if (it == costOverride_.end()) {
-    if (zol_ && op == Op::LoopOverhead) return 0.0;
-    if (agu_ && (op == Op::AddI || op == Op::MulI || op == Op::CmpI)) return 0.0;
+  const bool overridden = it != costOverride_.end();
+  if (!overridden) {
+    if (m.rule == CostRule::Zol && zol_) return 0.0;
+    if (m.rule == CostRule::Agu && agu_) return 0.0;
+    if (m.rule == CostRule::Tree) {
+      return std::max(1.0, std::log2(static_cast<double>(lanes(*this, m.elem))) + 1.0);
+    }
   }
-  // Wide vectors beyond the memory port width pay extra issues on memory ops.
-  if (op == Op::VLoadF || op == Op::VStoreF) {
-    int issues = (lanesF64_ + memLanes_ - 1) / memLanes_;
-    return base * issues;
-  }
-  if (op == Op::VLoadC || op == Op::VStoreC) {
-    int issues = (2 * lanesC64_ + memLanes_ - 1) / memLanes_;  // c64 = 2 doubles
-    return base * issues;
-  }
-  // Reduction depth scales with lane count.
-  if (op == Op::VReduceAddF || op == Op::VReduceMinF || op == Op::VReduceMaxF) {
-    return std::max(1.0, std::log2(static_cast<double>(lanesF64_)) + 1.0);
-  }
-  if (op == Op::VReduceAddC) {
-    return std::max(1.0, std::log2(static_cast<double>(lanesC64_)) + 1.0);
+  double base = overridden ? it->second : m.defaultCost;
+  if (m.rule == CostRule::Port) {
+    // Wide vectors beyond the memory port width pay extra issues; a c64
+    // element is two doubles.
+    int doubles = lanes(*this, m.elem) * (m.elem == Elem::C64 ? 2 : 1);
+    return base * ((doubles + memLanes_ - 1) / memLanes_);
   }
   return base;
 }
 
 double IsaDescription::cost(Op op) const {
   if (supports(op)) return rawCost(op);
-  // Decompositions for missing custom instructions.
-  switch (op) {
-    case Op::FmaF: return cost(Op::MulF) + cost(Op::AddF);
-    case Op::MulC: return 4 * cost(Op::MulF) + 2 * cost(Op::AddF);
-    case Op::FmaC: return cost(Op::MulC) + cost(Op::AddC);
-    case Op::ConjC: return cost(Op::NegF);
-    case Op::VFmaF:
-      if (lanesF64_ > 1) return cost(Op::VMulF) + cost(Op::VAddF);
-      break;
-    case Op::VMulC:
-      // Without a complex SIMD unit the vectorizer never emits this.
-      break;
-    default:
-      break;
+  const OpInfo& m = opInfo(op);
+  if (m.expansion[0].count == 0) {
+    throw std::logic_error(std::string("cost requested for unsupported op ") + m.mnemonic);
   }
-  throw std::logic_error(std::string("cost requested for unsupported op ") + mnemonic(op));
+  double c = 0.0;
+  for (const Term& t : m.expansion) {
+    if (t.count != 0) c += t.count * cost(t.op);
+  }
+  return c;
 }
 
 std::string IsaDescription::intrinsicName(Op op) const {
@@ -207,68 +124,96 @@ std::string IsaDescription::intrinsicName(Op op) const {
 }
 
 bool IsaDescription::usesIntrinsic(Op op) const {
-  if (!supports(op)) return false;
-  if (isVectorOp(op)) return true;
-  switch (op) {
-    case Op::FmaF:
-    case Op::MulC:
-    case Op::FmaC:
-      return true;  // scalar custom instructions
-    default:
-      return false;  // plain C operators / libm
-  }
+  return opInfo(op).shape != Shape::None && supports(op);
 }
 
+namespace {
+
+struct PresetSpec {
+  const char* name;
+  int lanesF64, lanesC64;
+  bool custom;       // fma, zol and agu
+  bool complexUnit;  // cmul and cmac
+};
+
+// In presetNames() order. dspx_nocomplex keeps the SIMD registers, which
+// still hold interleaved complex data (vadd/vsub work as plain f64 lane ops);
+// only the complex-arithmetic unit is gone.
+constexpr PresetSpec kPresets[] = {
+    {"scalar", 1, 1, false, false},  {"dspx", 8, 4, true, true},
+    {"dspx_w2", 2, 1, true, true},   {"dspx_w4", 4, 2, true, true},
+    {"dspx_w16", 16, 8, true, true}, {"dspx_nocomplex", 8, 4, true, false},
+    {"dspx_novec", 1, 1, true, true},
+};
+
+}  // namespace
+
 IsaDescription IsaDescription::preset(const std::string& name) {
-  IsaDescription d;
-  auto dspx = [&](int wF, int wC) {
+  for (const PresetSpec& p : kPresets) {
+    if (name != p.name) continue;
+    IsaDescription d;
     d.setName(name);
-    d.setLanes(wF, wC);
-    d.setMemLanes(8);
-    d.setFeature("fma", true);
-    d.setFeature("cmul", true);
-    d.setFeature("cmac", true);
-    d.setFeature("zol", true);
-    d.setFeature("agu", true);
-  };
-  if (name == "scalar") {
-    d.setName("scalar");
-    return d;
-  }
-  if (name == "dspx") {
-    dspx(8, 4);
-    return d;
-  }
-  if (name == "dspx_w2") {
-    dspx(2, 1);
-    return d;
-  }
-  if (name == "dspx_w4") {
-    dspx(4, 2);
-    return d;
-  }
-  if (name == "dspx_w16") {
-    dspx(16, 8);
-    return d;
-  }
-  if (name == "dspx_nocomplex") {
-    // SIMD registers still hold interleaved complex data (vadd/vsub work as
-    // plain f64 lane ops); only the complex-arithmetic unit is gone.
-    dspx(8, 4);
-    d.setFeature("cmul", false);
-    d.setFeature("cmac", false);
-    return d;
-  }
-  if (name == "dspx_novec") {
-    dspx(1, 1);
+    d.setLanes(p.lanesF64, p.lanesC64);
+    for (const char* f : {"fma", "zol", "agu"}) d.setFeature(f, p.custom);
+    for (const char* f : {"cmul", "cmac"}) d.setFeature(f, p.complexUnit);
     return d;
   }
   throw std::invalid_argument("unknown ISA preset '" + name + "'");
 }
 
 std::vector<std::string> IsaDescription::presetNames() {
-  return {"scalar", "dspx", "dspx_w2", "dspx_w4", "dspx_w16", "dspx_nocomplex", "dspx_novec"};
+  std::vector<std::string> names;
+  for (const PresetSpec& p : kPresets) names.push_back(p.name);
+  return names;
 }
+
+namespace {
+
+constexpr std::string_view kSpace = " \t\r\v\f";
+
+struct Token {
+  std::string_view text;
+  std::uint32_t col;
+};
+
+/// Whitespace-separated tokens of one description line. A token starting
+/// with '#' begins a comment that runs to the end of the line.
+std::vector<Token> tokenize(std::string_view line) {
+  std::vector<Token> out;
+  for (std::size_t i = line.find_first_not_of(kSpace); i < line.size() && line[i] != '#';
+       i = line.find_first_not_of(kSpace, i)) {
+    std::size_t end = std::min(line.find_first_of(kSpace, i), line.size());
+    out.push_back({line.substr(i, end - i), static_cast<std::uint32_t>(i + 1)});
+    i = end;
+  }
+  return out;
+}
+
+/// `T` parsed from all of `text`, or nothing.
+template <typename T>
+std::optional<T> parseNumber(std::string_view text) {
+  T v{};
+  auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size()) return std::nullopt;
+  return v;
+}
+
+struct DirectiveSpec {
+  const char* name;
+  std::size_t operands;
+  const char* usage;
+};
+
+constexpr DirectiveSpec kDirectives[] = {
+    {"name", 1, "name <target>"},
+    {"simd", 2, "simd f64|c64 <lanes>"},
+    {"memlanes", 1, "memlanes <lanes>"},
+    {"feature", 1, "feature <unit>"},
+    {"cost", 2, "cost <mnemonic> <cycles>"},
+    {"intrinsic", 2, "intrinsic <mnemonic> <c_name>"},
+};
+
+}  // namespace
 
 IsaDescription IsaDescription::parse(const std::string& text, DiagnosticEngine& diags) {
   IsaDescription d;
@@ -280,65 +225,66 @@ IsaDescription IsaDescription::parse(const std::string& text, DiagnosticEngine& 
   std::map<Op, std::uint32_t> intrinsicLine;
   for (const std::string& rawLine : split(text, '\n')) {
     ++lineNo;
-    std::string_view line = trim(rawLine);
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream is{std::string(line)};
-    std::string directive;
-    is >> directive;
-    SourceLoc loc{lineNo, 1};
+    std::vector<Token> tok = tokenize(rawLine);
+    if (tok.empty()) continue;
+    auto at = [&](std::size_t i) { return SourceLoc{lineNo, tok[i].col}; };
+    auto word = [&](std::size_t i) { return std::string(tok[i].text); };
+    const std::string directive = word(0);
+    const DirectiveSpec* spec = nullptr;
+    for (const auto& s : kDirectives) {
+      if (directive == s.name) spec = &s;
+    }
+    if (!spec) {
+      diags.error(at(0), "unknown ISA directive '" + directive + "'");
+      continue;
+    }
+    if (tok.size() <= spec->operands) {
+      diags.error(at(0), "missing operand: expected '" + std::string(spec->usage) + "'");
+      continue;
+    }
+    if (tok.size() > spec->operands + 1) {
+      diags.error(at(spec->operands + 1), "unexpected '" + word(spec->operands + 1) +
+                                              "' after '" + spec->usage +
+                                              "' (comments start with '#')");
+      continue;
+    }
     if (directive == "name") {
-      std::string n;
-      is >> n;
-      d.setName(n);
-    } else if (directive == "simd") {
-      std::string ty;
-      int lanes = 1;
-      is >> ty >> lanes;
-      if (ty == "f64") {
-        d.lanesF64_ = lanes < 1 ? 1 : lanes;
-      } else if (ty == "c64") {
-        d.lanesC64_ = lanes < 1 ? 1 : lanes;
+      d.setName(word(1));
+    } else if (directive == "simd" || directive == "memlanes") {
+      const std::size_t n = directive == "simd" ? 2 : 1;
+      auto lanes = parseNumber<int>(tok[n].text);
+      if (directive == "simd" && word(1) != "f64" && word(1) != "c64") {
+        diags.error(at(1), "unknown simd element type '" + word(1) + "'");
+      } else if (!lanes) {
+        diags.error(at(n), "lane count '" + word(n) + "' is not an integer");
+      } else if (directive == "memlanes") {
+        d.setMemLanes(std::max(1, *lanes));
       } else {
-        diags.error(loc, "unknown simd element type '" + ty + "'");
+        (word(1) == "f64" ? d.lanesF64_ : d.lanesC64_) = std::max(1, *lanes);
       }
-    } else if (directive == "memlanes") {
-      int lanes = 8;
-      is >> lanes;
-      d.setMemLanes(lanes < 1 ? 1 : lanes);
     } else if (directive == "feature") {
-      std::string f;
-      is >> f;
-      d.setFeature(f, true, &diags);
-    } else if (directive == "cost") {
-      std::string mn;
-      double cycles = 0;
-      is >> mn >> cycles;
-      auto op = opFromMnemonic(mn);
+      DiagnosticEngine unknown;  // setFeature's diagnostic carries no location
+      d.setFeature(word(1), true, &unknown);
+      if (unknown.hasErrors()) diags.error(at(1), "unknown ISA feature '" + word(1) + "'");
+    } else {  // cost / intrinsic <mnemonic> <value>
+      const bool isCost = directive == "cost";
+      auto op = opFromMnemonic(word(1));
+      auto cycles = parseNumber<double>(tok[2].text);
+      auto& firstLine = isCost ? costLine : intrinsicLine;
       if (!op) {
-        diags.error(loc, "unknown op mnemonic '" + mn + "'");
-      } else if (auto [it, inserted] = costLine.emplace(*op, lineNo); !inserted) {
-        diags.error(loc, "duplicate cost for '" + mn + "' (first defined at line " +
-                             std::to_string(it->second) + ")");
+        diags.error(at(1), "unknown op mnemonic '" + word(1) + "'");
+      } else if (isCost && (!cycles || !std::isfinite(*cycles) || *cycles < 0)) {
+        diags.error(at(2), "cycle count '" + word(2) + "' is not a finite number >= 0");
+      } else if (!isCost && !isIdentifier(tok[2].text)) {
+        diags.error(at(2), "intrinsic name '" + word(2) + "' is not a valid C identifier");
+      } else if (auto [it, inserted] = firstLine.emplace(*op, lineNo); !inserted) {
+        diags.error(at(1), "duplicate " + directive + " for '" + word(1) +
+                               "' (first defined at line " + std::to_string(it->second) + ")");
+      } else if (isCost) {
+        d.setCost(*op, *cycles);
       } else {
-        d.setCost(*op, cycles);
+        d.setIntrinsicName(*op, word(2));
       }
-    } else if (directive == "intrinsic") {
-      std::string mn;
-      std::string cName;
-      is >> mn >> cName;
-      auto op = opFromMnemonic(mn);
-      if (!op) {
-        diags.error(loc, "unknown op mnemonic '" + mn + "'");
-      } else if (!isIdentifier(cName)) {
-        diags.error(loc, "intrinsic name '" + cName + "' is not a valid C identifier");
-      } else if (auto [it, inserted] = intrinsicLine.emplace(*op, lineNo); !inserted) {
-        diags.error(loc, "duplicate intrinsic for '" + mn + "' (first defined at line " +
-                             std::to_string(it->second) + ")");
-      } else {
-        d.setIntrinsicName(*op, cName);
-      }
-    } else {
-      diags.error(loc, "unknown ISA directive '" + directive + "'");
     }
   }
   return d;

@@ -19,27 +19,47 @@
 
 namespace mat2c::isa {
 
-/// Machine-level operations the compiler can emit and the VM can cost.
+/// Machine-level operations the compiler can emit and the VM can cost, in
+/// the row order of isa/ops.def.
 enum class Op {
-  // f64 scalar arithmetic
-  AddF, SubF, MulF, DivF, NegF, MinF, MaxF, AbsF, FmaF, CmpF,
-  SqrtF, ExpF, LogF, SinF, CosF, TanF, AtanF, Atan2F, PowF, FloorF, RoundF, ModF,
-  // c64 scalar arithmetic (the paper's "instructions for complex arithmetic")
-  AddC, SubC, MulC, DivC, NegC, ConjC, FmaC,
-  // integer / control
-  AddI, MulI, CmpI, Branch, LoopOverhead,
-  // scalar memory
-  LoadF, StoreF, LoadC, StoreC,
-  // vector memory
-  VLoadF, VStoreF, VLoadC, VStoreC,
-  // f64 vector arithmetic
-  VAddF, VSubF, VMulF, VDivF, VMinF, VMaxF, VAbsF, VNegF, VFmaF, VSplatF,
-  VReduceAddF, VReduceMinF, VReduceMaxF,
-  // c64 vector arithmetic
-  VAddC, VSubC, VMulC, VNegC, VConjC, VFmaC, VSplatC, VReduceAddC,
-  // baseline-code runtime overheads
-  BoundsCheck, AllocTemp,
+#define MAT2C_OP(name, ...) name,
+#include "isa/ops.def"
+#undef MAT2C_OP
 };
+
+inline constexpr int kNumOps = 0
+#define MAT2C_OP(...) +1
+#include "isa/ops.def"
+#undef MAT2C_OP
+    ;
+
+// Column types of the op table; isa/ops.def documents each column.
+enum class Elem { None, F64, C64, I64 };
+enum class Gate { None, Fma, Cmul, Cmac };
+enum class CostRule { Flat, Zol, Agu, Port, Tree };
+enum class Shape { None, Load, Store, Splat, Map1, Map2, Map3, Sum, Fold };
+
+/// `count` issues of `op`; count 0 marks an unused expansion slot.
+struct Term {
+  int count;
+  Op op;
+};
+
+/// One row of isa/ops.def.
+struct OpInfo {
+  const char* mnemonic;
+  Elem elem;
+  bool vector;
+  double defaultCost;
+  Gate gate;
+  CostRule rule;
+  Term expansion[2];
+  double unitsPerLane;
+  Shape shape;
+  const char* fallback;
+};
+
+const OpInfo& opInfo(Op op);
 
 /// Mnemonic used in description files and dumps, e.g. "vfma.f64".
 const char* mnemonic(Op op);
@@ -96,10 +116,9 @@ class IsaDescription {
   /// f64 elements the memory port moves per cycle; wider vectors pay more.
   int memLanes() const { return memLanes_; }
 
-  /// Whether the target has a (custom) instruction for `op`. Baseline scalar
-  /// f64/int ops are always available; vector ops require lanes > 1; FmaF
-  /// requires the fma feature; MulC/FmaC and their vector forms require the
-  /// complex unit.
+  /// Whether the target has a (custom) instruction for `op`: vector ops need
+  /// more than one lane of their element kind, and gated ops (FmaF, MulC,
+  /// FmaC and their vector forms, VConjC) need their feature.
   bool supports(Op op) const;
 
   /// Cycle cost of one issue of `op` *when supported*.
@@ -108,14 +127,16 @@ class IsaDescription {
   /// Cycle cost including decomposition: unsupported complex/fused ops are
   /// charged as their expansion over supported ops (e.g. MulC without a cmul
   /// unit = 4 MulF + 2 AddF). Unsupported vector ops have no expansion and
-  /// must not be emitted; asking for their cost throws.
+  /// must not be emitted; asking for their cost throws. Never allocates
+  /// unless it throws.
   double cost(Op op) const;
 
   /// C spelling of the intrinsic for a supported custom op, e.g.
   /// "dspx_vfma_f64". Scalar f64/int ops map to plain C operators and have no
   /// intrinsic name.
   std::string intrinsicName(Op op) const;
-  /// True when emitted C should use an intrinsic call for this op.
+  /// True when emitted C should use an intrinsic call for this op: it is
+  /// supported and has a runtime-header fallback.
   bool usesIntrinsic(Op op) const;
 
   // -- mutation (used by presets, parser, and ablation benches) -------------

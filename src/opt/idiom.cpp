@@ -9,12 +9,6 @@ using namespace lir;
 
 namespace {
 
-bool fmaSupported(const isa::IsaDescription& isa, const VType& t) {
-  if (t.scalar == Scalar::F64) return isa.hasFma();
-  if (t.scalar == Scalar::C64) return isa.hasCmac();
-  return false;
-}
-
 int rewriteExpr(ExprPtr& e, const isa::IsaDescription& isa, bool reassoc);
 
 int rewriteChildren(Expr& e, const isa::IsaDescription& isa, bool reassoc) {
@@ -30,7 +24,7 @@ int rewriteExpr(ExprPtr& e, const isa::IsaDescription& isa, bool reassoc) {
   int n = rewriteChildren(*e, isa, reassoc);
   if (e->kind != ExprKind::Binary || e->binOp != BinOp::Add) return n;
   if (!(e->type.scalar == Scalar::F64 || e->type.scalar == Scalar::C64)) return n;
-  if (!fmaSupported(isa, e->type)) return n;
+  if (!isa.supports(e->type.scalar == Scalar::F64 ? isa::Op::FmaF : isa::Op::FmaC)) return n;
 
   // a*b + c  or  c + a*b   ->  fma(a, b, c)
   auto isMul = [](const ExprPtr& x) {

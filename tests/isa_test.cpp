@@ -1,7 +1,11 @@
 // ISA description tests: presets, parsing, serialization, cost model.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
+
 #include "isa/isa.hpp"
+#include "support/string_utils.hpp"
 
 namespace mat2c::isa {
 namespace {
@@ -115,13 +119,72 @@ TEST(Isa, UsesIntrinsicOnlyForCustomOps) {
   EXPECT_FALSE(scalar.usesIntrinsic(Op::MulC));
 }
 
+TEST(Isa, ReductionCostOverrideWinsOverDepthFormula) {
+  // Without an override a reduction costs its tree depth, log2(lanes)+1.
+  auto d = IsaDescription::preset("dspx");
+  EXPECT_DOUBLE_EQ(d.cost(Op::VReduceAddF), 4.0);
+  EXPECT_DOUBLE_EQ(d.cost(Op::VReduceAddC), 3.0);
+  DiagnosticEngine diags;
+  auto o = IsaDescription::parse(d.serialize() + "cost vredadd.f64 40\ncost vredadd.c64 7\n", diags);
+  ASSERT_FALSE(diags.hasErrors()) << diags.renderAll();
+  EXPECT_DOUBLE_EQ(o.cost(Op::VReduceAddF), 40.0);
+  EXPECT_DOUBLE_EQ(o.cost(Op::VReduceAddC), 7.0);
+  EXPECT_DOUBLE_EQ(o.cost(Op::VReduceMinF), 4.0);  // not overridden
+}
+
 TEST(Isa, MnemonicRoundTrip) {
-  for (Op op : {Op::AddF, Op::MulC, Op::VFmaC, Op::BoundsCheck, Op::VLoadF}) {
-    auto back = opFromMnemonic(mnemonic(op));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, op);
+  std::set<std::string> seen;
+  for (int i = 0; i < kNumOps; ++i) {
+    const Op op = static_cast<Op>(i);
+    const std::string mn = mnemonic(op);
+    EXPECT_TRUE(seen.insert(mn).second) << "duplicate mnemonic " << mn;
+    auto back = opFromMnemonic(mn);
+    ASSERT_TRUE(back.has_value()) << mn;
+    EXPECT_EQ(*back, op) << mn;
+    for (const char* preset : {"scalar", "dspx"}) {
+      auto d = IsaDescription::preset(preset);
+      const bool expands = opInfo(op).expansion[0].count > 0;
+      if (d.supports(op) || (expands && !isVectorOp(op))) {
+        const double c = d.cost(op);
+        EXPECT_TRUE(std::isfinite(c) && c >= 0) << preset << " " << mn << " costs " << c;
+      } else {
+        // Unsupported vector ops are never emitted; costing one is a bug.
+        EXPECT_TRUE(isVectorOp(op)) << preset << " " << mn;
+        EXPECT_THROW(d.cost(op), std::logic_error) << preset << " " << mn;
+      }
+    }
   }
+  EXPECT_EQ(seen.size(), static_cast<std::size_t>(kNumOps));
   EXPECT_FALSE(opFromMnemonic("not.an.op").has_value());
+}
+
+TEST(Isa, SerializeBytesArePinned) {
+  // Overrides are set out of op order; serialize() writes them in op-table
+  // order. These bytes are the compile-cache key's ISA component.
+  auto d = IsaDescription::preset("dspx_w4");
+  d.setCost(Op::SinF, 11);
+  d.setCost(Op::AddF, 1.5);
+  d.setCost(Op::VFmaC, 2);
+  d.setIntrinsicName(Op::VFmaC, "w4_cmac");
+  d.setIntrinsicName(Op::SinF, "w4_sin");
+  d.setIntrinsicName(Op::AddF, "w4_add");
+  EXPECT_EQ(d.serialize(),
+            "name dspx_w4\n"
+            "simd f64 4\n"
+            "simd c64 2\n"
+            "memlanes 8\n"
+            "feature fma\n"
+            "feature cmul\n"
+            "feature cmac\n"
+            "feature zol\n"
+            "feature agu\n"
+            "cost add.f64 1.5\n"
+            "cost sin.f64 11\n"
+            "cost vcmac.c64 2\n"
+            "intrinsic add.f64 w4_add\n"
+            "intrinsic sin.f64 w4_sin\n"
+            "intrinsic vcmac.c64 w4_cmac\n");
+  EXPECT_EQ(hex64(d.fingerprint()), "dc9f097274b853d8");
 }
 
 TEST(Isa, ParseDescription) {
@@ -153,6 +216,54 @@ TEST(Isa, ParseDiagnosesUnknownDirectives) {
   DiagnosticEngine diags;
   IsaDescription::parse("bogus directive\nfeature warp\ncost nop.x 1\n", diags);
   EXPECT_GE(diags.errorCount(), 3u);
+}
+
+TEST(Isa, ParseDiagnosesMalformedOperands) {
+  // One bad line per case, after a valid first line: each is an error that
+  // names line 2, and none of them changes the description.
+  const char* cases[] = {
+      "cost add.f64 abc",      // not a number
+      "cost add.f64 nan",      // not finite
+      "cost add.f64 inf",      // not finite
+      "cost add.f64 -3",       // negative
+      "cost add.f64",          // missing cycles
+      "cost add.f64 2 3",      // trailing token
+      "memlanes x",            // not an integer
+      "memlanes 4 lanes",      // trailing token
+      "simd f64 abc",          // not an integer
+      "simd f64 2.5",          // not an integer
+      "simd f64",              // missing lanes
+      "name",                  // missing name
+      "name my dsp",           // trailing token
+      "feature fma cmul",      // one feature per line
+      "feature warp",          // unknown feature
+      "intrinsic vfma.f64",    // missing C name
+      "intrinsic vfma.f64 mac extra",
+  };
+  DiagnosticEngine clean;
+  const auto reference = IsaDescription::parse("name base\n", clean);
+  for (const char* line : cases) {
+    DiagnosticEngine diags;
+    auto d = IsaDescription::parse(std::string("name base\n") + line + "\n", diags);
+    EXPECT_EQ(diags.errorCount(), 1u) << line << ": " << diags.renderAll();
+    EXPECT_NE(diags.renderAll().find(" at 2:"), std::string::npos) << line << ": " << diags.renderAll();
+    EXPECT_EQ(d.serialize(), reference.serialize()) << line;
+  }
+}
+
+TEST(Isa, ParseAcceptsTrailingComments) {
+  DiagnosticEngine diags;
+  auto d = IsaDescription::parse(
+      "name mydsp  # target name\nsimd f64 4 # lanes\nmemlanes 2\t#port\n"
+      "feature fma # unit\ncost add.f64 1e+06 #big\nintrinsic vfma.f64 mac # c name\n",
+      diags);
+  EXPECT_FALSE(diags.hasErrors()) << diags.renderAll();
+  EXPECT_EQ(d.name(), "mydsp");
+  EXPECT_EQ(d.lanesF64(), 4);
+  EXPECT_EQ(d.memLanes(), 2);
+  EXPECT_TRUE(d.hasFma());
+  EXPECT_DOUBLE_EQ(d.cost(Op::AddF), 1e6);
+  EXPECT_EQ(d.intrinsicName(Op::VFmaF), "mac");
 }
 
 TEST(Isa, ParseDiagnosesDuplicateCost) {
