@@ -22,23 +22,9 @@ const char* toString(UnOp op) {
   switch (op) {
     case UnOp::Neg: return "neg";
     case UnOp::Not: return "not";
-    case UnOp::Abs: return "abs";
-    case UnOp::Sqrt: return "sqrt";
-    case UnOp::Exp: return "exp";
-    case UnOp::Log: return "log";
-    case UnOp::Log2: return "log2";
-    case UnOp::Log10: return "log10";
-    case UnOp::Sin: return "sin";
-    case UnOp::Cos: return "cos";
-    case UnOp::Tan: return "tan";
-    case UnOp::Asin: return "asin";
-    case UnOp::Acos: return "acos";
-    case UnOp::Atan: return "atan";
-    case UnOp::Floor: return "floor";
-    case UnOp::Ceil: return "ceil";
-    case UnOp::Round: return "round";
-    case UnOp::Trunc: return "trunc";
-    case UnOp::Sign: return "sign";
+#define MAT2C_BUILTIN_UNARY(name, op, lir, ...) \
+    case UnOp::op: return lir;
+#include "sema/builtins.def"
     case UnOp::Conj: return "conj";
     case UnOp::RealPart: return "real";
     case UnOp::ImagPart: return "imag";
@@ -57,11 +43,9 @@ const char* toString(BinOp op) {
     case BinOp::Mul: return "*";
     case BinOp::Div: return "/";
     case BinOp::Pow: return "pow";
-    case BinOp::Min: return "min";
-    case BinOp::Max: return "max";
-    case BinOp::Atan2: return "atan2";
-    case BinOp::Mod: return "mod";
-    case BinOp::Rem: return "rem";
+#define MAT2C_BUILTIN_BINARY(name, kind, op, ...) \
+    case BinOp::op: return name;
+#include "sema/builtins.def"
     case BinOp::Eq: return "==";
     case BinOp::Ne: return "!=";
     case BinOp::Lt: return "<";

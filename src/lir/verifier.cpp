@@ -6,9 +6,23 @@
 #include <sstream>
 
 #include "lir/lir.hpp"
+#include "sema/builtins.hpp"
 
 namespace mat2c::lir {
 namespace {
+
+using sema::ComplexRule;
+
+/// The complex rule of a builtin's unary op (sema/builtins.def); nullopt for
+/// ops no builtin row lowers to.
+std::optional<ComplexRule> builtinRule(UnOp op) {
+  switch (op) {
+#define MAT2C_BUILTIN_UNARY(name, op, lir, rule, ...) \
+    case UnOp::op: return ComplexRule::rule;
+#include "sema/builtins.def"
+    default: return std::nullopt;
+  }
+}
 
 class Verifier {
  public:
@@ -82,8 +96,11 @@ class Verifier {
         }
         checkExpr(*e.a);
         if (e.unOp == UnOp::ToF64 || e.unOp == UnOp::ToI64 || e.unOp == UnOp::ToC64) return;
+        auto rule = builtinRule(e.unOp);
+        if (rule == ComplexRule::Real && e.a->type.scalar == Scalar::C64)
+          err(std::string("'") + toString(e.unOp) + "' on a c64 operand");
         if (e.unOp == UnOp::RealPart || e.unOp == UnOp::ImagPart || e.unOp == UnOp::Arg ||
-            e.unOp == UnOp::Abs) {
+            rule == ComplexRule::ToReal) {
           return;  // complex -> real allowed, lanes preserved
         }
         if (e.unOp == UnOp::Not) return;

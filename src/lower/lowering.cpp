@@ -25,23 +25,6 @@ namespace {
 
 Scalar lirElem(Elem e) { return e == Elem::Complex ? Scalar::C64 : Scalar::F64; }
 
-/// True when the AST node is an elementwise-fusable operation over its
-/// operands (the paper's vectorizer fuses exactly these per statement).
-bool isElementwiseCall(const std::string& name) {
-  auto info = sema::findCompilableBuiltin(name);
-  if (!info) return false;
-  switch (info->kind) {
-    case sema::BuiltinKind::ElemUnary:
-    case sema::BuiltinKind::ElemBinary:
-    case sema::BuiltinKind::ComplexPart:
-      return true;
-    case sema::BuiltinKind::MinMax:
-      return true;  // only the 2-argument form; checked at use
-    default:
-      return false;
-  }
-}
-
 class Lowerer {
  public:
   Lowerer(const Program& program, const LowerOptions& options, DiagnosticEngine& diags)
@@ -115,6 +98,10 @@ class Lowerer {
                                           SourceLoc loc);
   ExprPtr scalarBinary(const Binary& e);
   ExprPtr scalarBuiltinCall(const std::string& name, const CallIndex& call);
+  /// An elementwise or complex-part builtin applied to operands already
+  /// lowered (a scalar, or one element of a loop); sema/builtins.def gives
+  /// the LIR op and how a complex operand is treated.
+  ExprPtr elementCall(const std::string& name, std::vector<ExprPtr> args, SourceLoc loc);
   ExprPtr scalarIndexRead(const Binding& b, const CallIndex& call);
 
   /// 1-based MATLAB index value as an i64 expression, preserving affine
@@ -610,48 +597,14 @@ ExprPtr Lowerer::scalarBuiltinCall(const std::string& name, const CallIndex& cal
     case sema::BuiltinKind::Constant:
       return lir::constF(info->constantValue);
 
-    case sema::BuiltinKind::ElemUnary: {
-      ExprPtr v = scalarExpr(arg(0));
-      bool cplx = v->type.scalar == Scalar::C64;
-      auto un = [&](UnOp op, Scalar out) {
-        return lir::unary(op, std::move(v), VType{out, 1});
-      };
-      if (name == "abs") return un(UnOp::Abs, Scalar::F64);
-      if (name == "sqrt") return un(UnOp::Sqrt, cplx ? Scalar::C64 : Scalar::F64);
-      if (name == "exp") return un(UnOp::Exp, cplx ? Scalar::C64 : Scalar::F64);
-      if (name == "log") return un(UnOp::Log, cplx ? Scalar::C64 : Scalar::F64);
-      if (name == "log2") return un(UnOp::Log2, Scalar::F64);
-      if (name == "log10") return un(UnOp::Log10, Scalar::F64);
-      if (name == "sin") return un(UnOp::Sin, Scalar::F64);
-      if (name == "cos") return un(UnOp::Cos, Scalar::F64);
-      if (name == "tan") return un(UnOp::Tan, Scalar::F64);
-      if (name == "asin") return un(UnOp::Asin, Scalar::F64);
-      if (name == "acos") return un(UnOp::Acos, Scalar::F64);
-      if (name == "atan") return un(UnOp::Atan, Scalar::F64);
-      if (name == "floor") return un(UnOp::Floor, Scalar::F64);
-      if (name == "ceil") return un(UnOp::Ceil, Scalar::F64);
-      if (name == "round") return un(UnOp::Round, Scalar::F64);
-      if (name == "fix") return un(UnOp::Trunc, Scalar::F64);
-      if (name == "sign") return un(UnOp::Sign, Scalar::F64);
-      fail(call.loc, "unhandled elementwise builtin '" + name + "'");
-    }
+    case sema::BuiltinKind::ElemUnary:
+    case sema::BuiltinKind::ElemBinary:
+    case sema::BuiltinKind::ComplexPart:
+      break;
 
-    case sema::BuiltinKind::ElemBinary: {
-      ExprPtr a = coerceTo(scalarExpr(arg(0)), Scalar::F64, call.loc);
-      ExprPtr b = coerceTo(scalarExpr(arg(1)), Scalar::F64, call.loc);
-      BinOp op = name == "atan2" ? BinOp::Atan2 : (name == "mod" ? BinOp::Mod : BinOp::Rem);
-      return lir::binary(op, std::move(a), std::move(b), VType::f64());
-    }
-
-    case sema::BuiltinKind::MinMax: {
-      if (nArgs == 2) {
-        ExprPtr a = coerceTo(scalarExpr(arg(0)), Scalar::F64, call.loc);
-        ExprPtr b = coerceTo(scalarExpr(arg(1)), Scalar::F64, call.loc);
-        return lir::binary(name == "min" ? BinOp::Min : BinOp::Max, std::move(a),
-                           std::move(b), VType::f64());
-      }
+    case sema::BuiltinKind::MinMax:
+      if (nArgs == 2) break;
       return emitReductionToScalar(name, call);
-    }
 
     case sema::BuiltinKind::Reduction:
       return emitReductionToScalar(name, call);
@@ -676,28 +629,6 @@ ExprPtr Lowerer::scalarBuiltinCall(const std::string& name, const CallIndex& cal
       fail(call.loc, "unhandled query builtin");
     }
 
-    case sema::BuiltinKind::ComplexPart: {
-      if (name == "complex") {
-        ExprPtr re = coerceTo(scalarExpr(arg(0)), Scalar::F64, call.loc);
-        ExprPtr im = coerceTo(scalarExpr(arg(1)), Scalar::F64, call.loc);
-        return lir::binary(BinOp::MakeComplex, std::move(re), std::move(im), VType::c64());
-      }
-      ExprPtr v = scalarExpr(arg(0));
-      bool cplx = v->type.scalar == Scalar::C64;
-      if (name == "conj")
-        return cplx ? lir::unary(UnOp::Conj, std::move(v), VType::c64()) : std::move(v);
-      if (name == "real")
-        return cplx ? lir::unary(UnOp::RealPart, std::move(v), VType::f64()) : std::move(v);
-      if (name == "imag")
-        return cplx ? lir::unary(UnOp::ImagPart, std::move(v), VType::f64())
-                    : lir::constF(0.0);
-      if (name == "angle") {
-        if (!cplx) v = lir::unary(UnOp::ToC64, std::move(v), VType::c64());
-        return lir::unary(UnOp::Arg, std::move(v), VType::f64());
-      }
-      fail(call.loc, "unhandled complex-part builtin");
-    }
-
     case sema::BuiltinKind::Transform: {
       // Scalar context means a length-1 transform, which is the identity
       // (and the ifft 1/m scale is 1): just the first element as c64.
@@ -713,7 +644,39 @@ ExprPtr Lowerer::scalarBuiltinCall(const std::string& name, const CallIndex& cal
     case sema::BuiltinKind::Constructor:
       fail(call.loc, "'" + name + "' does not produce a scalar");
   }
-  fail(call.loc, "unhandled builtin '" + name + "'");
+  std::vector<ExprPtr> args;
+  for (const auto& a : call.args) args.push_back(scalarExpr(*a));
+  return elementCall(name, std::move(args), call.loc);
+}
+
+ExprPtr Lowerer::elementCall(const std::string& name, std::vector<ExprPtr> args,
+                             SourceLoc loc) {
+  auto real = [&](std::size_t i) { return coerceTo(std::move(args[i]), Scalar::F64, loc); };
+#define MAT2C_BUILTIN_UNARY(n, op, lirName, rule, ...)                              \
+  if (name == n) {                                                                  \
+    constexpr auto r = sema::ComplexRule::rule;                                     \
+    ExprPtr v = r == sema::ComplexRule::Real ? real(0) : std::move(args[0]);        \
+    bool keep = r == sema::ComplexRule::Keep && v->type.scalar == Scalar::C64;      \
+    return lir::unary(UnOp::op, std::move(v), keep ? VType::c64() : VType::f64());  \
+  }
+#define MAT2C_BUILTIN_BINARY(n, kind, op, ...) \
+  if (name == n) return lir::binary(BinOp::op, real(0), real(1), VType::f64());
+#include "sema/builtins.def"
+
+  if (name == "complex") return lir::binary(BinOp::MakeComplex, real(0), real(1), VType::c64());
+  ExprPtr v = std::move(args.at(0));
+  bool cplx = v->type.scalar == Scalar::C64;
+  if (name == "conj")
+    return cplx ? lir::unary(UnOp::Conj, std::move(v), VType::c64()) : std::move(v);
+  if (name == "real")
+    return cplx ? lir::unary(UnOp::RealPart, std::move(v), VType::f64()) : std::move(v);
+  if (name == "imag")
+    return cplx ? lir::unary(UnOp::ImagPart, std::move(v), VType::f64()) : lir::constF(0.0);
+  if (name == "angle") {
+    if (!cplx) v = lir::unary(UnOp::ToC64, std::move(v), VType::c64());
+    return lir::unary(UnOp::Arg, std::move(v), VType::f64());
+  }
+  fail(loc, "unhandled builtin '" + name + "'");
 }
 
 ExprPtr Lowerer::scalarExpr(const Expr& e) {
@@ -908,70 +871,17 @@ ExprPtr Lowerer::scalarize(const Expr& e, const std::string& idxVar, const Shape
       if (call.base->kind != NodeKind::Ident) break;
       const std::string& name = static_cast<const Ident&>(*call.base).name;
       if (findBinding(name)) break;  // slice read — materialize below
+      // Elementwise-fusable calls (the paper's vectorizer fuses exactly
+      // these per statement): table rows at their arity (min/max only in the
+      // two-operand form) and complex parts.
       auto info = sema::findCompilableBuiltin(name);
-      if (!info || !isElementwiseCall(name)) break;
-      if (info->kind == sema::BuiltinKind::MinMax && call.args.size() != 2) break;
+      if (!info) break;
+      bool atArity = info->arity > 0 && static_cast<std::size_t>(info->arity) == call.args.size();
+      if (!atArity && info->kind != sema::BuiltinKind::ComplexPart) break;
 
-      auto child = [&](std::size_t i) {
-        return scalarizeChild(*call.args.at(i), idxVar, loopShape);
-      };
-      if (info->kind == sema::BuiltinKind::ElemUnary) {
-        ExprPtr v = child(0);
-        bool cplx = v->type.scalar == Scalar::C64;
-        auto un = [&](UnOp op, Scalar out) {
-          return lir::unary(op, std::move(v), VType{out, 1});
-        };
-        if (name == "abs") return un(UnOp::Abs, Scalar::F64);
-        if (name == "sqrt") return un(UnOp::Sqrt, cplx ? Scalar::C64 : Scalar::F64);
-        if (name == "exp") return un(UnOp::Exp, cplx ? Scalar::C64 : Scalar::F64);
-        if (name == "log") return un(UnOp::Log, cplx ? Scalar::C64 : Scalar::F64);
-        if (name == "log2") return un(UnOp::Log2, Scalar::F64);
-        if (name == "log10") return un(UnOp::Log10, Scalar::F64);
-        if (name == "sin") return un(UnOp::Sin, Scalar::F64);
-        if (name == "cos") return un(UnOp::Cos, Scalar::F64);
-        if (name == "tan") return un(UnOp::Tan, Scalar::F64);
-        if (name == "asin") return un(UnOp::Asin, Scalar::F64);
-        if (name == "acos") return un(UnOp::Acos, Scalar::F64);
-        if (name == "atan") return un(UnOp::Atan, Scalar::F64);
-        if (name == "floor") return un(UnOp::Floor, Scalar::F64);
-        if (name == "ceil") return un(UnOp::Ceil, Scalar::F64);
-        if (name == "round") return un(UnOp::Round, Scalar::F64);
-        if (name == "fix") return un(UnOp::Trunc, Scalar::F64);
-        if (name == "sign") return un(UnOp::Sign, Scalar::F64);
-      }
-      if (info->kind == sema::BuiltinKind::ElemBinary) {
-        ExprPtr a = coerceTo(child(0), Scalar::F64, e.loc);
-        ExprPtr b2 = coerceTo(child(1), Scalar::F64, e.loc);
-        BinOp op = name == "atan2" ? BinOp::Atan2 : (name == "mod" ? BinOp::Mod : BinOp::Rem);
-        return lir::binary(op, std::move(a), std::move(b2), VType::f64());
-      }
-      if (info->kind == sema::BuiltinKind::MinMax) {
-        ExprPtr a = coerceTo(child(0), Scalar::F64, e.loc);
-        ExprPtr b2 = coerceTo(child(1), Scalar::F64, e.loc);
-        return lir::binary(name == "min" ? BinOp::Min : BinOp::Max, std::move(a),
-                           std::move(b2), VType::f64());
-      }
-      if (info->kind == sema::BuiltinKind::ComplexPart) {
-        if (name == "complex") {
-          ExprPtr re = coerceTo(child(0), Scalar::F64, e.loc);
-          ExprPtr im = coerceTo(child(1), Scalar::F64, e.loc);
-          return lir::binary(BinOp::MakeComplex, std::move(re), std::move(im), VType::c64());
-        }
-        ExprPtr v = child(0);
-        bool cplx = v->type.scalar == Scalar::C64;
-        if (name == "conj")
-          return cplx ? lir::unary(UnOp::Conj, std::move(v), VType::c64()) : std::move(v);
-        if (name == "real")
-          return cplx ? lir::unary(UnOp::RealPart, std::move(v), VType::f64()) : std::move(v);
-        if (name == "imag")
-          return cplx ? lir::unary(UnOp::ImagPart, std::move(v), VType::f64())
-                      : lir::constF(0.0);
-        if (name == "angle") {
-          if (!cplx) v = lir::unary(UnOp::ToC64, std::move(v), VType::c64());
-          return lir::unary(UnOp::Arg, std::move(v), VType::f64());
-        }
-      }
-      break;
+      std::vector<ExprPtr> args;
+      for (const auto& a : call.args) args.push_back(scalarizeChild(*a, idxVar, loopShape));
+      return elementCall(name, std::move(args), e.loc);
     }
     default:
       break;

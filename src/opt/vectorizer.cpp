@@ -113,8 +113,11 @@ bool LoopVectorizer::opSupported(const Expr& e, bool varying) {
       switch (e.unOp) {
         case UnOp::Neg:
           return isa_.supports(cplx ? Op::VNegC : Op::VNegF);
-        case UnOp::Abs:
-          return !cplx && e.a->type.scalar == Scalar::F64 && isa_.supports(Op::VAbsF);
+#define MAT2C_BUILTIN_UNARY(name, op, lir, rule, host, guard, cost, vop, ...)        \
+        case UnOp::op:                                                             \
+          return isa::isVectorOp(Op::vop) && e.a->type.scalar == Scalar::F64 &&     \
+                 isa_.supports(Op::vop);
+#include "sema/builtins.def"
         case UnOp::Conj:
           return isa_.supports(Op::VConjC);
         case UnOp::ToC64:
@@ -132,10 +135,10 @@ bool LoopVectorizer::opSupported(const Expr& e, bool varying) {
           return isa_.supports(cplx ? Op::VMulC : Op::VMulF);
         case BinOp::Div:
           return !cplx && isa_.supports(Op::VDivF);
-        case BinOp::Min:
-          return isa_.supports(Op::VMinF);
-        case BinOp::Max:
-          return isa_.supports(Op::VMaxF);
+#define MAT2C_BUILTIN_BINARY(name, kind, op, host, cost, vop, c) \
+        case BinOp::op:                                           \
+          return isa::isVectorOp(Op::vop) && isa_.supports(Op::vop);
+#include "sema/builtins.def"
         case BinOp::MakeComplex:
           return isa_.lanesC64() > 1;
         default:

@@ -1,65 +1,23 @@
 #include "sema/builtins.hpp"
 
+#include <algorithm>
 #include <map>
-#include <numbers>
 
 namespace mat2c::sema {
 
 std::optional<BuiltinInfo> findCompilableBuiltin(const std::string& name) {
   static const std::map<std::string, BuiltinInfo> table = {
-      {"pi", {BuiltinKind::Constant, std::numbers::pi}},
-      {"eps", {BuiltinKind::Constant, 2.220446049250313e-16}},
-
-      {"abs", {BuiltinKind::ElemUnary}},
-      {"sqrt", {BuiltinKind::ElemUnary}},
-      {"exp", {BuiltinKind::ElemUnary}},
-      {"log", {BuiltinKind::ElemUnary}},
-      {"log2", {BuiltinKind::ElemUnary}},
-      {"log10", {BuiltinKind::ElemUnary}},
-      {"sin", {BuiltinKind::ElemUnary}},
-      {"cos", {BuiltinKind::ElemUnary}},
-      {"tan", {BuiltinKind::ElemUnary}},
-      {"asin", {BuiltinKind::ElemUnary}},
-      {"acos", {BuiltinKind::ElemUnary}},
-      {"atan", {BuiltinKind::ElemUnary}},
-      {"floor", {BuiltinKind::ElemUnary}},
-      {"ceil", {BuiltinKind::ElemUnary}},
-      {"round", {BuiltinKind::ElemUnary}},
-      {"fix", {BuiltinKind::ElemUnary}},
-      {"sign", {BuiltinKind::ElemUnary}},
-
-      {"atan2", {BuiltinKind::ElemBinary}},
-      {"mod", {BuiltinKind::ElemBinary}},
-      {"rem", {BuiltinKind::ElemBinary}},
-
-      {"min", {BuiltinKind::MinMax}},
-      {"max", {BuiltinKind::MinMax}},
-
-      {"sum", {BuiltinKind::Reduction}},
-      {"prod", {BuiltinKind::Reduction}},
-      {"mean", {BuiltinKind::Reduction}},
-      {"dot", {BuiltinKind::Reduction}},
-      {"norm", {BuiltinKind::Reduction}},
-
-      {"length", {BuiltinKind::Query}},
-      {"numel", {BuiltinKind::Query}},
-      {"size", {BuiltinKind::Query}},
-      {"isreal", {BuiltinKind::Query}},
-      {"isempty", {BuiltinKind::Query}},
-
-      {"zeros", {BuiltinKind::Constructor}},
-      {"ones", {BuiltinKind::Constructor}},
-      {"eye", {BuiltinKind::Constructor}},
-      {"linspace", {BuiltinKind::Constructor}},
-
-      {"fft", {BuiltinKind::Transform}},
-      {"ifft", {BuiltinKind::Transform}},
-
-      {"real", {BuiltinKind::ComplexPart}},
-      {"imag", {BuiltinKind::ComplexPart}},
-      {"conj", {BuiltinKind::ComplexPart}},
-      {"angle", {BuiltinKind::ComplexPart}},
-      {"complex", {BuiltinKind::ComplexPart}},
+#define MAT2C_BUILTIN(name, kind, value) {name, {BuiltinKind::kind, value}},
+#define MAT2C_BUILTIN_UNARY(name, op, lir, rule, host, guard, ...)              \
+  {name, {BuiltinKind::ElemUnary, 0.0, 1, ComplexRule::rule,                    \
+          [](double x, double) -> std::optional<double> {                      \
+            if (!(guard)) return std::nullopt;                                 \
+            return host(x);                                                    \
+          }}},
+#define MAT2C_BUILTIN_BINARY(name, kind, op, host, ...)                          \
+  {name, {BuiltinKind::kind, 0.0, 2, ComplexRule::Real,                         \
+          [](double x, double y) -> std::optional<double> { return host(x, y); }}},
+#include "sema/builtins.def"
   };
   auto it = table.find(name);
   if (it == table.end()) return std::nullopt;

@@ -314,19 +314,14 @@ std::optional<double> TypeInference::constValue(const Expr& expr, Env& env,
         if (*d == 2.0) return static_cast<double>(t.shape.cols.extent());
         return 1.0;
       }
-      // Pure scalar math folds.
-      if (e.args.size() == 1) {
-        auto v = constValue(*e.args[0], env, endExtent);
-        if (!v) return std::nullopt;
-        if (name == "floor") return std::floor(*v);
-        if (name == "ceil") return std::ceil(*v);
-        if (name == "round") return std::round(*v);
-        if (name == "fix") return std::trunc(*v);
-        if (name == "abs") return std::abs(*v);
-        if (name == "sqrt" && *v >= 0) return std::sqrt(*v);
-        if (name == "log2" && *v > 0) return std::log2(*v);
-      }
-      return std::nullopt;
+      // Pure scalar math folds: the table's host function, inside its domain.
+      auto info = findCompilableBuiltin(name);
+      if (!info || !info->fold || e.args.size() != static_cast<std::size_t>(info->arity))
+        return std::nullopt;
+      auto x = constValue(*e.args[0], env, endExtent);
+      auto y = info->arity == 2 ? constValue(*e.args[1], env, endExtent) : 0.0;
+      if (!x || !y) return std::nullopt;
+      return info->fold(*x, *y);
     }
     default:
       return std::nullopt;
@@ -613,15 +608,11 @@ Type TypeInference::inferBuiltin(const std::string& name, const BuiltinInfo& inf
       need(0, 0);
       return Type::realScalar();
 
-    case BuiltinKind::ElemUnary: {
+    case BuiltinKind::ElemUnary:
       need(1, 1);
-      Elem elem = Elem::Real;
-      if ((name == "exp" || name == "log" || name == "sqrt") &&
-          args[0].elem == Elem::Complex) {
-        elem = Elem::Complex;
-      }
-      return {elem, args[0].shape};
-    }
+      if (info.rule == ComplexRule::Keep && args[0].elem == Elem::Complex)
+        return {Elem::Complex, args[0].shape};
+      return {Elem::Real, args[0].shape};
 
     case BuiltinKind::ElemBinary:
       return {Elem::Real, broadcast2()};

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "sema/builtins.hpp"
 #include "support/limits.hpp"
 
 namespace mat2c::vm {
@@ -276,20 +277,32 @@ class Exec {
     return r;
   }
 
-  Value evalUnary(const lir::Expr& e) {
-    Value a = eval(*e.a);
-    int lanes = e.type.lanes;
-    bool vec = lanes > 1;
-    bool cplx = a.type.scalar == Scalar::C64;
+  /// A builtin row (sema/builtins.def) on every lane: the host function of
+  /// the real part charged at `op`, or, when the row takes complex operands
+  /// and `a` is c64, of the complex element charged at `complexCharges`.
+  template <sema::ComplexRule R, class F>
+  Value mapBuiltin(const Value& a, VType type, F f, Op op,
+                   std::initializer_list<isa::Term> complexCharges) {
+    Value r;
+    r.type = type;
+    r.v.resize(a.v.size());
+    if constexpr (R != sema::ComplexRule::Real) {
+      if (a.type.scalar == Scalar::C64) {
+        for (std::size_t i = 0; i < a.v.size(); ++i) r.v[i] = Complex(f(a.v[i]));
+        for (const isa::Term& t : complexCharges) charge(t.op, CostCategory::Arith, t.count);
+        return r;
+      }
+    }
+    for (std::size_t i = 0; i < a.v.size(); ++i) r.v[i] = Complex{f(a.v[i].real()), 0.0};
+    charge(op, CostCategory::Arith);
+    return r;
+  }
 
-    auto mapF = [&](double (*f)(double), Op op) {
-      Value r;
-      r.type = e.type;
-      r.v.resize(a.v.size());
-      for (std::size_t i = 0; i < a.v.size(); ++i) r.v[i] = Complex{f(a.v[i].real()), 0.0};
-      charge(op, CostCategory::Arith, vec ? 1.0 : 1.0);
-      return r;
-    };
+  Value evalUnary(const lir::Expr& e) {
+    using enum isa::Op;  // the c64 charge terms of builtins.def
+    Value a = eval(*e.a);
+    bool vec = e.type.lanes > 1;
+    bool cplx = a.type.scalar == Scalar::C64;
 
     switch (e.unOp) {
       case UnOp::Neg: {
@@ -312,64 +325,11 @@ class Exec {
         if (e.type.scalar == Scalar::B1) return Value::ofB(!operand);
         return Value::ofF(operand ? 0.0 : 1.0);
       }
-      case UnOp::Abs: {
-        Value r;
-        r.type = e.type;
-        r.v.resize(a.v.size());
-        for (std::size_t i = 0; i < a.v.size(); ++i)
-          r.v[i] = Complex{std::abs(a.v[i]), 0.0};
-        if (cplx) {
-          // |z| = sqrt(re^2 + im^2): decomposed on any target.
-          charge(Op::MulF, CostCategory::Arith, 2);
-          charge(Op::AddF, CostCategory::Arith);
-          charge(Op::SqrtF, CostCategory::Arith);
-        } else {
-          charge(vec ? Op::VAbsF : Op::AbsF, CostCategory::Arith);
-        }
-        return r;
-      }
-      case UnOp::Sqrt:
-        if (cplx) {
-          Value r;
-          r.type = e.type;
-          r.v.resize(a.v.size());
-          for (std::size_t i = 0; i < a.v.size(); ++i) r.v[i] = std::sqrt(a.v[i]);
-          charge(Op::SqrtF, CostCategory::Arith, 2);
-          charge(Op::DivF, CostCategory::Arith);
-          return r;
-        }
-        return mapF([](double x) { return std::sqrt(x); }, Op::SqrtF);
-      case UnOp::Exp:
-        if (cplx) {
-          Value r;
-          r.type = e.type;
-          r.v.resize(a.v.size());
-          for (std::size_t i = 0; i < a.v.size(); ++i) r.v[i] = std::exp(a.v[i]);
-          charge(Op::ExpF, CostCategory::Arith);
-          charge(Op::SinF, CostCategory::Arith);
-          charge(Op::CosF, CostCategory::Arith);
-          charge(Op::MulF, CostCategory::Arith, 2);
-          return r;
-        }
-        return mapF([](double x) { return std::exp(x); }, Op::ExpF);
-      case UnOp::Log:
-        return mapF([](double x) { return std::log(x); }, Op::LogF);
-      case UnOp::Log2:
-        return mapF([](double x) { return std::log2(x); }, Op::LogF);
-      case UnOp::Log10:
-        return mapF([](double x) { return std::log10(x); }, Op::LogF);
-      case UnOp::Sin: return mapF([](double x) { return std::sin(x); }, Op::SinF);
-      case UnOp::Cos: return mapF([](double x) { return std::cos(x); }, Op::CosF);
-      case UnOp::Tan: return mapF([](double x) { return std::tan(x); }, Op::TanF);
-      case UnOp::Asin: return mapF([](double x) { return std::asin(x); }, Op::AtanF);
-      case UnOp::Acos: return mapF([](double x) { return std::acos(x); }, Op::AtanF);
-      case UnOp::Atan: return mapF([](double x) { return std::atan(x); }, Op::AtanF);
-      case UnOp::Floor: return mapF([](double x) { return std::floor(x); }, Op::FloorF);
-      case UnOp::Ceil: return mapF([](double x) { return std::ceil(x); }, Op::FloorF);
-      case UnOp::Round: return mapF([](double x) { return std::round(x); }, Op::RoundF);
-      case UnOp::Trunc: return mapF([](double x) { return std::trunc(x); }, Op::FloorF);
-      case UnOp::Sign:
-        return mapF([](double x) { return x > 0 ? 1.0 : (x < 0 ? -1.0 : 0.0); }, Op::CmpF);
+#define MAT2C_BUILTIN_UNARY(name, op, lir, rule, host, guard, cost, vop, c, cc, ...)       \
+      case UnOp::op:                                                                     \
+        return mapBuiltin<sema::ComplexRule::rule>(a, e.type, [](auto x) { return host(x); }, \
+                                                   vec ? Op::vop : Op::cost, {__VA_ARGS__});
+#include "sema/builtins.def"
       case UnOp::Conj: {
         Value r;
         r.type = e.type;
@@ -536,37 +496,13 @@ class Exec {
           r.v[i] = std::pow(base, expo);
         }
         break;
-      case BinOp::Min:
-        op = vec ? Op::VMinF : Op::MinF;
-        for (std::size_t i = 0; i < n; ++i)
-          r.v[i] = Complex{std::min(elemA(i).real(), elemB(i).real()), 0.0};
+#define MAT2C_BUILTIN_BINARY(name, kind, binOp, host, cost, vop, c)     \
+      case BinOp::binOp:                                                 \
+        op = vec ? Op::vop : Op::cost;                                   \
+        for (std::size_t i = 0; i < n; ++i)                              \
+          r.v[i] = Complex{host(elemA(i).real(), elemB(i).real()), 0.0}; \
         break;
-      case BinOp::Max:
-        op = vec ? Op::VMaxF : Op::MaxF;
-        for (std::size_t i = 0; i < n; ++i)
-          r.v[i] = Complex{std::max(elemA(i).real(), elemB(i).real()), 0.0};
-        break;
-      case BinOp::Atan2:
-        op = Op::Atan2F;
-        for (std::size_t i = 0; i < n; ++i)
-          r.v[i] = Complex{std::atan2(elemA(i).real(), elemB(i).real()), 0.0};
-        break;
-      case BinOp::Mod:
-        op = Op::ModF;
-        for (std::size_t i = 0; i < n; ++i) {
-          double x = elemA(i).real();
-          double m = elemB(i).real();
-          r.v[i] = Complex{m == 0.0 ? x : x - std::floor(x / m) * m, 0.0};
-        }
-        break;
-      case BinOp::Rem:
-        op = Op::ModF;
-        for (std::size_t i = 0; i < n; ++i) {
-          double x = elemA(i).real();
-          double m = elemB(i).real();
-          r.v[i] = Complex{m == 0.0 ? x : std::fmod(x, m), 0.0};
-        }
-        break;
+#include "sema/builtins.def"
       default:
         throw RuntimeError("VM: unsupported binary op");
     }

@@ -4,6 +4,7 @@
 // as input to any C/C++ compiler" — verified end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include "driver/compiler.hpp"
 #include "driver/kernels.hpp"
 #include "parser/parser.hpp"
+#include "sema/builtins.hpp"
 #include "support/string_utils.hpp"
 
 namespace mat2c {
@@ -176,6 +178,51 @@ TEST(CcIntegration, FmdemodWidth4) {
 
 TEST(CcIntegration, FftExtendedKernel) {
   checkKernelThroughCc(kernels::makeFft(64), CompileOptions::proposed(), "fft64");
+}
+
+/// The C spelling of every elementwise row of sema/builtins.def: one output
+/// per row on real operands (v when the row's fold domain holds all of v,
+/// else u, which lies inside every domain), plus one on the complex z for
+/// each row that takes complex operands.
+TEST(CcIntegration, EveryBuiltinRow) {
+  struct Row {
+    std::string name;
+    int arity;
+    bool complex;
+    bool (*inDomain)(double);
+  };
+  const Row rows[] = {
+#define MAT2C_BUILTIN_UNARY(name, op, lir, rule, host, guard, ...)       \
+  {name, 1, sema::ComplexRule::rule != sema::ComplexRule::Real,          \
+   []([[maybe_unused]] double x) { return guard; }},
+#define MAT2C_BUILTIN_BINARY(name, ...) {name, 2, false, [](double) { return true; }},
+#include "sema/builtins.def"
+  };
+  // Ten lanes: the 8-lane dspx vector loop and its scalar remainder both run.
+  const std::vector<double> u = {0.05, 0.2, 0.3, 0.45, 0.5, 0.6, 0.75, 0.8, 0.9, 0.95};
+  const std::vector<double> v = {-2.7, -1.5, -0.5, -0.25, 0.0, 0.3, 0.5, 1.2, 1.5, 2.5};
+  const std::vector<double> w = {1.5, -0.5, 2.0, 0.7, -1.25, 3.0, 0.4, -2.0, 1.0, 0.0};
+
+  std::vector<std::string> outs;
+  std::string body;
+  auto out = [&](const std::string& call) {
+    outs.push_back("o" + std::to_string(outs.size() + 1));
+    body += outs.back() + " = " + call + ";\n";
+  };
+  for (const Row& r : rows) {
+    std::string x = std::all_of(v.begin(), v.end(), r.inDomain) ? "v" : "u";
+    out(r.name + "(" + x + (r.arity == 2 ? ", w)" : ")"));
+    if (r.complex) out(r.name + "(z)");
+  }
+  kernels::KernelSpec k;
+  k.name = "builtins";
+  k.entry = "f";
+  k.source = "function [" + join(outs, ", ") + "] = f(u, v, w, z)\n" + body + "end\n";
+  k.argSpecs = {sema::ArgSpec::row(10), sema::ArgSpec::row(10), sema::ArgSpec::row(10),
+                sema::ArgSpec::row(10, true)};
+  k.args = {Matrix::rowVector(u), Matrix::rowVector(v), Matrix::rowVector(w),
+            kernels::InputGen(31).complexRowVector(10)};
+  checkKernelThroughCc(k, CompileOptions::proposed(), "builtins");
 }
 
 /// Property-level: random elementwise programs through the host compiler.

@@ -5,6 +5,8 @@
 
 #include "driver/compiler.hpp"
 #include "driver/kernels.hpp"
+#include "interp/interpreter.hpp"
+#include "sema/builtins.hpp"
 
 namespace mat2c {
 namespace {
@@ -483,6 +485,103 @@ TEST(Lowering, ProposedStyleHasNoChecks) {
                                      {ArgSpec::row(16)}, CompileOptions::proposed());
   auto r = unit.run({kernels::InputGen(21).rowVector(16)});
   EXPECT_EQ(r.cycles.byCategory.count("check"), 0u);
+}
+
+// -- every row of the builtin table (sema/builtins.def) ---------------------
+
+/// An elementwise row: name, operand count, complex rule, fold domain.
+struct BuiltinRow {
+  const char* name;
+  int arity;
+  sema::ComplexRule rule;
+  bool (*inDomain)(double);
+};
+
+const BuiltinRow kElementwiseRows[] = {
+#define MAT2C_BUILTIN_UNARY(name, op, lir, rule, host, guard, ...) \
+  {name, 1, sema::ComplexRule::rule, []([[maybe_unused]] double x) { return guard; }},
+#define MAT2C_BUILTIN_BINARY(name, ...) \
+  {name, 2, sema::ComplexRule::Real, [](double) { return true; }},
+#include "sema/builtins.def"
+};
+
+void PrintTo(const BuiltinRow& row, std::ostream* os) { *os << row.name; }
+
+class BuiltinRowTest : public ::testing::TestWithParam<BuiltinRow> {
+ protected:
+  /// `y = name(x) + 1` (or `name(x, w)`) in a function of the row's operands.
+  std::string source() const {
+    const BuiltinRow& row = GetParam();
+    std::string params = row.arity == 1 ? "x" : "x, w";
+    return "function y = f(" + params + ")\ny = " + row.name + "(" + params + ") + 1;\nend\n";
+  }
+
+  /// Compiles in both styles for dspx and scalar, validating each unit.
+  void validate(const std::vector<ArgSpec>& specs, const std::vector<Matrix>& args) {
+    const BuiltinRow& row = GetParam();
+    std::vector<ArgSpec> used(specs.begin(), specs.begin() + row.arity);
+    std::vector<Matrix> inputs(args.begin(), args.begin() + row.arity);
+    Compiler compiler;
+    for (const char* isa : {"dspx", "scalar"}) {
+      for (bool coder : {false, true}) {
+        auto opts = coder ? CompileOptions::coderLike(isa) : CompileOptions::proposed(isa);
+        auto unit = compiler.compileSource(source(), "f", used, opts);
+        EXPECT_LE(validateAgainstInterpreter(source(), "f", unit, inputs), 1e-9)
+            << isa << (coder ? " coder" : " proposed");
+      }
+    }
+  }
+};
+
+TEST_P(BuiltinRowTest, MatchesInterpreter) {
+  const BuiltinRow& row = GetParam();
+  std::vector<double> xs;
+  for (double v : {-2.7, -0.5, -0.25, 0.3, 0.5, 0.8, 1.5, 2.2})
+    if (row.inDomain(v)) xs.push_back(v);
+  ASSERT_GE(xs.size(), 4u);
+  std::vector<double> ws(xs.rbegin(), xs.rend());
+  auto n = static_cast<std::int64_t>(xs.size());
+
+  for (std::size_t i = 0; i < xs.size(); ++i)  // scalar context
+    validate({ArgSpec::scalar(), ArgSpec::scalar()},
+             {Matrix::scalar(xs[i]), Matrix::scalar(ws[i])});
+  validate({ArgSpec::row(n), ArgSpec::row(n)},  // elementwise context
+           {Matrix::rowVector(xs), Matrix::rowVector(ws)});
+
+  kernels::InputGen gen(30);
+  Matrix z = gen.complexRowVector(4);
+  if (row.rule != sema::ComplexRule::Real) {
+    validate({ArgSpec::complexScalar()}, {Matrix::scalar(z.at(0))});
+    validate({ArgSpec::row(4, true)}, {z});
+    return;
+  }
+  // Real-only: a complex operand is a located compile error, never a silent
+  // use of its real part.
+  for (const auto& spec : {ArgSpec::complexScalar(), ArgSpec::row(4, true)}) {
+    try {
+      Compiler().compileSource(source(), "f", std::vector<ArgSpec>(row.arity, spec),
+                               CompileOptions::proposed());
+      ADD_FAILURE() << row.name << " compiled with a complex operand";
+    } catch (const CompileError& e) {
+      EXPECT_NE(std::string(e.what()).find("error at 2:"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("cannot convert a complex value to real"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Builtins, BuiltinRowTest, ::testing::ValuesIn(kElementwiseRows),
+                         [](const auto& info) { return std::string(info.param.name); });
+
+TEST(BuiltinTable, EveryRowIsARuntimeBuiltin) {
+#define MAT2C_BUILTIN(name, kind, value)                        \
+  if (sema::BuiltinKind::kind != sema::BuiltinKind::Constant) { \
+    EXPECT_TRUE(isRuntimeBuiltin(name)) << name;                \
+  }
+#define MAT2C_BUILTIN_UNARY(name, ...) EXPECT_TRUE(isRuntimeBuiltin(name)) << name;
+#define MAT2C_BUILTIN_BINARY(name, ...) EXPECT_TRUE(isRuntimeBuiltin(name)) << name;
+#include "sema/builtins.def"
 }
 
 }  // namespace

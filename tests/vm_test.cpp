@@ -108,6 +108,25 @@ TEST(Vm, ComplexOutputs) {
   EXPECT_EQ(r.outputs[0].at(0), (Complex{-2, 2}));
 }
 
+TEST(Vm, ComplexLogChargesWhatTheRuntimeComputes) {
+  // mat2c_clog(z) = log(|z|) + i*arg(z): |z|'s charges plus log and atan2.
+  auto cycles = [](const char* body) {
+    auto unit = compile(std::string("function y = f(z)\ny = ") + body + ";\nend\n",
+                        {ArgSpec::complexScalar()});
+    auto r = unit.run({Matrix::scalar(Complex{-0.6, 0.8})});
+    return r.cycles;
+  };
+  vm::CycleStats log = cycles("log(z)");
+  vm::CycleStats abs = cycles("abs(z)");
+  EXPECT_EQ(log.countByOp["log.f64"], 1.0);
+  EXPECT_EQ(log.countByOp["atan2.f64"], 1.0);
+  for (const auto& [op, n] : abs.countByOp) EXPECT_EQ(log.countByOp[op], n) << op;
+  auto dspx = isa::IsaDescription::preset("dspx");
+  EXPECT_DOUBLE_EQ(log.byCategory["arith"], abs.byCategory["arith"] +
+                                                dspx.cost(isa::Op::LogF) +
+                                                dspx.cost(isa::Op::Atan2F));
+}
+
 TEST(Vm, BaselineCheckCyclesDisappearInProposed) {
   auto k = kernels::makeFir(128, 8);
   Compiler compiler;

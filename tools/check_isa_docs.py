@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
-"""Checks that the ISA format doc lists exactly the ops in src/isa/ops.def.
+"""Checks that a doc section lists exactly the rows of an X-macro table.
 
-Reads every backquoted word under the "## Operation mnemonics" heading of the
-markdown file and every mnemonic column of the op table, and fails when the
-two sets differ or the doc names a mnemonic twice.
+Reads every backquoted word under the "## <heading>" heading of the markdown
+file, and the first quoted string of every row of the table whose macro name
+starts with <macro> (so MAT2C_BUILTIN also reads MAT2C_BUILTIN_UNARY rows). It
+fails when the two sets differ or the doc names a row twice.
 
-Usage: check_isa_docs.py <isa_format.md> <ops.def>
+  check_isa_docs.py docs/isa_format.md "Operation mnemonics" src/isa/ops.def MAT2C_OP
+  check_isa_docs.py docs/language_subset.md "Builtins (compiled)" src/sema/builtins.def MAT2C_BUILTIN
+
+Usage: check_isa_docs.py <doc.md> <heading> <table.def> <macro>
 Exit codes: 0 ok, 1 mismatch, 2 bad input.
 """
+import os
 import re
 import sys
 
@@ -22,18 +27,19 @@ def read(path):
 
 
 def main():
-    if len(sys.argv) != 3:
+    if len(sys.argv) != 5:
         print(__doc__.strip().splitlines()[-2], file=sys.stderr)
         return 2
-    doc, table = read(sys.argv[1]), read(sys.argv[2])
-    section = re.search(r"^## Operation mnemonics\n(.*?)(?=^## |\Z)", doc, re.M | re.S)
+    doc, heading, table, macro = read(sys.argv[1]), sys.argv[2], read(sys.argv[3]), sys.argv[4]
+    name = os.path.basename(sys.argv[3])
+    section = re.search(rf"^## {re.escape(heading)}\n(.*?)(?=^## |\Z)", doc, re.M | re.S)
     if not section:
-        print("check_isa_docs: no '## Operation mnemonics' section", file=sys.stderr)
+        print(f"check_isa_docs: no '## {heading}' section", file=sys.stderr)
         return 2
     documented = [w for span in re.findall(r"`([^`]*)`", section.group(1)) for w in span.split()]
-    declared = re.findall(r'^MAT2C_OP\(\s*\w+\s*,\s*"([^"]+)"', table, re.M)
+    declared = re.findall(rf'^{re.escape(macro)}\w*\([^"\n]*"([^"]+)"', table, re.M)
     if not declared:
-        print("check_isa_docs: no MAT2C_OP rows", file=sys.stderr)
+        print(f"check_isa_docs: no {macro} rows", file=sys.stderr)
         return 2
     problems = []
     dupes = sorted({w for w in documented if documented.count(w) > 1})
@@ -41,15 +47,15 @@ def main():
         problems.append("listed twice in the doc: " + " ".join(dupes))
     missing = sorted(set(declared) - set(documented))
     if missing:
-        problems.append("in ops.def but not the doc: " + " ".join(missing))
+        problems.append(f"in {name} but not the doc: " + " ".join(missing))
     extra = sorted(set(documented) - set(declared))
     if extra:
-        problems.append("in the doc but not ops.def: " + " ".join(extra))
+        problems.append(f"in the doc but not {name}: " + " ".join(extra))
     for p in problems:
         print(f"check_isa_docs: {p}")
     if problems:
         return 1
-    print(f"check_isa_docs: ok ({len(declared)} mnemonics)")
+    print(f"check_isa_docs: ok ({len(declared)} rows)")
     return 0
 
 
