@@ -8,50 +8,24 @@
 namespace mat2c {
 
 std::string CompileOptions::passSignature() const {
-  auto tri = [](const std::optional<bool>& v) {
-    return v ? (*v ? "1" : "0") : "auto";
-  };
   std::string s = "style=";
   s += style == lower::CodeStyle::Proposed ? "proposed" : "coder";
-  s += ";constFold=";
-  s += constFold ? '1' : '0';
-  s += ";idioms=";
-  s += idioms ? '1' : '0';
-  s += ";vectorize=";
-  s += vectorize ? '1' : '0';
-  s += ";sinkDecls=";
-  s += sinkDecls ? '1' : '0';
-  s += ";fuseElementwise=";
-  s += tri(fuseElementwise);
-  s += ";boundsChecks=";
-  s += tri(boundsChecks);
-  s += ";checkElim=";
-  s += checkElim ? '1' : '0';
-  s += ";fuseLoops=";
-  s += fuseLoops ? '1' : '0';
-  s += ";unroll=";
-  s += unrollRecurrences ? '1' : '0';
-  // The clamped value joins the key, so out-of-range trips (0, negatives)
+  // Trip rows join the key clamped, so out-of-range trips (0, negatives)
   // share the cache entry of the configuration they actually compile as.
-  s += ";unrollMaxTrip=";
-  s += std::to_string(effectiveUnrollMaxTrip());
-  s += ";licm=";
-  s += licm ? '1' : '0';
-  s += ";cse=";
-  s += cse ? '1' : '0';
-  s += ";deadStores=";
-  s += deadStores ? '1' : '0';
-  s += ";deadCode=";
-  s += deadCode ? '1' : '0';
-  s += ";reassoc=";
-  s += reassoc ? '1' : '0';
-  // degrade changes what a *failing* compile produces (a degraded unit vs an
-  // error), and limits.maxLirOps gates unroll decisions — both are
-  // output-affecting, so they join the cache key. The observation-only
-  // limits (source/AST bounds, wall budget) stay out: they cannot change the
-  // result of a compile that succeeds.
-  s += ";degrade=";
-  s += degrade ? '1' : '0';
+#define MAT2C_PASS_BOOL(field, key, ...) \
+  s += ";" key "=";                      \
+  s += field ? '1' : '0';
+#define MAT2C_PASS_TRI(field, key) \
+  s += ";" key "=";                \
+  s += field ? (*field ? "1" : "0") : "auto";
+#define MAT2C_PASS_TRIP(field, key, ...) \
+  s += ";" key "=";                      \
+  s += std::to_string(clampTrip(field));
+#include "opt/passes.def"
+  // limits.maxLirOps gates unroll decisions, so it is output-affecting and
+  // joins the cache key too. The observation-only limits (source/AST
+  // bounds, wall budget) stay out: they cannot change the result of a
+  // compile that succeeds.
   s += ';';
   s += limits.outputSignature();
   return s;
@@ -61,53 +35,35 @@ namespace {
 
 opt::PipelineOptions makePipelineOptions(const CompileOptions& options) {
   opt::PipelineOptions passOpts;
-  passOpts.constFold = options.constFold;
-  passOpts.idioms = options.idioms;
+#define PIPELINE(...) __VA_ARGS__
+#define DRIVER(...)
+#define MAT2C_PASS_BOOL(field, key, stage, ...) stage(passOpts.field = options.field;)
+#define MAT2C_PASS_TRIP(field, ...) passOpts.field = CompileOptions::clampTrip(options.field);
+#include "opt/passes.def"
   passOpts.vectorize = options.vectorize && options.style == lower::CodeStyle::Proposed;
-  passOpts.sinkDecls = options.sinkDecls;
-  passOpts.checkElim = options.checkElim;
-  passOpts.fuseLoops = options.fuseLoops;
-  passOpts.unrollRecurrences = options.unrollRecurrences;
-  passOpts.unrollMaxTrip = options.effectiveUnrollMaxTrip();
-  passOpts.licm = options.licm;
-  passOpts.cse = options.cse;
-  passOpts.deadStores = options.deadStores;
-  passOpts.deadCode = options.deadCode;
-  passOpts.reassoc = options.reassoc;
   passOpts.verifyEach = options.verifyEach;
   passOpts.maxLirOps = options.limits.maxLirOps;
   passOpts.trace = options.tracePasses;
   return passOpts;
 }
 
-/// Maps a pipeline pass name (as attributed by PassPipeline::run) onto the
-/// CompileOptions toggle that removes it. Returns false for passes the
-/// ladder cannot disable.
+/// The degradation ladder's retry without `pass`: switches off the
+/// opt/passes.def row that lists it. Returns false for passes the ladder
+/// cannot disable.
 bool disablePass(CompileOptions& options, const std::string& pass) {
-  if (pass == "constfold" || pass == "constfold.post") {
-    options.constFold = false;
-  } else if (pass == "dce" || pass == "dce.post" || pass == "dce.final") {
-    options.deadCode = false;
-  } else if (pass == "checkelim") {
-    options.checkElim = false;
-  } else if (pass == "sinkdecls") {
-    options.sinkDecls = false;
-  } else if (pass == "unroll") {
-    options.unrollRecurrences = false;
-  } else if (pass == "idioms") {
-    options.idioms = false;
-  } else if (pass == "vectorize") {
-    options.vectorize = false;
-  } else if (pass == "fuse") {
-    options.fuseLoops = false;
-  } else if (pass == "licm") {
-    options.licm = false;
-  } else if (pass == "cse") {
-    options.cse = false;
-  } else {
+  auto lists = [&](std::string_view passes) {
+    for (const std::string& name : split(passes, ' ')) {
+      if (name == pass) return true;
+    }
     return false;
+  };
+#define MAT2C_PASS_BOOL(field, key, stage, proposed, coder, passes, ...) \
+  if (lists(passes)) {                                                    \
+    options.field = false;                                                \
+    return true;                                                          \
   }
-  return true;
+#include "opt/passes.def"
+  return false;
 }
 
 }  // namespace
@@ -205,8 +161,8 @@ CompiledUnit Compiler::compileOnce(const ast::Program& program, const std::strin
       lir::Function lowered = lower::lowerProgram(program, entry, args, [&] {
         lower::LowerOptions lowerOpts;
         lowerOpts.style = options.style;
-        lowerOpts.fuseElementwise = options.fuseElementwise;
-        lowerOpts.boundsChecks = options.boundsChecks;
+#define MAT2C_PASS_TRI(field, key) lowerOpts.field = options.field;
+#include "opt/passes.def"
         return lowerOpts;
       }(), diags_);
       if (diags_.hasErrors()) throw CompileError(diags_.renderAll());

@@ -33,49 +33,24 @@ namespace mat2c {
 struct CompileOptions {
   isa::IsaDescription isa = isa::IsaDescription::preset("dspx");
   lower::CodeStyle style = lower::CodeStyle::Proposed;
-  /// Pass toggles (defaults derive from style; override for ablations).
-  bool constFold = true;
-  bool idioms = true;
-  bool vectorize = true;
-  /// Decl sinking is a standalone cleanup that benefits every style (it is
-  /// not part of vectorization), so it defaults on even for CoderLike and
-  /// --no-vectorize pipelines.
-  bool sinkDecls = true;
-  /// Lowering-mechanism overrides (ablation C): follow `style` when unset.
-  std::optional<bool> fuseElementwise;
-  std::optional<bool> boundsChecks;
-  /// Remove provably-safe bounds checks from checked code (static-shape
-  /// payoff; only meaningful together with boundsChecks).
-  bool checkElim = false;
-  /// Loop-optimization layer (see docs/pipeline.md): cross-statement loop
-  /// fusion, recurrence unrolling, loop-invariant code motion with register
-  /// promotion, region CSE with store-to-load forwarding, and dead-store /
-  /// dead-loop cleanup. On for the Proposed style; coderLike() switches
-  /// them all off so the baseline keeps its literal statement stream.
-  bool fuseLoops = true;
-  bool unrollRecurrences = true;
-  /// Largest compile-time trip count the unroll pass fully expands. Values
-  /// outside [1, kUnrollTripCap] are clamped by effectiveUnrollMaxTrip() —
-  /// the single normalization point shared by the pipeline and the cache
-  /// key, so a programmatic caller passing 0 or a negative trip behaves (and
-  /// caches) identically to 1 ("never unroll") instead of reaching the pass
-  /// unchecked.
-  int unrollMaxTrip = 8;
+  /// Pass toggles, one field per row of opt/passes.def (see there and
+  /// docs/pipeline.md), defaulting to the Proposed style; override for
+  /// ablations.
+#define MAT2C_PASS_BOOL(field, key, stage, proposed, ...) bool field = proposed;
+#define MAT2C_PASS_TRI(field, key) std::optional<bool> field;
+#define MAT2C_PASS_TRIP(field, key, proposed, ...) int field = proposed;
+#include "opt/passes.def"
+
+  /// Trip-count rows are clamped to [1, kUnrollTripCap] wherever they are
+  /// read: the pipeline, the cache key and the tuner share this one
+  /// normalization, so a programmatic caller passing 0 or a negative trip
+  /// behaves (and caches) identically to 1 ("never unroll").
   static constexpr int kUnrollTripCap = 1 << 20;  // matches the CLI flag range
-  int effectiveUnrollMaxTrip() const {
-    return unrollMaxTrip < 1 ? 1 : (unrollMaxTrip > kUnrollTripCap ? kUnrollTripCap
-                                                                   : unrollMaxTrip);
+  static constexpr int clampTrip(int trip) {
+    return trip < 1 ? 1 : (trip > kUnrollTripCap ? kUnrollTripCap : trip);
   }
-  bool licm = true;
-  bool cse = true;
-  bool deadStores = true;
-  /// Dead-scalar elimination (the dce/dce.post/dce.final passes). Exposed so
-  /// the degradation ladder can retry a compile without it.
-  bool deadCode = true;
-  /// Allow reassociating fma rewrites ((a*b - y) + z -> fma(a,b,z) - y).
-  /// Changes rounding (see EXPERIMENTS.md for the measured error); off by
-  /// default for bit-faithful comparisons against the interpreter.
-  bool reassoc = false;
+  int effectiveUnrollMaxTrip() const { return clampTrip(unrollMaxTrip); }
+
   /// Run the LIR verifier after every optimization pass; a failure throws
   /// CompileError naming the offending pass (CLI --verify-each).
   bool verifyEach = false;
@@ -86,12 +61,6 @@ struct CompileOptions {
   /// Resource bounds for this compilation (see support/limits.hpp). The
   /// serving layer maps per-request deadlines onto limits.wallBudgetMillis.
   CompileLimits limits;
-  /// Graceful degradation: when an optimization pass fails (PassError /
-  /// VerifyError), retry once with the offending pass disabled, then fall
-  /// back to the CoderLike baseline pipeline, recording the ladder in
-  /// PipelineReport::degraded. Input errors, timeouts, and resource
-  /// exhaustion are never retried.
-  bool degrade = true;
 
   /// Canonical serialization of every option that can change the compiled
   /// output: style, pass toggles, and the lowering-mechanism overrides.
@@ -111,13 +80,9 @@ struct CompileOptions {
     CompileOptions o;
     o.isa = isa::IsaDescription::preset(isaPreset);
     o.style = lower::CodeStyle::CoderLike;
-    o.idioms = false;
-    o.vectorize = false;
-    o.fuseLoops = false;
-    o.unrollRecurrences = false;
-    o.licm = false;
-    o.cse = false;
-    o.deadStores = false;
+#define MAT2C_PASS_BOOL(field, key, stage, proposed, coder, ...) o.field = coder;
+#define MAT2C_PASS_TRIP(field, key, proposed, coder, ...) o.field = coder;
+#include "opt/passes.def"
     return o;
   }
 };

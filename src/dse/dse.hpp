@@ -165,13 +165,11 @@ struct ExploreOptions {
   std::vector<int> memLaneChoices = {4, 8, 16};
   int topCandidates = 4;     // fused candidates admitted to the space
   bool exploreFused = true;  // include fused-op inclusion as a dimension
-  bool oracleCheckBest = true;  // validate the winning ISA vs the interpreter
-  int maxIdioms = 16;           // mined idioms kept in the report
   std::ostream* progress = nullptr;  // optional progress lines (CLI)
 };
 
 struct ExploreResult {
-  std::vector<MinedIdiom> idioms;        // ranked, truncated to maxIdioms
+  std::vector<MinedIdiom> idioms;        // ranked, at most 16
   std::vector<CandidateInstr> candidates;
   std::vector<PointScore> pareto;        // frontier, ascending hwCost
   PointScore best;     // expressible winner at hwCost <= dspx (VM-measured)

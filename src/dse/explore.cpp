@@ -20,6 +20,9 @@
 namespace mat2c::dse {
 namespace {
 
+/// Mined idioms kept in ExploreResult::idioms (the idiom report).
+constexpr std::size_t kReportedIdioms = 16;
+
 struct KernelEval {
   std::map<std::string, double> countByOp;
   std::vector<IdiomInstance> instances;
@@ -170,8 +173,7 @@ ExploreResult explore(const ExploreOptions& opts) {
   isa::IsaDescription costRef = toIsa(miningConfig->base, "dse_costref");
   r.candidates = synthesizeCandidates(allIdioms, costRef, opts.topCandidates);
   r.idioms = allIdioms;
-  if (opts.maxIdioms >= 0 && r.idioms.size() > static_cast<std::size_t>(opts.maxIdioms))
-    r.idioms.resize(static_cast<std::size_t>(opts.maxIdioms));
+  if (r.idioms.size() > kReportedIdioms) r.idioms.resize(kReportedIdioms);
   progressLine(opts, "dse: mined " + std::to_string(allIdioms.size()) + " idioms, kept " +
                          std::to_string(r.candidates.size()) + " fused candidates");
 
@@ -262,10 +264,8 @@ ExploreResult explore(const ExploreOptions& opts) {
     double cycles = runKernel(unit, spec).cycles.total;
     r.best.kernelCycles[spec.name] = cycles;
     bestSpeedups.push_back(r.scalarCycles[spec.name] / cycles);
-    if (opts.oracleCheckBest) {
-      r.bestMaxAbsErr[spec.name] =
-          validateAgainstInterpreter(spec.source, spec.entry, unit, spec.args);
-    }
+    r.bestMaxAbsErr[spec.name] =
+        validateAgainstInterpreter(spec.source, spec.entry, unit, spec.args);
   }
   r.best.geomean = geomeanOf(bestSpeedups);
   r.best.measured = true;

@@ -120,31 +120,13 @@ struct PassRecord {
 };
 
 struct PipelineOptions {
-  bool constFold = true;
-  bool idioms = true;
-  bool vectorize = true;
-  bool deadCode = true;
-  /// Sink frame-level decls of loop-local temporaries into their loop. A
-  /// standalone cleanup (not part of vectorization); on for every style.
-  bool sinkDecls = true;
-  /// Remove provably-safe bounds checks (meaningful for CoderLike code; the
-  /// Proposed style emits none). Off by default so the baseline faithfully
-  /// models a dynamic-shape runtime; ablations switch it on.
-  bool checkElim = false;
-  /// Loop-optimization layer (fuse/unroll/licm/cse run in that order around
-  /// the vectorizer; see standardPipeline for the rationale).
-  bool fuseLoops = true;
-  bool unrollRecurrences = true;
-  int unrollMaxTrip = 8;
-  bool licm = true;
-  bool cse = true;
-  /// Dead-store and dead-loop cleanup (folded into the dce passes). Gated
-  /// separately so the CoderLike baseline keeps its literal statement
-  /// stream.
-  bool deadStores = true;
-  /// Allow reassociating rewrites in idiom recognition ((a*b - y) + z ->
-  /// fma(a,b,z) - y). Changes rounding; off by default.
-  bool reassoc = false;
+  /// The pipeline rows of opt/passes.def (stage PIPELINE), under the same
+  /// names and defaults as CompileOptions; standardPipeline() reads them.
+#define PIPELINE(...) __VA_ARGS__
+#define DRIVER(...)
+#define MAT2C_PASS_BOOL(field, key, stage, proposed, ...) stage(bool field = proposed;)
+#define MAT2C_PASS_TRIP(field, key, proposed, ...) int field = proposed;
+#include "opt/passes.def"
   /// Run lir::verify after every pass; a failure throws StructuredError
   /// (VerifyError) naming the offending pass and listing every verifier
   /// problem.

@@ -17,6 +17,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Admission bound on queued jobs, global across all tenant FIFOs: a full
+/// queue blocks the submitter, not the heap.
+constexpr std::size_t kQueueCapacity = 1024;
+/// Lock stripes of the memory compile cache.
+constexpr std::size_t kCacheShards = 8;
+
 double millisSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
@@ -221,7 +227,7 @@ CompileService::CompileService() : CompileService(Config{}) {}
 
 CompileService::CompileService(const Config& config)
     : config_(config),
-      cache_(config.cacheEntries, config.cacheShards) {
+      cache_(config.cacheEntries, kCacheShards) {
   if (!config_.storeDir.empty()) {
     store_ = std::make_unique<ArtifactStore>(
         ArtifactStore::Config{config_.storeDir, config_.maxStoreBytes});
@@ -311,7 +317,7 @@ std::future<CompileResponse> CompileService::submit(CompileRequest request) {
 
   // Bounded admission: block the submitter, not the heap. The bound is
   // global across tenants; fairness is enforced at the drain, not here.
-  notFull_.wait(lock, [&] { return queuedTotal_ < config_.queueCapacity || stopping_; });
+  notFull_.wait(lock, [&] { return queuedTotal_ < kQueueCapacity || stopping_; });
   auto [it, inserted] = tenants_.try_emplace(request.tenant);
   if (inserted) rrOrder_.push_back(request.tenant);
   ++it->second.submitted;
@@ -393,11 +399,10 @@ void CompileService::runJob(Job& job, const std::string& tenant) {
   Clock::time_point pickup = Clock::now();
 
   // Pickup-time triage (under the lock): waiters whose per-request deadline
-  // already passed while queued — or whose queue time exceeds the service's
-  // maxQueueMillis — are resolved with Timeout NOW, so a backlogged server
-  // never leaks a future or compiles for clients that gave up. The largest
-  // remaining headroom among surviving deadline-carrying waiters becomes the
-  // compile's cooperative wall budget.
+  // already passed while queued are resolved with Timeout NOW, so a
+  // backlogged server never leaks a future or compiles for clients that
+  // gave up. The largest remaining headroom among surviving deadline-carrying
+  // waiters becomes the compile's cooperative wall budget.
   std::vector<Flight::Waiter> expired;
   bool anyUnbounded = false;   // some survivor has no deadline
   double maxHeadroom = 0.0;    // millis the most patient survivor will wait
@@ -407,9 +412,7 @@ void CompileService::runJob(Job& job, const std::string& tenant) {
     auto& waiters = job.flight->waiters;
     for (auto it = waiters.begin(); it != waiters.end();) {
       double waited = std::chrono::duration<double, std::milli>(pickup - it->submitted).count();
-      bool out = (it->deadlineMillis > 0 && waited >= it->deadlineMillis) ||
-                 (config_.maxQueueMillis > 0 && waited >= config_.maxQueueMillis);
-      if (out) {
+      if (it->deadlineMillis > 0 && waited >= it->deadlineMillis) {
         expired.push_back(std::move(*it));
         it = waiters.erase(it);
         continue;

@@ -165,9 +165,7 @@ class CompileService {
  public:
   struct Config {
     std::size_t threads = 0;        ///< 0 = hardware_concurrency (min 1)
-    std::size_t queueCapacity = 1024;  ///< global bound across all tenant FIFOs
     std::size_t cacheEntries = 1024;
-    std::size_t cacheShards = 8;
     /// Max jobs of ONE tenant occupying workers at once (0 = unlimited).
     /// With the round-robin drain this is the fair-share knob: a flooding
     /// tenant can hold at most this many workers while other tenants have
@@ -179,11 +177,6 @@ class CompileService {
     std::string storeDir;
     /// On-disk cap for the store (0 = unlimited), oldest-first eviction.
     std::size_t maxStoreBytes = 0;
-    /// Cap on time a job may sit in the queue before a worker picks it up
-    /// (0 = unlimited). Waiters queued longer are resolved with Timeout at
-    /// pickup even when they carry no per-request deadline — the bound that
-    /// keeps a backlogged server from compiling for clients that gave up.
-    double maxQueueMillis = 0.0;
     /// Test/instrumentation hook: runs on the worker thread immediately
     /// before each underlying compile (lets tests stall the worker to prove
     /// single-flight dedup deterministically).

@@ -247,6 +247,39 @@ bool parseOneArgSpec(std::string_view text, sema::ArgSpec& out) {
   return true;
 }
 
+/// A pass toggle the wire carries (an opt/passes.def row with a wire bit):
+/// its JSON key, its bit in the binary presence/value masks, and the fields
+/// it links.
+struct WireToggle {
+  const char* key;
+  std::uint8_t bit;
+  std::optional<bool> WireRequest::*wire;
+  bool CompileOptions::*option;
+};
+
+const std::vector<WireToggle>& wireToggles() {
+  static const std::vector<WireToggle> toggles = [] {
+    std::vector<WireToggle> rows;
+#define WIRE(bit)                                    \
+  [&](const char* key, auto wire, auto option) {     \
+    rows.push_back({key, 1u << (bit), wire, option}); \
+  }
+#define NO_WIRE(...)
+#define MAT2C_PASS_BOOL(field, key, stage, proposed, coder, passes, flag, wire, ...) \
+  wire(key, &WireRequest::field, &CompileOptions::field);
+#include "opt/passes.def"
+    return rows;
+  }();
+  return toggles;
+}
+
+const WireToggle* findToggle(std::string_view key) {
+  for (const WireToggle& t : wireToggles()) {
+    if (key == t.key) return &t;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 const JsonValue* JsonValue::find(std::string_view key) const {
@@ -332,12 +365,9 @@ bool WireRequest::resolve(CompileRequest& out, std::string& error) const {
     // IsaRegistry overwrites it at submit time — see CompileService::submit.
     out.useDefaultIsa = true;
   }
-  if (constFold) out.options.constFold = *constFold;
-  if (idioms) out.options.idioms = *idioms;
-  if (vectorize) out.options.vectorize = *vectorize;
-  if (sinkDecls) out.options.sinkDecls = *sinkDecls;
-  if (checkElim) out.options.checkElim = *checkElim;
-  if (degrade) out.options.degrade = *degrade;
+  for (const WireToggle& t : wireToggles()) {
+    if (const std::optional<bool>& v = this->*t.wire) out.options.*t.option = *v;
+  }
   return true;
 }
 
@@ -396,18 +426,8 @@ bool parseWireRequest(std::string_view line, WireRequest& out, std::string& erro
       if (!wantString(req.tenant)) return false;
     } else if (key == "admin") {
       if (!wantString(req.admin)) return false;
-    } else if (key == "constFold") {
-      if (!wantBool(req.constFold)) return false;
-    } else if (key == "idioms") {
-      if (!wantBool(req.idioms)) return false;
-    } else if (key == "vectorize") {
-      if (!wantBool(req.vectorize)) return false;
-    } else if (key == "sinkDecls") {
-      if (!wantBool(req.sinkDecls)) return false;
-    } else if (key == "checkElim") {
-      if (!wantBool(req.checkElim)) return false;
-    } else if (key == "degrade") {
-      if (!wantBool(req.degrade)) return false;
+    } else if (const WireToggle* t = findToggle(key)) {
+      if (!wantBool(req.*t->wire)) return false;
     } else if (key == "deadline_ms") {
       if (value.kind != JsonValue::Kind::Number || value.number < 0) {
         error = "field 'deadline_ms' must be a non-negative number";
@@ -524,14 +544,6 @@ std::string responseJson(const BinaryResponse& response) {
 
 namespace {
 
-// WireRequest optional-bool bit positions (presentMask / valueMask).
-constexpr std::uint8_t kBitConstFold = 1 << 0;
-constexpr std::uint8_t kBitIdioms = 1 << 1;
-constexpr std::uint8_t kBitVectorize = 1 << 2;
-constexpr std::uint8_t kBitSinkDecls = 1 << 3;
-constexpr std::uint8_t kBitCheckElim = 1 << 4;
-constexpr std::uint8_t kBitDegrade = 1 << 5;
-
 // Response flag bits.
 constexpr std::uint8_t kRespOk = 1 << 0;
 constexpr std::uint8_t kRespCached = 1 << 1;
@@ -623,12 +635,7 @@ std::string encodeBinaryRequest(const WireRequest& req) {
   bin::appendStr(out, req.tenant);
   std::uint8_t present = 0;
   std::uint8_t value = 0;
-  packOptional(req.constFold, kBitConstFold, present, value);
-  packOptional(req.idioms, kBitIdioms, present, value);
-  packOptional(req.vectorize, kBitVectorize, present, value);
-  packOptional(req.sinkDecls, kBitSinkDecls, present, value);
-  packOptional(req.checkElim, kBitCheckElim, present, value);
-  packOptional(req.degrade, kBitDegrade, present, value);
+  for (const WireToggle& t : wireToggles()) packOptional(req.*t.wire, t.bit, present, value);
   bin::appendU8(out, present);
   bin::appendU8(out, value);
   bin::appendU8(out, req.tune ? 1 : 0);
@@ -653,12 +660,7 @@ bool decodeBinaryRequest(std::string_view payload, WireRequest& out, std::string
     error = "malformed request payload";
     return false;
   }
-  out.constFold = unpackOptional(kBitConstFold, present, value);
-  out.idioms = unpackOptional(kBitIdioms, present, value);
-  out.vectorize = unpackOptional(kBitVectorize, present, value);
-  out.sinkDecls = unpackOptional(kBitSinkDecls, present, value);
-  out.checkElim = unpackOptional(kBitCheckElim, present, value);
-  out.degrade = unpackOptional(kBitDegrade, present, value);
+  for (const WireToggle& t : wireToggles()) out.*t.wire = unpackOptional(t.bit, present, value);
   out.tune = (flags & 1) != 0;
   if (tuneBudget < 0) {
     error = "field 'tune_budget' must be a positive integer";

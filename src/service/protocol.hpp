@@ -80,7 +80,14 @@ struct WireRequest {
   /// in the response's adminInfo. A frame with a non-empty admin field
   /// carries no compile payload.
   std::string admin;
-  std::optional<bool> constFold, idioms, vectorize, sinkDecls, checkElim, degrade;
+  /// Pass-toggle overrides, one per opt/passes.def row with a wire bit,
+  /// under its name; nullopt keeps the style's default.
+#define WIRE(bit) MAT2C_WIRE_FIELD
+#define MAT2C_WIRE_FIELD(field) std::optional<bool> field;
+#define NO_WIRE(field)
+#define MAT2C_PASS_BOOL(field, key, stage, proposed, coder, passes, flag, wire, ...) wire(field)
+#include "opt/passes.def"
+#undef MAT2C_WIRE_FIELD
   double deadlineMillis = 0.0;
   bool tune = false;
   int tuneBudget = 0;
@@ -95,7 +102,7 @@ struct WireRequest {
 ///   source (required), entry (required), id, args ("1x32,c1x8"),
 ///   isa (preset name), isa_text (inline ISA description, overrides isa),
 ///   style ("proposed"|"coder"), tenant (fair-share admission class),
-///   constFold/idioms/vectorize/sinkDecls/checkElim/degrade (bools),
+///   the wire toggles of opt/passes.def under their keys (bools),
 ///   deadline_ms (number, per-request deadline), tune (bool: autotune the
 ///   pass parameters and cache the winner), tune_budget (positive integer:
 ///   candidate cap for the tune search).

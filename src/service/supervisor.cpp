@@ -97,18 +97,16 @@ std::string reloadPayload() {
 
 }  // namespace
 
-/// One routed request. Shared between the routing tables of up to two shards
-/// (primary + hedge copy); `completed` guards double delivery.
+/// One routed request. It can sit in a backlog or an outstanding FIFO while
+/// it is failed elsewhere (shutdown, ejection), so `completed` guards double
+/// delivery.
 struct ShardSupervisor::Pending {
   std::string id;
   std::string payload;       ///< encoded Request frame payload
   std::uint64_t hash = 0;    ///< route hash (re-routing after ejection)
   ResponseHandler done;
-  Clock::time_point firstSent{};
-  int primaryShard = -1;
   bool sentOnce = false;     ///< a later send is a re-dispatch (counted)
   bool completed = false;
-  bool hedged = false;
   bool isProbe = false;      ///< internal readmission probe / reload
 };
 
@@ -271,7 +269,6 @@ bool ShardSupervisor::sendLocked(Shard& shard, const std::shared_ptr<Pending>& p
   if (shard.inFd < 0) return false;
   std::string frame = encodeFrame(FrameType::Request, p->payload);
   shard.outstanding.push_back(p);
-  if (p->firstSent == Clock::time_point{}) p->firstSent = Clock::now();
   if (p->sentOnce && !p->isProbe) ++redispatched_;
   p->sentOnce = true;
   // The write happens under mu_: requests are small relative to the pipe
@@ -290,7 +287,7 @@ void ShardSupervisor::flushBacklogLocked(std::size_t idx) {
   while (sh.alive && !sh.backlog.empty()) {
     std::shared_ptr<Pending> p = sh.backlog.front();
     sh.backlog.pop_front();
-    if (p->completed) continue;  // a hedge copy already answered it
+    if (p->completed) continue;  // already answered or failed
     if (!sendLocked(sh, p)) {
       sh.backlog.push_front(p);
       break;
@@ -319,7 +316,6 @@ void ShardSupervisor::submit(const WireRequest& request, ResponseHandler done) {
         ++failedNoShard_;
         failWhy = "no shards available (all permanently ejected)";
       } else {
-        p->primaryShard = idx;
         Shard& sh = *shards_[static_cast<std::size_t>(idx)];
         if (!sh.alive || !sendLocked(sh, p)) sh.backlog.push_back(p);
       }
@@ -406,7 +402,7 @@ void ShardSupervisor::completeFromShard(std::size_t idx, std::string rawPayload)
       }
       return;
     }
-    if (p->completed) return;  // hedge duplicate: first answer already won
+    if (p->completed) return;  // already failed: deliver once
     std::string error;
     if (!decodeBinaryResponse(rawPayload, decoded, error)) {
       decoded = BinaryResponse{};
@@ -417,7 +413,6 @@ void ShardSupervisor::completeFromShard(std::size_t idx, std::string rawPayload)
       rawPayload = encodeBinaryResponse(decoded);
     }
     p->completed = true;
-    if (p->hedged && static_cast<int>(idx) != p->primaryShard) ++hedgeWins_;
     done = std::move(p->done);
   }
   if (done) done(rawPayload, decoded);
@@ -488,7 +483,7 @@ void ShardSupervisor::ejectLocked(std::size_t idx,
 void ShardSupervisor::monitorLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stopping_) {
-    // Next deadline: earliest scheduled restart, or the hedge scan tick.
+    // Next deadline: the earliest scheduled restart.
     Clock::time_point wake = Clock::now() + std::chrono::seconds(3600);
     bool haveWork = false;
     for (auto& shPtr : shards_) {
@@ -497,18 +492,13 @@ void ShardSupervisor::monitorLoop() {
         haveWork = true;
       }
     }
-    if (config_.hedgeMillis > 0 && pendingCount_ > 0) {
-      wake = std::min(wake, Clock::now() + std::chrono::microseconds(static_cast<long>(
-                                std::max(1.0, config_.hedgeMillis / 2.0) * 1000.0)));
-      haveWork = true;
-    }
     if (!haveWork) {
       cv_.wait(lock, [&] {
         if (stopping_) return true;
         for (auto& s : shards_) {
           if (s->down && !s->ejected) return true;
         }
-        return config_.hedgeMillis > 0 && pendingCount_ > 0;
+        return false;
       });
       continue;
     }
@@ -556,29 +546,6 @@ void ShardSupervisor::monitorLoop() {
             sh.restarts, config_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
         sh.restartAt =
             Clock::now() + std::chrono::microseconds(static_cast<long>(delay * 1000.0));
-      }
-    }
-
-    // Hedge scan: duplicate slow requests to another live shard.
-    if (config_.hedgeMillis > 0) {
-      Clock::time_point now = Clock::now();
-      for (std::size_t i = 0; i < shards_.size(); ++i) {
-        Shard& sh = *shards_[i];
-        if (!sh.alive) continue;
-        for (auto& p : sh.outstanding) {
-          if (p->isProbe || p->completed || p->hedged) continue;
-          double age =
-              std::chrono::duration<double, std::milli>(now - p->firstSent).count();
-          if (age < config_.hedgeMillis) continue;
-          for (std::size_t probe = 1; probe < shards_.size(); ++probe) {
-            std::size_t j = (i + probe) % shards_.size();
-            Shard& other = *shards_[j];
-            if (!other.alive || other.ejected) continue;
-            p->hedged = true;
-            if (sendLocked(other, p)) ++hedges_;
-            break;
-          }
-        }
       }
     }
   }
@@ -652,8 +619,6 @@ ShardSupervisor::Stats ShardSupervisor::stats() const {
   s.completed = completed_;
   s.restarts = restarts_;
   s.redispatched = redispatched_;
-  s.hedges = hedges_;
-  s.hedgeWins = hedgeWins_;
   s.reloads = reloads_;
   s.failedNoShard = failedNoShard_;
   for (const auto& shPtr : shards_) {
@@ -680,8 +645,6 @@ std::string ShardSupervisor::metricsText() const {
   counter("mat2c_shard_restarts_total", s.restarts, "Worker processes respawned");
   counter("mat2c_shard_redispatches_total", s.redispatched,
           "Requests re-sent after a shard died");
-  counter("mat2c_hedges_total", s.hedges, "Hedged duplicate requests sent");
-  counter("mat2c_hedge_wins_total", s.hedgeWins, "Completions won by a hedge copy");
   counter("mat2c_supervisor_reloads_total", s.reloads, "ISA reload broadcasts");
   counter("mat2c_shard_route_failures_total", s.failedNoShard,
           "Requests failed with every shard ejected");

@@ -18,9 +18,6 @@
 //   * a restarted shard is readmitted only after it answers a healthz probe;
 //     a shard that dies more than maxRestarts times is permanently ejected
 //     and its traffic re-routed to surviving shards,
-//   * optional hedging: a request outstanding longer than hedgeMillis is
-//     duplicated to another live shard and the first answer wins (safe for
-//     the same idempotency reason; counted, never silent),
 //   * broadcastReload() sends every live shard an ISA-reload admin request
 //     (the supervisor CLI wires SIGHUP to this).
 //
@@ -64,9 +61,6 @@ class ShardSupervisor {
     int maxRestarts = 8;
     /// Jitter seed (chaos determinism).
     std::uint64_t seed = 1;
-    /// >0: duplicate a request still unanswered after this long to another
-    /// live shard (first answer wins).
-    double hedgeMillis = 0.0;
   };
 
   struct Stats {
@@ -74,8 +68,6 @@ class ShardSupervisor {
     std::uint64_t completed = 0;     ///< responses delivered to callers
     std::uint64_t restarts = 0;      ///< worker processes respawned
     std::uint64_t redispatched = 0;  ///< requests re-sent after a shard died
-    std::uint64_t hedges = 0;        ///< duplicate copies sent
-    std::uint64_t hedgeWins = 0;     ///< completions won by a non-primary copy
     std::uint64_t reloads = 0;       ///< broadcastReload() calls
     std::uint64_t failedNoShard = 0; ///< requests failed: every shard ejected
     int shardsAlive = 0;
@@ -117,7 +109,7 @@ class ShardSupervisor {
   void shutdown();
 
   Stats stats() const;
-  /// Supervisor-level Prometheus metrics (mat2c_shard_*, mat2c_hedges_*).
+  /// Supervisor-level Prometheus metrics (mat2c_shard_*, mat2c_shards_*).
   std::string metricsText() const;
   /// Live worker PIDs (per shard; -1 when down) — the chaos harness kills
   /// these directly.
@@ -159,8 +151,6 @@ class ShardSupervisor {
   std::uint64_t completed_ = 0;
   std::uint64_t restarts_ = 0;
   std::uint64_t redispatched_ = 0;
-  std::uint64_t hedges_ = 0;
-  std::uint64_t hedgeWins_ = 0;
   std::uint64_t reloads_ = 0;
   std::uint64_t failedNoShard_ = 0;
 };

@@ -16,75 +16,67 @@ namespace mat2c::tune {
 
 namespace {
 
-/// One searchable knob: a name plus the values it may take, each expressed
-/// as a mutation of a candidate CompileOptions.
+/// One searchable knob, an opt/passes.def row with a tune rank: its key,
+/// the values it may take (each a mutation of a candidate CompileOptions),
+/// and its value as optionsDelta() prints it.
 struct Coordinate {
+  int rank = 0;
   std::string name;
   std::vector<std::function<void(CompileOptions&)>> choices;
+  std::function<int(const CompileOptions&)> value;
 };
 
+/// The coordinates `options` enables, in rank order.
 std::vector<Coordinate> makeCoordinates(const TuneOptions& options) {
   std::vector<Coordinate> coords;
-
-  // Unroll trips, clamped through the same normalization the pipeline and
-  // the cache key use, then deduplicated — a caller-supplied {0, -3, 1}
-  // collapses to the single "never unroll" choice.
-  {
-    Coordinate c;
-    c.name = "unrollMaxTrip";
-    std::set<int> trips;
-    for (int t : options.unrollTrips) {
-      CompileOptions probe;
-      probe.unrollMaxTrip = t;
-      trips.insert(probe.effectiveUnrollMaxTrip());
-    }
-    for (int t : trips) {
-      c.choices.push_back([t](CompileOptions& o) { o.unrollMaxTrip = t; });
-    }
-    if (c.choices.size() > 1) coords.push_back(std::move(c));
-  }
-
-  auto boolCoord = [&](const char* name, bool enabled, bool CompileOptions::*field) {
+#define TUNE(rank, enable) \
+  [&](const char* key, auto field) { add(rank, key, field, options.enable); }
+#define NO_TUNE(...)
+  auto add = [&](int rank, const char* key, bool CompileOptions::*field, bool enabled) {
     if (!enabled) return;
-    Coordinate c;
-    c.name = name;
-    c.choices.push_back([field](CompileOptions& o) { o.*field = true; });
-    c.choices.push_back([field](CompileOptions& o) { o.*field = false; });
+    coords.push_back({rank, key,
+                      {[field](CompileOptions& o) { o.*field = true; },
+                       [field](CompileOptions& o) { o.*field = false; }},
+                      [field](const CompileOptions& o) { return o.*field ? 1 : 0; }});
+  };
+#define MAT2C_PASS_BOOL(field, key, stage, proposed, coder, passes, flag, wire, tune) \
+  tune(key, &CompileOptions::field);
+#include "opt/passes.def"
+  // Trip choices are clamped through the same normalization the pipeline
+  // and the cache key use, then deduplicated: a caller-supplied {0, -3, 1}
+  // collapses to the single "never unroll" choice.
+#define TUNE(rank, enable) \
+  [&](const char* key, auto field) { addTrips(rank, key, field, options.enable); }
+#define NO_TUNE(...)
+  auto addTrips = [&](int rank, const char* key, int CompileOptions::*field,
+                      const std::vector<int>& trips) {
+    std::set<int> clamped;
+    for (int t : trips) clamped.insert(CompileOptions::clampTrip(t));
+    if (clamped.size() < 2) return;
+    Coordinate c{rank, key, {}, [field](const CompileOptions& o) {
+                   return CompileOptions::clampTrip(o.*field);
+                 }};
+    for (int t : clamped) c.choices.push_back([field, t](CompileOptions& o) { o.*field = t; });
     coords.push_back(std::move(c));
   };
-  boolCoord("vectorize", options.tuneVectorize, &CompileOptions::vectorize);
-  boolCoord("fuseLoops", options.tuneFuseLoops, &CompileOptions::fuseLoops);
-  boolCoord("licm", options.tuneLicm, &CompileOptions::licm);
-  boolCoord("cse", options.tuneCse, &CompileOptions::cse);
-  boolCoord("deadStores", options.tuneDeadStores, &CompileOptions::deadStores);
-  boolCoord("checkElim", options.tuneCheckElim, &CompileOptions::checkElim);
-  // reassoc is opt-in and ordered {off, on}: the exhaustive enumeration then
-  // scores the bit-faithful half of the space first.
-  boolCoord("reassoc", options.allowReassoc, &CompileOptions::reassoc);
+#define MAT2C_PASS_TRIP(field, key, proposed, coder, flag, tune) \
+  tune(key, &CompileOptions::field);
+#include "opt/passes.def"
+  std::stable_sort(coords.begin(), coords.end(),
+                   [](const Coordinate& a, const Coordinate& b) { return a.rank < b.rank; });
   return coords;
 }
 
-/// Differences between the default and the tuned configuration, e.g.
-/// "unrollMaxTrip=16 licm=0" ("(default)" when identical).
+/// Differences between the default and the tuned configuration over every
+/// tuned row, e.g. "unrollMaxTrip=16 licm=0" ("(default)" when identical).
+/// TuneOptions{} enables every coordinate.
 std::string optionsDelta(const CompileOptions& base, const CompileOptions& best) {
   std::string out;
-  auto add = [&](const std::string& piece) {
+  for (const Coordinate& c : makeCoordinates(TuneOptions{})) {
+    if (c.value(base) == c.value(best)) continue;
     if (!out.empty()) out += ' ';
-    out += piece;
-  };
-  if (base.effectiveUnrollMaxTrip() != best.effectiveUnrollMaxTrip()) {
-    add("unrollMaxTrip=" + std::to_string(best.effectiveUnrollMaxTrip()));
+    out += c.name + "=" + std::to_string(c.value(best));
   }
-  auto flag = [&](const char* name, bool b, bool v) {
-    if (b != v) add(std::string(name) + "=" + (v ? "1" : "0"));
-  };
-  flag("vectorize", base.vectorize, best.vectorize);
-  flag("fuseLoops", base.fuseLoops, best.fuseLoops);
-  flag("licm", base.licm, best.licm);
-  flag("cse", base.cse, best.cse);
-  flag("deadStores", base.deadStores, best.deadStores);
-  flag("checkElim", base.checkElim, best.checkElim);
-  flag("reassoc", base.reassoc, best.reassoc);
   return out.empty() ? "(default)" : out;
 }
 

@@ -8,7 +8,8 @@
 // This subsystem closes the search-then-cache loop Triton applies to GPU
 // kernels, on the pass-parameter side of this compiler:
 //
-//   1. Candidate space — a bounded grid over the output-affecting knobs:
+//   1. Candidate space — a bounded grid over the output-affecting knobs
+//      the TUNE column of opt/passes.def names, in its rank order:
 //      unrollMaxTrip in {1,2,4,8,16}, fuseLoops / licm / cse / deadStores /
 //      vectorize / checkElim on/off, and (opt-in) reassociating fma rewrites
 //      under a separate interpreter-oracle error bound.

@@ -2,9 +2,12 @@
 // recognition, and the vectorizer (legality + numerics via the VM).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "driver/compiler.hpp"
 #include "driver/kernels.hpp"
 #include "parser/parser.hpp"
+#include "support/string_utils.hpp"
 
 namespace mat2c {
 namespace {
@@ -472,6 +475,34 @@ TEST(PassManager, OptionTogglesDropPassRecords) {
             (std::vector<std::string>{"constfold", "dce", "sinkdecls", "unroll",
                                       "constfold.post", "dce.post", "fuse", "licm", "cse",
                                       "dce.final"}));
+}
+
+TEST(PassTable, EveryLadderPassFollowsItsRow) {
+  // The degradation ladder retries a failing pass by switching off the
+  // opt/passes.def row that lists it, so each listed pass must be one the
+  // row really adds: in standardPipeline() with the row on, gone with it off.
+  int checked = 0;
+  auto check = [&](const char* key, const char* passes, bool opt::PipelineOptions::*field) {
+    for (const std::string& pass : split(passes, ' ')) {
+      if (pass.empty()) continue;
+      opt::PipelineOptions on, off;
+      on.*field = true;
+      off.*field = false;
+      std::vector<std::string> withRow = opt::standardPipeline(on).names();
+      std::vector<std::string> withoutRow = opt::standardPipeline(off).names();
+      EXPECT_NE(std::find(withRow.begin(), withRow.end(), pass), withRow.end())
+          << key << " on does not run " << pass;
+      EXPECT_EQ(std::find(withoutRow.begin(), withoutRow.end(), pass), withoutRow.end())
+          << key << " off still runs " << pass;
+      ++checked;
+    }
+  };
+#define PIPELINE(...) __VA_ARGS__
+#define DRIVER(...)
+#define MAT2C_PASS_BOOL(field, key, stage, proposed, coder, passes, ...) \
+  stage(check(key, passes, &opt::PipelineOptions::field);)
+#include "opt/passes.def"
+  EXPECT_EQ(checked, 13);
 }
 
 TEST(PassManager, PerPassCountersMatchAggregates) {

@@ -104,33 +104,24 @@ TEST(CacheKey, LoopLayerOptionsChangeTheKey) {
 
 TEST(CacheKey, PassSignatureDriftGuardCoversEveryField) {
   // Drift guard: flipping ANY output-affecting option must change
-  // passSignature(), and each flip must land on its own signature — a field
-  // added to CompileOptions without a passSignature() line shows up here as
-  // a missing entry (add it below), while a field dropped from the signature
-  // shows up as a collision. Covers the tuner-searched knobs too, since the
-  // tuned-options memo stores winners by this string.
-  const std::vector<std::pair<const char*, std::function<void(CompileOptions&)>>> flips = {
+  // passSignature(), and each flip must land on its own signature. The pass
+  // options are the rows of opt/passes.def, so every row is flipped here; an
+  // output-affecting field outside the table needs a hand entry below, and a
+  // row dropped from the signature shows up as a collision. Covers the
+  // tuner-searched knobs too, since the tuned-options memo stores winners by
+  // this string.
+  std::vector<std::pair<std::string, std::function<void(CompileOptions&)>>> flips = {
       {"style", [](CompileOptions& o) { o.style = lower::CodeStyle::CoderLike; }},
-      {"constFold", [](CompileOptions& o) { o.constFold = false; }},
-      {"idioms", [](CompileOptions& o) { o.idioms = false; }},
-      {"vectorize", [](CompileOptions& o) { o.vectorize = false; }},
-      {"sinkDecls", [](CompileOptions& o) { o.sinkDecls = false; }},
-      {"fuseElementwise=0", [](CompileOptions& o) { o.fuseElementwise = false; }},
-      {"fuseElementwise=1", [](CompileOptions& o) { o.fuseElementwise = true; }},
-      {"boundsChecks=0", [](CompileOptions& o) { o.boundsChecks = false; }},
-      {"boundsChecks=1", [](CompileOptions& o) { o.boundsChecks = true; }},
-      {"checkElim", [](CompileOptions& o) { o.checkElim = true; }},
-      {"fuseLoops", [](CompileOptions& o) { o.fuseLoops = false; }},
-      {"unrollRecurrences", [](CompileOptions& o) { o.unrollRecurrences = false; }},
-      {"unrollMaxTrip", [](CompileOptions& o) { o.unrollMaxTrip = 4; }},
-      {"licm", [](CompileOptions& o) { o.licm = false; }},
-      {"cse", [](CompileOptions& o) { o.cse = false; }},
-      {"deadStores", [](CompileOptions& o) { o.deadStores = false; }},
-      {"deadCode", [](CompileOptions& o) { o.deadCode = false; }},
-      {"reassoc", [](CompileOptions& o) { o.reassoc = true; }},
-      {"degrade", [](CompileOptions& o) { o.degrade = false; }},
       {"limits.maxLirOps", [](CompileOptions& o) { o.limits.maxLirOps = 12345; }},
   };
+#define MAT2C_PASS_BOOL(field, key, stage, proposed, ...) \
+  flips.emplace_back(key, [](CompileOptions& o) { o.field = !(proposed); });
+#define MAT2C_PASS_TRI(field, key)                                       \
+  flips.emplace_back(key "=0", [](CompileOptions& o) { o.field = false; }); \
+  flips.emplace_back(key "=1", [](CompileOptions& o) { o.field = true; });
+#define MAT2C_PASS_TRIP(field, key, proposed, ...) \
+  flips.emplace_back(key, [](CompileOptions& o) { o.field = (proposed) / 2; });
+#include "opt/passes.def"
   const std::string base = CompileOptions{}.passSignature();
   std::set<std::string> signatures{base};
   for (const auto& [name, flip] : flips) {
@@ -973,6 +964,75 @@ TEST(Protocol, BinaryRequestRoundTripMatchesJsonParse) {
   EXPECT_EQ(fromBinary.tenant, fromJson.tenant);
   EXPECT_EQ(fromBinary.deadlineMillis, fromJson.deadlineMillis);
   EXPECT_EQ(fromBinary.tuneBudget, fromJson.tuneBudget);
+}
+
+TEST(Protocol, EveryWireToggleRoundTripsJsonAndBinary) {
+  // Each opt/passes.def row with a wire bit travels absent, true and false
+  // through both encodings under its key, and resolves onto its
+  // CompileOptions field (absent keeps the Proposed default).
+  const std::string source = "function y = f(x)\ny = x;\nend\n";
+  int rows = 0;
+  auto check = [&](const char* key, std::optional<bool> WireRequest::*wire,
+                   bool CompileOptions::*option) {
+    ++rows;
+    for (std::optional<bool> v : {std::optional<bool>{}, std::optional<bool>{true},
+                                  std::optional<bool>{false}}) {
+      SCOPED_TRACE(std::string(key) + " = " + (v ? (*v ? "true" : "false") : "absent"));
+      WireRequest req;
+      req.source = source;
+      req.entry = "f";
+      req.*wire = v;
+      WireRequest fromBinary;
+      std::string error;
+      ASSERT_TRUE(decodeBinaryRequest(encodeBinaryRequest(req), fromBinary, error)) << error;
+      EXPECT_EQ(fromBinary.*wire, v);
+
+      std::string line = R"({"source": "function y = f(x)\ny = x;\nend\n", "entry": "f")";
+      if (v) line += std::string(", \"") + key + "\": " + (*v ? "true" : "false");
+      WireRequest fromJson;
+      ASSERT_TRUE(parseWireRequest(line + "}", fromJson, error)) << error;
+      EXPECT_EQ(fromJson.*wire, v);
+
+      CompileRequest resolved;
+      ASSERT_TRUE(fromJson.resolve(resolved, error)) << error;
+      EXPECT_EQ(resolved.options.*option, v.value_or(CompileOptions::proposed().*option));
+    }
+  };
+#define WIRE(bit) check
+#define NO_WIRE(...)
+#define MAT2C_PASS_BOOL(field, key, stage, proposed, coder, passes, flag, wire, ...) \
+  wire(key, &WireRequest::field, &CompileOptions::field);
+#include "opt/passes.def"
+  EXPECT_EQ(rows, 6);
+}
+
+TEST(Protocol, WireToggleBitsAreGolden) {
+  // The binary request's presence/value masks are a wire format: pin the
+  // bit of every toggle with one request that sets all six, alternating
+  // true and false in bit order (present 0x3f, value 0x15).
+  WireRequest req;
+  req.id = "g";
+  req.source = "s";
+  req.entry = "f";
+  req.constFold = true;   // bit 0
+  req.idioms = false;     // bit 1
+  req.vectorize = true;   // bit 2
+  req.sinkDecls = false;  // bit 3
+  req.checkElim = true;   // bit 4
+  req.degrade = false;    // bit 5
+  static const char kGolden[] =
+      "\x01\0\0\0g"                   // id
+      "\x01\0\0\0s"                   // source
+      "\x01\0\0\0f"                   // entry
+      "\0\0\0\0\0\0\0\0\0\0\0\0"  // args, isa, isa_text
+      "\x08\0\0\0proposed"            // style
+      "\0\0\0\0"                      // tenant
+      "\x3f\x15"                       // toggle presence, toggle values
+      "\0"                              // tune
+      "\0\0\0\0"                      // tune_budget
+      "\0\0\0\0\0\0\0\0"              // deadline_ms
+      "\0\0\0\0";                     // admin
+  EXPECT_EQ(encodeBinaryRequest(req), std::string(kGolden, sizeof kGolden - 1));
 }
 
 TEST(Protocol, BinaryRequestDecodeRejectsDamage) {

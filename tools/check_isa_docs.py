@@ -8,6 +8,7 @@ fails when the two sets differ or the doc names a row twice.
 
   check_isa_docs.py docs/isa_format.md "Operation mnemonics" src/isa/ops.def MAT2C_OP
   check_isa_docs.py docs/language_subset.md "Builtins (compiled)" src/sema/builtins.def MAT2C_BUILTIN
+  check_isa_docs.py docs/pipeline.md "Pass toggles" src/opt/passes.def MAT2C_PASS
 
 Usage: check_isa_docs.py <doc.md> <heading> <table.def> <macro>
 Exit codes: 0 ok, 1 mismatch, 2 bad input.

@@ -8,7 +8,7 @@
 // `serve` answers JSON-lines (or, with --binary, length-prefixed M2CB frame)
 // compile requests from a file or stdin, streaming one response per request
 // in input order, then prints cache/throughput stats. --shards N puts N
-// worker processes behind a restarting, hedging supervisor. docs/service.md
+// worker processes behind a restarting supervisor. docs/service.md
 // has the wire formats, persistence, hot ISA reload and the supervisor.
 #include <algorithm>
 #include <cerrno>
@@ -136,18 +136,22 @@ struct CompileArgs {
   bool timePasses = false;
   bool tracePasses = false;
   unsigned seed = 1;
-  int unrollMaxTrip = -1;  ///< -1 = the style's default
-  /// Pass-toggle overrides in argv order, applied on top of the base options
+  /// Pass-option overrides in argv order, applied on top of the base options
   /// --style/--isa/--isa-file pick, wherever they sit in argv.
-  std::vector<std::pair<bool CompileOptions::*, bool>> toggles;
+  std::vector<std::function<void(CompileOptions&)>> overrides;
 };
 
-template <bool CompileOptions::*Field, bool Value>
-void toggle(CompileArgs& a, const FlagValue&) {
-  a.toggles.emplace_back(Field, Value);
+/// Flag setter for a CompileOptions field: a switch stores `Value`, a
+/// numeric flag its checked number.
+template <auto Field, auto Value = 0>
+void setOption(CompileArgs& a, const FlagValue& v) {
+  using T = std::remove_reference_t<decltype(std::declval<CompileOptions&>().*Field)>;
+  T value = std::is_same_v<T, bool> ? static_cast<T>(Value) : static_cast<T>(v.number);
+  a.overrides.push_back([value](CompileOptions& o) { o.*Field = value; });
 }
 
-const Flag<CompileArgs> kCompileFlags[] = {
+const std::vector<Flag<CompileArgs>> kCompileFlags = [] {
+  std::vector<Flag<CompileArgs>> flags = {
     {"-e", Arg::Text, "<source>", "MATLAB source text instead of a file",
      store<&CompileArgs::source>},
     {"--entry", Arg::Text, "<name>", "entry-point function (required)", store<&CompileArgs::entry>},
@@ -169,35 +173,31 @@ const Flag<CompileArgs> kCompileFlags[] = {
      store<&CompileArgs::validate>},
     {"--seed", Arg::Int, "<n>", "input seed for --run/--validate (default 1)",
      store<&CompileArgs::seed>, 0, 4294967295.0},
-    {"--no-vectorize", Arg::None, "", "disable the SIMD vectorizer",
-     toggle<&CompileOptions::vectorize, false>},
-    {"--no-idioms", Arg::None, "", "disable MAC/complex idiom mapping",
-     toggle<&CompileOptions::idioms, false>},
-    {"--no-sink-decls", Arg::None, "", "disable declaration sinking",
-     toggle<&CompileOptions::sinkDecls, false>},
-    {"--no-fuse-loops", Arg::None, "", "disable cross-statement loop fusion",
-     toggle<&CompileOptions::fuseLoops, false>},
-    {"--no-unroll", Arg::None, "", "disable recurrence unrolling",
-     toggle<&CompileOptions::unrollRecurrences, false>},
-    {"--no-licm", Arg::None, "", "disable loop-invariant code motion / promotion",
-     toggle<&CompileOptions::licm, false>},
-    {"--no-cse", Arg::None, "", "disable common-subexpression elimination",
-     toggle<&CompileOptions::cse, false>},
-    {"--no-dead-stores", Arg::None, "", "disable dead-store / dead-loop cleanup",
-     toggle<&CompileOptions::deadStores, false>},
-    {"--reassoc", Arg::None, "", "allow reassociating fma rewrites (changes rounding)",
-     toggle<&CompileOptions::reassoc, true>},
-    {"--unroll-max-trip", Arg::Int, "<n>", "max trip count fully unrolled (default 8)",
-     store<&CompileArgs::unrollMaxTrip>, 0, 1 << 20},
+  };
+  // The pass flags of opt/passes.def: a switch to the row's non-default
+  // value, or a trip count.
+#define FLAG(name, help)                                                           \
+  [&](void (*set)(CompileArgs&, const FlagValue&), Arg arg, double hi) {         \
+    flags.push_back({name, arg, arg == Arg::None ? "" : "<n>", help, set, 0, hi}); \
+  }
+#define NO_FLAG(...)
+#define MAT2C_PASS_BOOL(field, key, stage, proposed, coder, passes, flag, ...) \
+  flag(setOption<&CompileOptions::field, !(proposed)>, Arg::None, 0);
+#define MAT2C_PASS_TRIP(field, key, proposed, coder, flag, tune) \
+  flag(setOption<&CompileOptions::field>, Arg::Int, CompileOptions::kUnrollTripCap);
+#include "opt/passes.def"
+  flags.insert(flags.end(), {
     {"--time-passes", Arg::None, "", "print per-pass wall time and LIR stat deltas",
      store<&CompileArgs::timePasses>},
     {"--verify-each", Arg::None, "", "verify the LIR after every pass (names the culprit)",
-     toggle<&CompileOptions::verifyEach, true>},
+     setOption<&CompileOptions::verifyEach, true>},
     {"--trace-passes", Arg::None, "", "dump the LIR after every pass (stderr)",
      store<&CompileArgs::tracePasses>},
     {"--telemetry-json", Arg::Text, "<file>",
      "write per-pass telemetry as JSON (docs/pipeline.md)", store<&CompileArgs::telemetryPath>},
-};
+  });
+  return flags;
+}();
 
 struct ServeOptions {
   std::string inputPath;  ///< "" or "-" = stdin
@@ -209,7 +209,6 @@ struct ServeOptions {
   std::string metricsPath;
   std::string isaFile;    ///< server-default ISA with hot reload ("" = dspx)
   int shards = 0;         ///< >0: supervisor mode (N worker processes)
-  double hedgeMillis = 0.0;
   int maxRestarts = 8;
   std::uint64_t seed = 1;
   /// The kForward flags, verbatim, for every shard worker in supervisor mode.
@@ -246,8 +245,6 @@ const Flag<ServeOptions> kServeFlags[] = {
      store<&ServeOptions::isaFile>, 0, 0, kForward},
     {"--shards", Arg::Int, "<n>", "n worker processes behind a supervisor",
      store<&ServeOptions::shards>, 1, 256},
-    {"--hedge-ms", Arg::Real, "<ms>", "re-send slower requests to a second shard",
-     store<&ServeOptions::hedgeMillis>, 0, 1e9},
     {"--max-restarts", Arg::Int, "<n>", "restarts per shard before ejection (default 8)",
      store<&ServeOptions::maxRestarts>, 0, 1 << 20},
     {"--seed", Arg::Int, "<n>", "supervisor restart-jitter seed",
@@ -313,15 +310,14 @@ const Flag<TuneArgs> kTuneFlags[] = {
 /// argument that is no flag goes to `positional`, which may refuse it. A
 /// missing value, an unknown option, a bad choice or a malformed number is a
 /// usage error (exit 2). Returns the kForward flags and their values.
-template <class Opts, std::size_t N>
-std::vector<std::string> parseFlags(int argc, char** argv, const Flag<Opts> (&flags)[N],
-                                    Opts& opts,
+template <class Opts, class Flags>
+std::vector<std::string> parseFlags(int argc, char** argv, const Flags& flags, Opts& opts,
                                     bool (*positional)(Opts&, const std::string&) = nullptr) {
   std::vector<std::string> forwarded;
   for (int i = 2; i < argc; ++i) {
     std::string a = argv[i];
-    const Flag<Opts>* f = std::find_if(std::begin(flags), std::end(flags),
-                                       [&](const Flag<Opts>& row) { return a == row.name; });
+    auto f = std::find_if(std::begin(flags), std::end(flags),
+                          [&](const Flag<Opts>& row) { return a == row.name; });
     if (f == std::end(flags)) {
       if (positional && positional(opts, a)) continue;
       std::fprintf(stderr, "mat2c: unknown option '%s'\n", a.c_str());
@@ -354,10 +350,10 @@ std::vector<std::string> parseFlags(int argc, char** argv, const Flag<Opts> (&fl
   return forwarded;
 }
 
-template <class Opts, std::size_t N>
-void printFlags(const char* synopsis, const Flag<Opts> (&flags)[N]) {
+template <class Flags>
+void printFlags(const char* synopsis, const Flags& flags) {
   std::fprintf(stderr, "  mat2c %s\n", synopsis);
-  for (const Flag<Opts>& f : flags) {
+  for (const auto& f : flags) {
     std::string spelled = f.name;
     if (f.arg != Arg::None) spelled += std::string(" ") + f.meta;
     std::fprintf(stderr, "      %-27s %s", spelled.c_str(), f.help);
@@ -614,8 +610,7 @@ int cmdCompile(int argc, char** argv) {
   auto target = resolveIsa(a.isaPreset, a.isaFile);
   if (!target) return 1;
   options.isa = std::move(*target);
-  for (const auto& [field, value] : a.toggles) options.*field = value;
-  if (a.unrollMaxTrip >= 0) options.unrollMaxTrip = a.unrollMaxTrip;
+  for (const auto& apply : a.overrides) apply(options);
   if (a.tracePasses) {
     options.tracePasses = [](const opt::PassRecord& rec, const lir::Function& fn) {
       std::fprintf(stderr, "mat2c: --- LIR after pass '%s' (%.3f ms) ---\n%s\n",
@@ -999,7 +994,6 @@ std::string supervisorStatsJson(const service::ShardSupervisor::Stats& s,
   std::ostringstream os;
   os << "{\n  \"requests\": " << requests << ",\n  \"completed\": " << s.completed
      << ",\n  \"restarts\": " << s.restarts << ",\n  \"redispatched\": " << s.redispatched
-     << ",\n  \"hedges\": " << s.hedges << ",\n  \"hedgeWins\": " << s.hedgeWins
      << ",\n  \"reloads\": " << s.reloads << ",\n  \"failedNoShard\": " << s.failedNoShard
      << ",\n  \"shardsAlive\": " << s.shardsAlive
      << ",\n  \"shardsEjected\": " << s.shardsEjected << ",\n  \"wallMillis\": "
@@ -1008,17 +1002,15 @@ std::string supervisorStatsJson(const service::ShardSupervisor::Stats& s,
 }
 
 /// Supervisor serve: N worker processes behind consistent-hash routing,
-/// crash restart with backoff, re-dispatch, and optional hedging. The
-/// supervisor itself never compiles; it forwards wire requests and relays the
-/// workers' binary responses (re-rendered as JSON lines when the client side
-/// is JSON).
+/// crash restart with backoff, and re-dispatch. The supervisor itself never
+/// compiles; it forwards wire requests and relays the workers' binary
+/// responses (re-rendered as JSON lines when the client side is JSON).
 int runServeSupervisor(const ServeOptions& opt, std::istream& in) {
   service::ShardSupervisor::Config sc;
   sc.shards = opt.shards;
   sc.workerArgs = opt.workerArgs;
   sc.maxRestarts = opt.maxRestarts;
   sc.seed = opt.seed;
-  sc.hedgeMillis = opt.hedgeMillis;
   service::ShardSupervisor supervisor(sc);
   std::string error;
   if (!supervisor.start(error)) {
@@ -1068,12 +1060,10 @@ int runServeSupervisor(const ServeOptions& opt, std::istream& in) {
   }
   std::fprintf(stderr,
                "mat2c: supervised %d shard(s): %zu request(s), %llu restart(s), "
-               "%llu redispatch(es), %llu hedge(s) (%llu won), %llu reload "
+               "%llu redispatch(es), %llu reload "
                "broadcast(s), %zu failure(s), %.1f ms\n",
                opt.shards, out.requests(), static_cast<unsigned long long>(ss.restarts),
                static_cast<unsigned long long>(ss.redispatched),
-               static_cast<unsigned long long>(ss.hedges),
-               static_cast<unsigned long long>(ss.hedgeWins),
                static_cast<unsigned long long>(ss.reloads), out.failures(), wallMillis);
   return out.exitCode();
 }
