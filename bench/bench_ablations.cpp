@@ -83,8 +83,9 @@ void printSpeedupSweep(const char* heading, const std::vector<Column>& columns) 
 }
 
 double categoryOf(const vm::CycleStats& s, const char* cat) {
-  auto it = s.byCategory.find(cat);
-  return it == s.byCategory.end() ? 0.0 : it->second;
+  auto cats = s.byCategory();
+  auto it = cats.find(cat);
+  return it == cats.end() ? 0.0 : it->second;
 }
 
 void printAnatomy() {

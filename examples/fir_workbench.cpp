@@ -38,8 +38,9 @@ int main(int argc, char** argv) {
 
   report::Table table({"metric", "coder-like baseline", "proposed"});
   auto cat = [](const vm::RunResult& r, const char* c) {
-    auto it = r.cycles.byCategory.find(c);
-    return report::Table::cycles(it == r.cycles.byCategory.end() ? 0 : it->second);
+    auto cats = r.cycles.byCategory();
+    auto it = cats.find(c);
+    return report::Table::cycles(it == cats.end() ? 0 : it->second);
   };
   table.addRow({"total cycles", report::Table::cycles(rb.cycles.total),
                 report::Table::cycles(rp.cycles.total)});

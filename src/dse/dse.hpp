@@ -92,7 +92,7 @@ std::vector<MinedIdiom> aggregateIdioms(
 /// issue with a cycle cost, latency, and incremental hardware cost.
 struct CandidateInstr {
   std::uint64_t hash = 0;  // pattern hash this candidate fuses
-  std::string name;        // VM byOp key, e.g. "fused.vfma_f64+2vld_f64"
+  std::string name;        // vm::CycleStats::fusedCycles key, e.g. "fused.vfma_f64+2vld_f64"
   std::string signature;
   std::vector<isa::Op> ops;
   double cycles = 1.0;   // issue cost: max(member, ceil(sum/2)) — dual-issue fusion

@@ -24,7 +24,7 @@ namespace {
 constexpr std::size_t kReportedIdioms = 16;
 
 struct KernelEval {
-  std::map<std::string, double> countByOp;
+  vm::CycleStats::PerOp countByOp{};
   std::vector<IdiomInstance> instances;
   std::shared_ptr<CompiledUnit> unit;  // keeps instance node pointers alive
 };
@@ -48,14 +48,12 @@ vm::RunResult runKernel(const CompiledUnit& unit, const kernels::KernelSpec& spe
   return machine.run(unit.fn(), spec.args);
 }
 
-double rescore(const std::map<std::string, double>& countByOp,
-               const isa::IsaDescription& variant) {
+/// The VM total under `variant`'s costs: sum(count[op] * cost[op]) over the
+/// ops issued (an op never issued may have no cost on `variant`).
+double rescore(const vm::CycleStats::PerOp& countByOp, const isa::IsaDescription& variant) {
   double total = 0.0;
-  for (const auto& [mn, count] : countByOp) {
-    auto op = isa::opFromMnemonic(mn);
-    if (!op) throw std::runtime_error("dse: unknown mnemonic in VM counts: " + mn);
-    total += variant.cost(*op) * count;
-  }
+  for (std::size_t i = 0; i < countByOp.size(); ++i)
+    if (countByOp[i] > 0) total += variant.cost(static_cast<isa::Op>(i)) * countByOp[i];
   return total;
 }
 

@@ -2,16 +2,18 @@
 //
 // Membership is restricted to expression kinds the VM charges as exactly one
 // ISA op per execution (loads, splats, neg/conj, add/sub/mul, fma, plus the
-// enclosing Store). That restriction is what makes the whole DSE analytic:
-// a fused candidate's saving is the sum of its members' per-issue costs
-// minus the fused issue cost, and the VM FusedCosting hook reproduces that
-// number exactly (vm_test asserts it). Decomposed ops (div, transcendentals,
+// enclosing Store), and each member's op comes from lir::selectOp, the same
+// selection the VM charges. That is what makes the whole DSE analytic: a
+// fused candidate's saving is the sum of its members' per-issue costs minus
+// the fused issue cost, and the VM FusedCosting hook reproduces that number
+// exactly (dse_test asserts it). Decomposed ops (div, transcendentals,
 // complex abs) charge more than once and are deliberately not members.
 #include <algorithm>
 #include <map>
 #include <optional>
 
 #include "dse/dse.hpp"
+#include "lir/select.hpp"
 #include "support/string_utils.hpp"
 
 namespace mat2c::dse {
@@ -22,43 +24,24 @@ using lir::ExprKind;
 using lir::Stmt;
 using lir::StmtKind;
 
-/// The single ISA op the VM charges for `e`, or nullopt when `e` is not an
-/// eligible pattern member. Mirrors vm.cpp's charge sites exactly.
-std::optional<isa::Op> chargedOp(const Expr& e) {
-  using isa::Op;
-  bool vec = e.type.isVector();
-  bool cplx = e.type.scalar == lir::Scalar::C64;
-  bool fp = cplx || e.type.scalar == lir::Scalar::F64;
+/// The op lir::selectOp picks for `e` when `e` may be a pattern member: an
+/// f64/c64 load, splat, neg, conj, add, sub or mul, or an fma.
+std::optional<isa::Op> memberOp(const Expr& e) {
+  using lir::BinOp;
+  using lir::UnOp;
+  bool fp = e.type.scalar == lir::Scalar::F64 || e.type.scalar == lir::Scalar::C64;
+  bool member = false;
   switch (e.kind) {
     case ExprKind::Load:
-      if (!fp) return std::nullopt;
-      return vec ? (cplx ? Op::VLoadC : Op::VLoadF) : (cplx ? Op::LoadC : Op::LoadF);
-    case ExprKind::Splat:
-      if (!fp) return std::nullopt;
-      return cplx ? Op::VSplatC : Op::VSplatF;
-    case ExprKind::Unary:
-      if (!fp) return std::nullopt;
-      if (e.unOp == lir::UnOp::Neg)
-        return vec ? (cplx ? Op::VNegC : Op::VNegF) : (cplx ? Op::NegC : Op::NegF);
-      if (e.unOp == lir::UnOp::Conj) return vec ? Op::VConjC : Op::ConjC;
-      return std::nullopt;
+    case ExprKind::Splat: member = fp; break;
+    case ExprKind::Unary: member = fp && (e.unOp == UnOp::Neg || e.unOp == UnOp::Conj); break;
     case ExprKind::Binary:
-      if (!fp) return std::nullopt;
-      switch (e.binOp) {
-        case lir::BinOp::Add:
-          return vec ? (cplx ? Op::VAddC : Op::VAddF) : (cplx ? Op::AddC : Op::AddF);
-        case lir::BinOp::Sub:
-          return vec ? (cplx ? Op::VSubC : Op::VSubF) : (cplx ? Op::SubC : Op::SubF);
-        case lir::BinOp::Mul:
-          return vec ? (cplx ? Op::VMulC : Op::VMulF) : (cplx ? Op::MulC : Op::MulF);
-        default:
-          return std::nullopt;
-      }
-    case ExprKind::Fma:
-      return vec ? (cplx ? Op::VFmaC : Op::VFmaF) : (cplx ? Op::FmaC : Op::FmaF);
-    default:
-      return std::nullopt;
+      member = fp && (e.binOp == BinOp::Add || e.binOp == BinOp::Sub || e.binOp == BinOp::Mul);
+      break;
+    case ExprKind::Fma: member = true; break;
+    default: break;
   }
+  return member ? lir::selectOp(e) : std::nullopt;
 }
 
 /// Dataflow operands a pattern may extend into. Load/Store index trees are
@@ -113,7 +96,7 @@ constexpr std::size_t kMaxInstancesPerFunction = 50000;
 /// (including singletons — callers filter by size).
 std::vector<PatNode> patternsFrom(const Expr& e, int budget) {
   std::vector<PatNode> out;
-  auto op = chargedOp(e);
+  auto op = memberOp(e);
   if (!op) return out;
   out.push_back({&e, *op, {}});
   if (budget <= 1) return out;
@@ -193,10 +176,7 @@ struct Miner {
     lir::Scalar elem;
     std::int64_t numel;
     if (!fn.arrayInfo(s.name, elem, numel)) return;
-    bool cplx = elem == lir::Scalar::C64;
-    bool vec = s.value->type.isVector();
-    isa::Op storeOp = vec ? (cplx ? isa::Op::VStoreC : isa::Op::VStoreF)
-                          : (cplx ? isa::Op::StoreC : isa::Op::StoreF);
+    isa::Op storeOp = lir::stmtOp(s.kind, elem, s.value->type.isVector());
     for (const auto& p : patternsFrom(*s.value, kMaxPatternSize - 1))
       addInstance(p, &s, storeOp, dyn);
   }

@@ -1,6 +1,7 @@
 // Idiom recognition: maps multiply-accumulate patterns onto the target's
 // fused MAC instructions (fma.f64, cmac.c64). These are exactly the "custom
 // instructions" the paper's ASIP exposes for DSP inner loops.
+#include "lir/select.hpp"
 #include "opt/passes.hpp"
 
 namespace mat2c::opt {
@@ -24,7 +25,8 @@ int rewriteExpr(ExprPtr& e, const isa::IsaDescription& isa, bool reassoc) {
   int n = rewriteChildren(*e, isa, reassoc);
   if (e->kind != ExprKind::Binary || e->binOp != BinOp::Add) return n;
   if (!(e->type.scalar == Scalar::F64 || e->type.scalar == Scalar::C64)) return n;
-  if (!isa.supports(e->type.scalar == Scalar::F64 ? isa::Op::FmaF : isa::Op::FmaC)) return n;
+  // The target must have the fma a rewrite builds.
+  if (!isa.supports(issuedOp(*fma(nullptr, nullptr, nullptr, {e->type.scalar, 1})))) return n;
 
   // a*b + c  or  c + a*b   ->  fma(a, b, c)
   auto isMul = [](const ExprPtr& x) {

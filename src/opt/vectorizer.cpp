@@ -12,12 +12,12 @@
 #include <map>
 #include <set>
 
+#include "lir/select.hpp"
 #include "opt/passes.hpp"
 
 namespace mat2c::opt {
 
 using namespace lir;
-using isa::Op;
 
 namespace {
 
@@ -43,7 +43,7 @@ class LoopVectorizer {
   bool analyze();
   bool analyzeExpr(const Expr& e);
   bool isVarying(const Expr& e) const;
-  bool opSupported(const Expr& e, bool varying);
+  bool opSupported(const Expr& e);
 
   ExprPtr rewrite(const Expr& e);
   ExprPtr widen(ExprPtr e);
@@ -93,9 +93,7 @@ bool LoopVectorizer::isVarying(const Expr& e) const {
   }
 }
 
-bool LoopVectorizer::opSupported(const Expr& e, bool varying) {
-  if (!varying) return true;  // stays scalar
-  bool cplx = e.type.scalar == Scalar::C64;
+bool LoopVectorizer::opSupported(const Expr& e) {
   switch (e.kind) {
     case ExprKind::VarRef:
     case ExprKind::ConstF:
@@ -107,55 +105,30 @@ bool LoopVectorizer::opSupported(const Expr& e, bool varying) {
       if (!a.ok) return false;
       std::int64_t stride = a.coeff(loop_.name);
       if (stride != 1 && stride != 0) return false;
-      return isa_.supports(cplx ? Op::VLoadC : Op::VLoadF);
+      break;
     }
     case ExprKind::Unary:
-      switch (e.unOp) {
-        case UnOp::Neg:
-          return isa_.supports(cplx ? Op::VNegC : Op::VNegF);
-#define MAT2C_BUILTIN_UNARY(name, op, lir, rule, host, guard, cost, vop, ...)        \
-        case UnOp::op:                                                             \
-          return isa::isVectorOp(Op::vop) && e.a->type.scalar == Scalar::F64 &&     \
-                 isa_.supports(Op::vop);
-#include "sema/builtins.def"
-        case UnOp::Conj:
-          return isa_.supports(Op::VConjC);
-        case UnOp::ToC64:
-          return e.a->type.scalar == Scalar::F64;  // lane-wise widen, free
-        default:
-          return false;  // transcendental / conversions stay scalar loops
-      }
+      if (e.unOp == UnOp::ToC64) return e.a->type.scalar == Scalar::F64;  // lane-wise widen, free
+      break;
     case ExprKind::Binary:
-      switch (e.binOp) {
-        case BinOp::Add:
-          return isa_.supports(cplx ? Op::VAddC : Op::VAddF);
-        case BinOp::Sub:
-          return isa_.supports(cplx ? Op::VSubC : Op::VSubF);
-        case BinOp::Mul:
-          return isa_.supports(cplx ? Op::VMulC : Op::VMulF);
-        case BinOp::Div:
-          return !cplx && isa_.supports(Op::VDivF);
-#define MAT2C_BUILTIN_BINARY(name, kind, op, host, cost, vop, c) \
-        case BinOp::op:                                           \
-          return isa::isVectorOp(Op::vop) && isa_.supports(Op::vop);
-#include "sema/builtins.def"
-        case BinOp::MakeComplex:
-          return isa_.lanesC64() > 1;
-        default:
-          return false;
-      }
-    case ExprKind::Fma:
-      return isa_.supports(cplx ? Op::VFmaC : Op::VFmaF);
+      if (e.binOp == BinOp::MakeComplex) return isa_.lanesC64() > 1;
+      break;
+    case ExprKind::Splat:
+    case ExprKind::Reduce:
+      return false;  // already SIMD
     default:
-      return false;
+      break;
   }
+  // Everything else widens to the node's SIMD op, if the target has one.
+  auto op = selectOp(e, /*vector=*/true);
+  return op && isa_.supports(*op);
 }
 
 bool LoopVectorizer::analyzeExpr(const Expr& e) {
   if (e.type.scalar == Scalar::C64) anyComplex_ = true;
   bool varying = isVarying(e);
   if (varying && (e.type.scalar == Scalar::F64 || e.type.scalar == Scalar::C64)) {
-    if (!opSupported(e, varying)) return false;
+    if (!opSupported(e)) return false;
   }
   if (varying && e.type == VType::i64() && e.kind != ExprKind::VarRef &&
       e.kind != ExprKind::ConstI && e.kind != ExprKind::Binary) {

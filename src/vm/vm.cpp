@@ -1,7 +1,9 @@
 #include "vm/vm.hpp"
 
 #include <cmath>
+#include <functional>
 
+#include "lir/select.hpp"
 #include "sema/builtins.hpp"
 #include "support/limits.hpp"
 
@@ -16,29 +18,28 @@ using lir::UnOp;
 using lir::VType;
 using isa::Op;
 
-const char* toString(CostCategory c) {
-  switch (c) {
-    case CostCategory::Arith: return "arith";
-    case CostCategory::Memory: return "memory";
-    case CostCategory::Loop: return "loop";
-    case CostCategory::Check: return "check";
-    case CostCategory::Alloc: return "alloc";
-  }
-  return "?";
-}
-
-void CycleStats::charge(const isa::IsaDescription& isa, Op op, CostCategory cat,
-                        double count) {
+void CycleStats::charge(const isa::IsaDescription& isa, Op op, double count) {
   double cycles = isa.cost(op) * count;
+  auto i = static_cast<std::size_t>(op);
   total += cycles;
-  byCategory[toString(cat)] += cycles;
-  byOp[isa::mnemonic(op)] += cycles;
-  countByOp[isa::mnemonic(op)] += count;
+  byOp[i] += cycles;
+  countByOp[i] += count;
   opsExecuted += static_cast<std::uint64_t>(count);
   if (isa.usesIntrinsic(op)) intrinsicOpsExecuted += static_cast<std::uint64_t>(count);
 }
 
 namespace {
+
+const char* categoryOf(Op op) {
+  switch (op) {
+    case Op::LoadF: case Op::LoadC: case Op::VLoadF: case Op::VLoadC:
+    case Op::StoreF: case Op::StoreC: case Op::VStoreF: case Op::VStoreC: return "memory";
+    case Op::Branch: case Op::LoopOverhead: return "loop";
+    case Op::BoundsCheck: return "check";
+    case Op::AllocTemp: return "alloc";
+    default: return "arith";
+  }
+}
 
 /// A runtime value: scalar i64/b1, or `lanes` elements of f64/c64.
 struct Value {
@@ -93,22 +94,10 @@ class Exec {
 
   RunResult run(const std::vector<Matrix>& args) {
     bindParams(args);
-    for (const auto& a : fn_.arrays) {
-      ArrayStore st;
-      st.elem = a.elem;
-      st.rows = a.rows;
-      st.cols = a.cols;
-      st.data.assign(static_cast<std::size_t>(a.numel()), Complex{});
-      arrays_.emplace(a.name, std::move(st));
-    }
+    for (const auto& a : fn_.arrays) arrays_.emplace(a.name, zeros(a.elem, a.rows, a.cols));
     for (const auto& o : fn_.outs) {
       if (o.isArray) {
-        ArrayStore st;
-        st.elem = o.elem;
-        st.rows = o.rows;
-        st.cols = o.cols;
-        st.data.assign(static_cast<std::size_t>(o.numel()), Complex{});
-        arrays_.emplace(o.name, std::move(st));
+        arrays_.emplace(o.name, zeros(o.elem, o.rows, o.cols));
       } else {
         scalars_[o.name] = o.elem == Scalar::C64 ? Value::ofC({}) : Value::ofF(0.0);
       }
@@ -136,6 +125,10 @@ class Exec {
   }
 
  private:
+  static ArrayStore zeros(Scalar elem, std::int64_t rows, std::int64_t cols) {
+    return {elem, rows, cols, std::vector<Complex>(static_cast<std::size_t>(rows * cols))};
+  }
+
   void bindParams(const std::vector<Matrix>& args) {
     if (args.size() != fn_.params.size())
       throw RuntimeError("VM: argument count mismatch for '" + fn_.name + "'");
@@ -150,11 +143,7 @@ class Exec {
                              std::to_string(m.rows()) + "x" + std::to_string(m.cols()));
         if (p.elem == Scalar::F64 && m.isComplex())
           throw RuntimeError("VM: argument '" + p.name + "' must be real");
-        ArrayStore st;
-        st.elem = p.elem;
-        st.rows = p.rows;
-        st.cols = p.cols;
-        st.data.resize(m.numel());
+        ArrayStore st = zeros(p.elem, p.rows, p.cols);
         for (std::size_t idx = 0; idx < m.numel(); ++idx) st.data[idx] = m.at(idx);
         arrays_.emplace(p.name, std::move(st));
       } else {
@@ -174,21 +163,22 @@ class Exec {
     if ((++pollTick_ & 0x3FFF) == 0) DeadlineGuard::poll("vm");
   }
 
-  void charge(Op op, CostCategory cat, double count = 1.0) {
-    stats_.charge(isa_, op, cat, count);
+  void charge(Op op, double count = 1.0) {
+    stats_.charge(isa_, op, count);
     budget(count);
   }
 
-  /// Charge attributed to an expression node: a node folded into a fused
-  /// custom instruction (FusedCosting member) suppresses its normal per-op
+  /// Charges the op lir::issuedOp selects for `e`. A node folded into a
+  /// fused custom instruction (FusedCosting member) suppresses its normal
   /// charge — the fused root charges the whole pattern once instead.
-  void chargeExpr(const lir::Expr& e, Op op, CostCategory cat, double count = 1.0) {
+  void chargeNode(const lir::Expr& e) {
+    Op op = lir::issuedOp(e);
     if (fused_ && fused_->members.count(&e)) {
-      stats_.fusedSavedCycles += isa_.cost(op) * count;
-      budget(count);
+      stats_.fusedSavedCycles += isa_.cost(op);
+      budget(1.0);
       return;
     }
-    charge(op, cat, count);
+    charge(op);
   }
 
   void chargeFused(const FusedCosting::Root& root) {
@@ -197,9 +187,7 @@ class Exec {
     // total (the quantity tileFused() predicts analytically).
     stats_.fusedSavedCycles -= root.cycles;
     stats_.total += root.cycles;
-    stats_.byCategory[toString(CostCategory::Arith)] += root.cycles;
-    stats_.byOp[root.name] += root.cycles;
-    stats_.countByOp[root.name] += 1.0;
+    stats_.fusedCycles[root.name] += root.cycles;
     ++stats_.opsExecuted;
     ++stats_.intrinsicOpsExecuted;
     ++stats_.fusedOpsExecuted;
@@ -233,8 +221,7 @@ class Exec {
       case ExprKind::Fma: return evalFma(e);
       case ExprKind::Splat: {
         Value s = eval(*e.a);
-        chargeExpr(e, e.type.scalar == Scalar::C64 ? Op::VSplatC : Op::VSplatF,
-                   CostCategory::Arith);
+        chargeNode(e);
         Value r;
         r.type = e.type;
         r.v.assign(static_cast<std::size_t>(e.type.lanes), s.v.empty() ? Complex{} : s.v[0]);
@@ -265,101 +252,69 @@ class Exec {
       throw RuntimeError("VM: load out of bounds on '" + e.name + "' at " +
                          std::to_string(base) + " (+" + std::to_string(lanes) + ") of " +
                          std::to_string(st.data.size()));
-    bool cplx = st.elem == Scalar::C64;
-    if (lanes == 1) {
-      chargeExpr(e, cplx ? Op::LoadC : Op::LoadF, CostCategory::Memory);
-    } else {
-      chargeExpr(e, cplx ? Op::VLoadC : Op::VLoadF, CostCategory::Memory);
-    }
+    chargeNode(e);
     Value r;
     r.type = e.type;
     r.v.assign(st.data.begin() + base, st.data.begin() + base + lanes);
     return r;
   }
 
-  /// A builtin row (sema/builtins.def) on every lane: the host function of
-  /// the real part charged at `op`, or, when the row takes complex operands
-  /// and `a` is c64, of the complex element charged at `complexCharges`.
-  template <sema::ComplexRule R, class F>
-  Value mapBuiltin(const Value& a, VType type, F f, Op op,
-                   std::initializer_list<isa::Term> complexCharges) {
+  /// `f` of every lane of `a`, typed as `e`.
+  template <class F>
+  static Value mapLanes(const lir::Expr& e, const Value& a, F f) {
     Value r;
-    r.type = type;
+    r.type = e.type;
     r.v.resize(a.v.size());
+    for (std::size_t i = 0; i < a.v.size(); ++i) r.v[i] = f(a.v[i]);
+    return r;
+  }
+
+  /// A builtin row (sema/builtins.def) of node `e` on every lane: the host
+  /// function of the real part, charged at the node's op, or, when the row
+  /// takes complex operands and `a` is c64, of the complex element charged
+  /// at `complexCharges`.
+  template <sema::ComplexRule R, class F>
+  Value mapBuiltin(const lir::Expr& e, const Value& a, F f,
+                   std::initializer_list<isa::Term> complexCharges) {
     if constexpr (R != sema::ComplexRule::Real) {
       if (a.type.scalar == Scalar::C64) {
-        for (std::size_t i = 0; i < a.v.size(); ++i) r.v[i] = Complex(f(a.v[i]));
-        for (const isa::Term& t : complexCharges) charge(t.op, CostCategory::Arith, t.count);
-        return r;
+        for (const isa::Term& t : complexCharges) charge(t.op, t.count);
+        return mapLanes(e, a, [&](Complex z) { return Complex(f(z)); });
       }
     }
-    for (std::size_t i = 0; i < a.v.size(); ++i) r.v[i] = Complex{f(a.v[i].real()), 0.0};
-    charge(op, CostCategory::Arith);
-    return r;
+    chargeNode(e);
+    return mapLanes(e, a, [&](Complex z) { return Complex{f(z.real()), 0.0}; });
   }
 
   Value evalUnary(const lir::Expr& e) {
     using enum isa::Op;  // the c64 charge terms of builtins.def
     Value a = eval(*e.a);
-    bool vec = e.type.lanes > 1;
-    bool cplx = a.type.scalar == Scalar::C64;
 
     switch (e.unOp) {
-      case UnOp::Neg: {
-        Value r;
-        r.type = e.type;
-        if (e.type.scalar == Scalar::I64) {
-          r = Value::ofI(-a.i);
-          charge(Op::AddI, CostCategory::Arith);
-          return r;
-        }
-        r.v.resize(a.v.size());
-        for (std::size_t i = 0; i < a.v.size(); ++i) r.v[i] = -a.v[i];
-        chargeExpr(e, vec ? (cplx ? Op::VNegC : Op::VNegF) : (cplx ? Op::NegC : Op::NegF),
-                   CostCategory::Arith);
-        return r;
-      }
+      case UnOp::Neg:
+        chargeNode(e);
+        if (e.type.scalar == Scalar::I64) return Value::ofI(-a.i);
+        return mapLanes(e, a, [](Complex z) { return -z; });
       case UnOp::Not: {
         bool operand = a.type.scalar == Scalar::B1 ? a.b : (a.f() != 0.0);
-        charge(Op::CmpI, CostCategory::Arith);
+        chargeNode(e);
         if (e.type.scalar == Scalar::B1) return Value::ofB(!operand);
         return Value::ofF(operand ? 0.0 : 1.0);
       }
-#define MAT2C_BUILTIN_UNARY(name, op, lir, rule, host, guard, cost, vop, c, cc, ...)       \
-      case UnOp::op:                                                                     \
-        return mapBuiltin<sema::ComplexRule::rule>(a, e.type, [](auto x) { return host(x); }, \
-                                                   vec ? Op::vop : Op::cost, {__VA_ARGS__});
+#define MAT2C_BUILTIN_UNARY(name, op, lir, rule, host, guard, cost, vop, c, cc, ...) \
+      case UnOp::op:                                                               \
+        return mapBuiltin<sema::ComplexRule::rule>(e, a, [](auto x) { return host(x); }, \
+                                                   {__VA_ARGS__});
 #include "sema/builtins.def"
-      case UnOp::Conj: {
-        Value r;
-        r.type = e.type;
-        r.v.resize(a.v.size());
-        for (std::size_t i = 0; i < a.v.size(); ++i) r.v[i] = std::conj(a.v[i]);
-        chargeExpr(e, vec ? Op::VConjC : Op::ConjC, CostCategory::Arith);
-        return r;
-      }
-      case UnOp::RealPart: {
-        Value r;
-        r.type = e.type;
-        r.v.resize(a.v.size());
-        for (std::size_t i = 0; i < a.v.size(); ++i) r.v[i] = Complex{a.v[i].real(), 0.0};
-        return r;  // register extraction — free
-      }
-      case UnOp::ImagPart: {
-        Value r;
-        r.type = e.type;
-        r.v.resize(a.v.size());
-        for (std::size_t i = 0; i < a.v.size(); ++i) r.v[i] = Complex{a.v[i].imag(), 0.0};
-        return r;
-      }
-      case UnOp::Arg: {
-        Value r;
-        r.type = e.type;
-        r.v.resize(a.v.size());
-        for (std::size_t i = 0; i < a.v.size(); ++i) r.v[i] = Complex{std::arg(a.v[i]), 0.0};
-        charge(Op::Atan2F, CostCategory::Arith);
-        return r;
-      }
+      case UnOp::Conj:
+        chargeNode(e);
+        return mapLanes(e, a, [](Complex z) { return std::conj(z); });
+      // Register extraction is free.
+      case UnOp::RealPart: return mapLanes(e, a, [](Complex z) { return Complex{z.real(), 0.0}; });
+      case UnOp::ImagPart: return mapLanes(e, a, [](Complex z) { return Complex{z.imag(), 0.0}; });
+      case UnOp::Arg:
+        chargeNode(e);
+        return mapLanes(e, a, [](Complex z) { return Complex{std::arg(z), 0.0}; });
       case UnOp::ToF64: {
         double x = a.type.scalar == Scalar::B1 ? (a.b ? 1.0 : 0.0)
                    : a.type.scalar == Scalar::I64 ? static_cast<double>(a.i)
@@ -372,23 +327,11 @@ class Exec {
                                                        : static_cast<std::int64_t>(a.f());
         return Value::ofI(x);
       }
-      case UnOp::ToC64: {
-        if (a.type.scalar == Scalar::C64) {
-          Value r = a;
-          r.type = e.type;
-          return r;
-        }
-        Value r;
-        r.type = e.type;
-        r.v.resize(a.v.empty() ? 1 : a.v.size());
-        for (std::size_t i = 0; i < r.v.size(); ++i) {
-          double x = a.type.scalar == Scalar::I64 ? static_cast<double>(a.i)
-                     : a.type.scalar == Scalar::B1 ? (a.b ? 1.0 : 0.0)
-                                                   : a.v[i].real();
-          r.v[i] = Complex{x, 0.0};
-        }
-        return r;
-      }
+      case UnOp::ToC64:
+        if (a.type.scalar == Scalar::C64) return mapLanes(e, a, [](Complex z) { return z; });
+        if (a.type.scalar == Scalar::I64) return Value::ofC({static_cast<double>(a.i), 0.0});
+        if (a.type.scalar == Scalar::B1) return Value::ofC({a.b ? 1.0 : 0.0, 0.0});
+        return mapLanes(e, a, [](Complex z) { return Complex{z.real(), 0.0}; });
     }
     throw RuntimeError("VM: bad unary op");
   }
@@ -411,16 +354,16 @@ class Exec {
     if (e.type.scalar == Scalar::I64) {
       std::int64_t x = a.i;
       std::int64_t y = b.i;
+      chargeNode(e);
       switch (e.binOp) {
-        case BinOp::Add: charge(Op::AddI, CostCategory::Arith); return Value::ofI(x + y);
-        case BinOp::Sub: charge(Op::AddI, CostCategory::Arith); return Value::ofI(x - y);
-        case BinOp::Mul: charge(Op::MulI, CostCategory::Arith); return Value::ofI(x * y);
+        case BinOp::Add: return Value::ofI(x + y);
+        case BinOp::Sub: return Value::ofI(x - y);
+        case BinOp::Mul: return Value::ofI(x * y);
         case BinOp::Div:
-          charge(Op::MulI, CostCategory::Arith);
           if (y == 0) throw RuntimeError("VM: integer division by zero");
           return Value::ofI(x / y);
-        case BinOp::Min: charge(Op::CmpI, CostCategory::Arith); return Value::ofI(std::min(x, y));
-        case BinOp::Max: charge(Op::CmpI, CostCategory::Arith); return Value::ofI(std::max(x, y));
+        case BinOp::Min: return Value::ofI(std::min(x, y));
+        case BinOp::Max: return Value::ofI(std::max(x, y));
         default:
           throw RuntimeError("VM: unsupported i64 binary op");
       }
@@ -428,7 +371,7 @@ class Exec {
 
     // Comparisons / logicals produce b1.
     if (e.type.scalar == Scalar::B1) {
-      charge(a.type.scalar == Scalar::I64 ? Op::CmpI : Op::CmpF, CostCategory::Arith);
+      chargeNode(e);
       auto scalarOf = [](const Value& v) -> double {
         if (v.type.scalar == Scalar::I64) return static_cast<double>(v.i);
         if (v.type.scalar == Scalar::B1) return v.b ? 1.0 : 0.0;
@@ -453,60 +396,39 @@ class Exec {
       }
     }
 
-    bool vec = e.type.isVector();
     bool cplx = e.type.scalar == Scalar::C64;
     std::size_t n = static_cast<std::size_t>(e.type.lanes);
     Value r;
     r.type = e.type;
     r.v.resize(n);
-    auto elemA = [&](std::size_t i) { return a.v[a.v.size() == 1 ? 0 : i]; };
-    auto elemB = [&](std::size_t i) { return b.v[b.v.size() == 1 ? 0 : i]; };
+    // `f` of every lane pair; a scalar operand is broadcast.
+    auto zip = [&](auto f) {
+      for (std::size_t i = 0; i < n; ++i)
+        r.v[i] = f(a.v[a.v.size() == 1 ? 0 : i], b.v[b.v.size() == 1 ? 0 : i]);
+    };
 
-    Op op;
     switch (e.binOp) {
-      case BinOp::Add:
-        op = vec ? (cplx ? Op::VAddC : Op::VAddF) : (cplx ? Op::AddC : Op::AddF);
-        for (std::size_t i = 0; i < n; ++i) r.v[i] = elemA(i) + elemB(i);
-        break;
-      case BinOp::Sub:
-        op = vec ? (cplx ? Op::VSubC : Op::VSubF) : (cplx ? Op::SubC : Op::SubF);
-        for (std::size_t i = 0; i < n; ++i) r.v[i] = elemA(i) - elemB(i);
-        break;
-      case BinOp::Mul:
-        op = vec ? (cplx ? Op::VMulC : Op::VMulF) : (cplx ? Op::MulC : Op::MulF);
-        for (std::size_t i = 0; i < n; ++i) r.v[i] = elemA(i) * elemB(i);
-        break;
-      case BinOp::Div:
-        op = vec ? (cplx ? Op::DivC : Op::VDivF) : (cplx ? Op::DivC : Op::DivF);
-        for (std::size_t i = 0; i < n; ++i) r.v[i] = elemA(i) / elemB(i);
-        break;
+      case BinOp::Add: zip(std::plus<Complex>()); break;
+      case BinOp::Sub: zip(std::minus<Complex>()); break;
+      case BinOp::Mul: zip(std::multiplies<Complex>()); break;
+      case BinOp::Div: zip(std::divides<Complex>()); break;
       case BinOp::Pow:
-        op = Op::PowF;
-        for (std::size_t i = 0; i < n; ++i) {
-          Complex base = elemA(i);
-          Complex expo = elemB(i);
-          if (!cplx) {
-            double x = base.real();
-            double y = expo.real();
-            if (x >= 0.0 || y == std::floor(y)) {
-              r.v[i] = Complex{std::pow(x, y), 0.0};
-              continue;
-            }
-          }
-          r.v[i] = std::pow(base, expo);
-        }
+        zip([cplx](Complex base, Complex expo) {
+          double x = base.real();
+          double y = expo.real();
+          if (!cplx && (x >= 0.0 || y == std::floor(y))) return Complex{std::pow(x, y), 0.0};
+          return std::pow(base, expo);
+        });
         break;
-#define MAT2C_BUILTIN_BINARY(name, kind, binOp, host, cost, vop, c)     \
-      case BinOp::binOp:                                                 \
-        op = vec ? Op::vop : Op::cost;                                   \
-        for (std::size_t i = 0; i < n; ++i)                              \
-          r.v[i] = Complex{host(elemA(i).real(), elemB(i).real()), 0.0}; \
+#define MAT2C_BUILTIN_BINARY(name, kind, binOp, host, cost, vop, c)                     \
+      case BinOp::binOp:                                                                 \
+        zip([](Complex x, Complex y) { return Complex{host(x.real(), y.real()), 0.0}; }); \
         break;
 #include "sema/builtins.def"
       default:
         throw RuntimeError("VM: unsupported binary op");
     }
-    chargeExpr(e, op, CostCategory::Arith);
+    chargeNode(e);
     return r;
   }
 
@@ -514,22 +436,18 @@ class Exec {
     Value a = eval(*e.a);
     Value b = eval(*e.b);
     Value c = eval(*e.c);
-    bool vec = e.type.isVector();
-    bool cplx = e.type.scalar == Scalar::C64;
     std::size_t n = static_cast<std::size_t>(e.type.lanes);
     Value r;
     r.type = e.type;
     r.v.resize(n);
     auto lane = [&](const Value& v, std::size_t i) { return v.v[v.v.size() == 1 ? 0 : i]; };
     for (std::size_t i = 0; i < n; ++i) r.v[i] = lane(a, i) * lane(b, i) + lane(c, i);
-    chargeExpr(e, vec ? (cplx ? Op::VFmaC : Op::VFmaF) : (cplx ? Op::FmaC : Op::FmaF),
-               CostCategory::Arith);
+    chargeNode(e);
     return r;
   }
 
   Value evalReduce(const lir::Expr& e) {
     Value a = eval(*e.a);
-    bool cplx = a.type.scalar == Scalar::C64;
     Complex acc = a.v.at(0);
     for (std::size_t i = 1; i < a.v.size(); ++i) {
       switch (e.reduceOp) {
@@ -538,10 +456,7 @@ class Exec {
         case ReduceOp::Max: acc = Complex{std::max(acc.real(), a.v[i].real()), 0.0}; break;
       }
     }
-    Op op = e.reduceOp == ReduceOp::Add ? (cplx ? Op::VReduceAddC : Op::VReduceAddF)
-            : e.reduceOp == ReduceOp::Min ? Op::VReduceMinF
-                                          : Op::VReduceMaxF;
-    charge(op, CostCategory::Arith);
+    chargeNode(e);
     Value r;
     r.type = {a.type.scalar, 1};
     r.v = {acc};
@@ -597,13 +512,12 @@ class Exec {
                                                     : v.v[static_cast<std::size_t>(i)];
           st.data[static_cast<std::size_t>(base + i)] = x;
         }
-        Op storeOp = lanes == 1 ? (cplx ? Op::StoreC : Op::StoreF)
-                                : (cplx ? Op::VStoreC : Op::VStoreF);
+        Op storeOp = lir::stmtOp(s.kind, st.elem, lanes > 1);
         if (fused_ && fused_->storeMembers.count(&s)) {
           stats_.fusedSavedCycles += isa_.cost(storeOp);
           budget(1.0);
         } else {
-          charge(storeOp, CostCategory::Memory);
+          charge(storeOp);
         }
         return Flow::Normal;
       }
@@ -612,20 +526,20 @@ class Exec {
         std::int64_t hi = evalIndex(*s.hi);
         for (std::int64_t i = lo; s.step > 0 ? i < hi : i > hi; i += s.step) {
           scalars_[s.name] = Value::ofI(i);
-          charge(Op::LoopOverhead, CostCategory::Loop);
+          charge(lir::stmtOp(s.kind));
           Flow f = execBlock(s.body);
           if (f == Flow::Break) break;
         }
         return Flow::Normal;
       }
       case StmtKind::If: {
-        charge(Op::Branch, CostCategory::Loop);
+        charge(lir::stmtOp(s.kind));
         if (truthy(eval(*s.cond))) return execBlock(s.body);
         return execBlock(s.elseBody);
       }
       case StmtKind::While: {
         while (true) {
-          charge(Op::Branch, CostCategory::Loop);
+          charge(lir::stmtOp(s.kind));
           if (!truthy(eval(*s.cond))) return Flow::Normal;
           Flow f = execBlock(s.body);
           if (f == Flow::Break) return Flow::Normal;
@@ -636,13 +550,13 @@ class Exec {
       case StmtKind::BoundsCheck: {
         ArrayStore& st = arrayFor(s.name);
         std::int64_t idx = evalIndex(*s.index);
-        charge(Op::BoundsCheck, CostCategory::Check);
+        charge(lir::stmtOp(s.kind));
         if (idx < 0 || idx >= static_cast<std::int64_t>(st.data.size()))
           throw RuntimeError("VM: bounds check failed on '" + s.name + "'");
         return Flow::Normal;
       }
       case StmtKind::AllocMark:
-        charge(Op::AllocTemp, CostCategory::Alloc);
+        charge(lir::stmtOp(s.kind));
         return Flow::Normal;
       case StmtKind::Comment:
         return Flow::Normal;
@@ -671,6 +585,14 @@ class Exec {
 };
 
 }  // namespace
+
+std::map<std::string, double> CycleStats::byCategory() const {
+  std::map<std::string, double> out;
+  for (std::size_t i = 0; i < byOp.size(); ++i)
+    if (countByOp[i] > 0) out[categoryOf(static_cast<Op>(i))] += byOp[i];
+  for (const auto& [name, cycles] : fusedCycles) out["arith"] += cycles;
+  return out;
+}
 
 RunResult Machine::run(const lir::Function& fn, const std::vector<Matrix>& args) {
   Exec exec(isa_, fn, maxOps_, profile_, fused_);

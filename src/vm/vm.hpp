@@ -8,6 +8,7 @@
 // the reference interpreter while cycles are being counted.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -20,24 +21,29 @@
 
 namespace mat2c::vm {
 
-/// Where cycles went — used by the baseline-anatomy ablation.
-enum class CostCategory { Arith, Memory, Loop, Check, Alloc };
-const char* toString(CostCategory c);
-
+/// The cycle ledger of one run: cycles and issue counts per isa::Op. The
+/// total is exactly sum(countByOp[op] * cost(op)) plus the fused roots'
+/// cycles, which is what dse::explore's analytic rescoring relies on.
 struct CycleStats {
+  using PerOp = std::array<double, isa::kNumOps>;
   double total = 0.0;
-  std::map<std::string, double> byCategory;
-  std::map<std::string, double> byOp;        // mnemonic -> cycles
-  std::map<std::string, double> countByOp;   // mnemonic -> issue count
+  PerOp byOp{};       // cycles, indexed by isa::Op
+  PerOp countByOp{};  // issue count, indexed by isa::Op
   std::uint64_t opsExecuted = 0;
   std::uint64_t intrinsicOpsExecuted = 0;    // ops that map to custom instructions
   /// Cycles the installed FusedCosting removed (member-op charges replaced by
   /// fused-instruction charges). total already reflects the replacement.
   double fusedSavedCycles = 0.0;
   std::uint64_t fusedOpsExecuted = 0;
+  std::map<std::string, double> fusedCycles;  // by FusedCosting::Root name
 
-  void charge(const isa::IsaDescription& isa, isa::Op op, CostCategory cat,
-              double count = 1.0);
+  void charge(const isa::IsaDescription& isa, isa::Op op, double count = 1.0);
+  double count(isa::Op op) const { return countByOp[static_cast<std::size_t>(op)]; }
+  /// Where cycles went, for the baseline-anatomy split: "memory" (loads and
+  /// stores), "loop" (Branch, LoopOverhead), "check" (BoundsCheck), "alloc"
+  /// (AllocTemp) and "arith" (everything else, fused roots too). Lists each
+  /// category charged at least once, zero-cost charges (zol loops) included.
+  std::map<std::string, double> byCategory() const;
 };
 
 struct RunResult {
@@ -60,7 +66,7 @@ using StmtProfile = std::map<const lir::Stmt*, std::uint64_t>;
 /// per-execution pattern matching.
 struct FusedCosting {
   struct Root {
-    std::string name;  // byOp key, e.g. "fused.vld_vfma"
+    std::string name;  // CycleStats::fusedCycles key, e.g. "fused.vld_vfma"
     double cycles = 1.0;
   };
   std::map<const lir::Expr*, Root> roots;

@@ -127,35 +127,37 @@ TEST(DseCandidates, HwCostCalibration) {
 }
 
 TEST(DseTile, AnalyticSavingMatchesVmMeasurement) {
-  // The exactness contract behind analytic rescoring: the saving tileFused()
-  // predicts equals what the VM measures when the same tiling is installed
-  // via the FusedCosting hook.
-  auto spec = kernels::makeFir(256, 16, 1);
-  auto mk = mineKernel(spec, featurelessW8());
-  auto idioms = aggregateIdioms({mk.instances});
+  // The exactness contract behind analytic rescoring: on every corpus
+  // kernel, the saving tileFused() predicts from the kernel's own best
+  // candidates equals what the VM measures when the same tiling is
+  // installed via the FusedCosting hook.
   auto variant = toIsa(featurelessW8(), "dse_variant");
-  auto candidates = synthesizeCandidates(idioms, variant, 2);
-  ASSERT_FALSE(candidates.empty());
-  std::vector<int> selection;
-  for (int i = 0; i < static_cast<int>(candidates.size()); ++i) selection.push_back(i);
+  for (const auto& spec : kernels::dseCorpus()) {
+    SCOPED_TRACE(spec.name);
+    auto mk = mineKernel(spec, featurelessW8());
+    auto candidates = synthesizeCandidates(aggregateIdioms({mk.instances}), variant, 2);
+    ASSERT_FALSE(candidates.empty());
+    std::vector<int> selection;
+    for (int i = 0; i < static_cast<int>(candidates.size()); ++i) selection.push_back(i);
 
-  vm::FusedCosting costing;
-  double analytic = tileFused(mk.instances, candidates, selection, variant, &costing);
-  ASSERT_GT(analytic, 0.0);
-  ASSERT_FALSE(costing.roots.empty());
+    vm::FusedCosting costing;
+    double analytic = tileFused(mk.instances, candidates, selection, variant, &costing);
+    ASSERT_GT(analytic, 0.0);
+    ASSERT_FALSE(costing.roots.empty());
 
-  vm::Machine machine(mk.unit.isa());
-  machine.setFusedCosting(&costing);
-  auto fusedRun = machine.run(mk.unit.fn(), spec.args);
-  EXPECT_DOUBLE_EQ(fusedRun.cycles.fusedSavedCycles, analytic);
-  EXPECT_DOUBLE_EQ(fusedRun.cycles.total, mk.run.cycles.total - analytic);
-  EXPECT_GT(fusedRun.cycles.fusedOpsExecuted, 0u);
-  // Costing is observational only — outputs must be bit-identical.
-  ASSERT_EQ(fusedRun.outputs.size(), mk.run.outputs.size());
-  for (std::size_t i = 0; i < fusedRun.outputs.size(); ++i) {
-    ASSERT_EQ(fusedRun.outputs[i].numel(), mk.run.outputs[i].numel());
-    for (std::size_t j = 0; j < fusedRun.outputs[i].numel(); ++j)
-      EXPECT_EQ(fusedRun.outputs[i].real(j), mk.run.outputs[i].real(j));
+    vm::Machine machine(mk.unit.isa());
+    machine.setFusedCosting(&costing);
+    auto fusedRun = machine.run(mk.unit.fn(), spec.args);
+    EXPECT_DOUBLE_EQ(fusedRun.cycles.fusedSavedCycles, analytic);
+    EXPECT_DOUBLE_EQ(fusedRun.cycles.total, mk.run.cycles.total - analytic);
+    EXPECT_GT(fusedRun.cycles.fusedOpsExecuted, 0u);
+    // Costing is observational only — outputs must be bit-identical.
+    ASSERT_EQ(fusedRun.outputs.size(), mk.run.outputs.size());
+    for (std::size_t i = 0; i < fusedRun.outputs.size(); ++i) {
+      ASSERT_EQ(fusedRun.outputs[i].numel(), mk.run.outputs[i].numel());
+      for (std::size_t j = 0; j < fusedRun.outputs[i].numel(); ++j)
+        EXPECT_EQ(fusedRun.outputs[i].at(j), mk.run.outputs[i].at(j));
+    }
   }
 }
 

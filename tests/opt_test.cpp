@@ -6,6 +6,7 @@
 
 #include "driver/compiler.hpp"
 #include "driver/kernels.hpp"
+#include "lir/select.hpp"
 #include "parser/parser.hpp"
 #include "support/string_utils.hpp"
 
@@ -239,6 +240,44 @@ TEST(Vectorize, TranscendentalsStayScalar) {
   kernels::InputGen gen(44);
   checkVectorization("function y = f(x)\ny = sin(x);\nend\n", {ArgSpec::row(32)},
                      {gen.rowVector(32)}, 0);
+}
+
+TEST(Vectorize, ComplexDivisionStaysScalar) {
+  // cdiv.c64 has no SIMD form, so a c64 quotient loop stays scalar on dspx
+  // and its C calls the scalar runtime division, no vdiv intrinsic.
+  kernels::InputGen gen(46);
+  std::vector<ArgSpec> specs = {ArgSpec::row(32, true), ArgSpec::row(32, true)};
+  std::string src = "function y = f(z, w)\ny = z ./ w;\nend\n";
+  checkVectorization(src, specs, {gen.complexRowVector(32), gen.complexRowVector(32)}, 0);
+  Compiler compiler;
+  auto unit = compiler.compileSource(src, "f", specs, CompileOptions::proposed());
+  codegen::EmitOptions bodyOnly;
+  bodyOnly.embedRuntime = false;
+  std::string c = unit.cCode(bodyOnly);
+  EXPECT_EQ(c.find("vdiv"), std::string::npos) << c;
+  EXPECT_NE(c.find("mat2c_cdiv("), std::string::npos) << c;
+}
+
+TEST(OpSelection, VectorComplexDivisionHasNoOp) {
+  using namespace lir;
+  auto quotient = [](VType t) {
+    return binary(BinOp::Div, load("z", constI(0), t), load("z", constI(0), t), t);
+  };
+  EXPECT_EQ(selectOp(*quotient(VType::c64())), isa::Op::DivC);
+  EXPECT_EQ(selectOp(*quotient(VType::f64(8))), isa::Op::VDivF);
+  EXPECT_FALSE(selectOp(*quotient(VType::c64(4))));
+  EXPECT_THROW(issuedOp(*quotient(VType::c64(4))), std::logic_error);
+
+  // Neither the VM nor the emitter invents an op for it.
+  Function fn;
+  fn.name = "f";
+  fn.params.push_back({"z", Scalar::C64, true, 1, 4});
+  fn.outs.push_back({"y", Scalar::C64, true, 1, 4});
+  fn.body.push_back(store("y", constI(0), quotient(VType::c64(4))));
+  auto dspx = isa::IsaDescription::preset("dspx");
+  kernels::InputGen gen(47);
+  EXPECT_THROW(vm::Machine(dspx).run(fn, {gen.complexRowVector(4)}), std::logic_error);
+  EXPECT_THROW(codegen::emitFunction(fn, dspx), std::logic_error);
 }
 
 TEST(Vectorize, WidthSweepMonotoneCycles) {

@@ -650,7 +650,7 @@ int cmdCompile(int argc, char** argv) {
       std::vector<Matrix> inputs = tune::makeTuneInputs(specs, a.seed);
       auto result = unit.run(inputs);
       std::printf("cycles: %.0f\n", result.cycles.total);
-      for (const auto& [cat, v] : result.cycles.byCategory) {
+      for (const auto& [cat, v] : result.cycles.byCategory()) {
         std::printf("  %-8s %.0f\n", cat.c_str(), v);
       }
       for (std::size_t i = 0; i < result.outputs.size(); ++i) {
