@@ -1,9 +1,9 @@
 #include "driver/report.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 #include "support/string_utils.hpp"
 
@@ -20,34 +20,30 @@ std::string Table::toString() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t i = 0; i < headers_.size(); ++i) widths[i] = headers_[i].size();
   for (const auto& row : rows_) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      widths[i] = std::max(widths[i], row[i].size());
-    }
+    for (std::size_t i = 0; i < row.size(); ++i) widths[i] = std::max(widths[i], row[i].size());
   }
-  auto emitRow = [&](const std::vector<std::string>& row, std::ostringstream& os) {
-    os << "| ";
+  std::string out;
+  auto emitRow = [&](const std::vector<std::string>& row) {
+    out += "| ";
     for (std::size_t i = 0; i < headers_.size(); ++i) {
       const std::string& cell = i < row.size() ? row[i] : std::string();
-      os << cell << std::string(widths[i] - cell.size(), ' ');
-      os << (i + 1 < headers_.size() ? " | " : " |");
+      out += cell + std::string(widths[i] - cell.size(), ' ');
+      out += i + 1 < headers_.size() ? " | " : " |";
     }
-    os << '\n';
+    out += '\n';
   };
-  std::ostringstream os;
-  emitRow(headers_, os);
-  os << "|";
-  for (std::size_t i = 0; i < headers_.size(); ++i) {
-    os << std::string(widths[i] + 2, '-') << "|";
-  }
-  os << '\n';
-  for (const auto& row : rows_) emitRow(row, os);
-  return os.str();
+  emitRow(headers_);
+  out += "|";
+  for (std::size_t width : widths) out += std::string(width + 2, '-') + "|";
+  out += '\n';
+  for (const auto& row : rows_) emitRow(row);
+  return out;
 }
 
 std::string Table::num(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", precision, v);
-  return buf;
+  char buf[400];  // printf's %.<precision>f text of any double, precision <= 80
+  auto result = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
+  return std::string(buf, result.ptr);
 }
 
 std::string Table::cycles(double v) {
@@ -63,101 +59,109 @@ std::string Table::cycles(double v) {
   return out;
 }
 
-namespace {
-
-std::string jsonNum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
+JsonField textField(std::string_view key, std::string_view text) {
+  JsonField f{std::string(key), {}};
+  appendJsonQuoted(f.value, text);
+  return f;
 }
 
-void appendStats(std::ostringstream& os, const char* key, const lir::FunctionStats& s) {
-  os << "\"" << key << "\": {\"statements\": " << s.statements << ", \"loops\": " << s.loops
-     << ", \"decls\": " << s.decls << ", \"stores\": " << s.stores
-     << ", \"boundsChecks\": " << s.boundsChecks << "}";
+JsonField numField(std::string_view key, double v, int decimals) {
+  return {std::string(key), Table::num(v, decimals)};
+}
+
+JsonField boolField(std::string_view key, bool v) {
+  return {std::string(key), v ? "true" : "false"};
+}
+
+namespace {
+
+/// Appends an item's `"key": ` (none for an array item) and returns its JSON text.
+std::string_view startItem(std::string& out, const JsonField& member) {
+  appendJsonQuoted(out, member.key);
+  out += ": ";
+  return member.value;
+}
+std::string_view startItem(std::string&, const std::string& item) { return item; }
+
+/// `open`, the items and `close`: comma-separated on one line, or with
+/// `multiline` one item per line, its own nested lines one level deeper.
+template <typename Item>
+std::string container(char open, const std::vector<Item>& items, char close, bool multiline) {
+  std::string out(1, open);
+  out.reserve(32 * items.size() + 2);
+  for (const Item& item : items) {
+    if (&item != items.data()) out += multiline ? "," : ", ";
+    if (multiline) out += "\n  ";
+    std::string_view rest = startItem(out, item);
+    for (std::size_t nl; multiline && (nl = rest.find('\n')) != rest.npos;
+         rest.remove_prefix(nl + 1)) {
+      out.append(rest.substr(0, nl + 1)).append("  ");
+    }
+    out += rest;
+  }
+  if (multiline) out += '\n';
+  out += close;
+  return out;
+}
+
+JsonField functionStats(std::string_view key, const lir::FunctionStats& s) {
+  return objectField(key, {intField("statements", s.statements), intField("loops", s.loops),
+                           intField("decls", s.decls), intField("stores", s.stores),
+                           intField("boundsChecks", s.boundsChecks)});
 }
 
 }  // namespace
 
+JsonField objectField(std::string_view key, const std::vector<JsonField>& fields,
+                      bool multiline) {
+  return {std::string(key), container('{', fields, '}', multiline)};
+}
+
+JsonField arrayField(std::string_view key, const std::vector<std::string>& items,
+                     bool multiline) {
+  return {std::string(key), container('[', items, ']', multiline)};
+}
+
+std::string jsonDocument(const std::vector<JsonField>& fields) {
+  return objectField("", fields, true).value + "\n";
+}
+
 std::string telemetryJson(const opt::PipelineReport& report, const std::string& entry,
                           const std::string& isaName) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"entry\": " << jsonQuote(entry) << ",\n";
-  os << "  \"isa\": " << jsonQuote(isaName) << ",\n";
-  os << "  \"totalMillis\": " << jsonNum(report.totalMillis) << ",\n";
-  os << "  \"idiomRewrites\": " << report.idiomRewrites << ",\n";
-  os << "  \"checksRemoved\": " << report.checksRemoved << ",\n";
-  os << "  \"loopsVectorized\": " << report.vec.loopsVectorized << ",\n";
-  os << "  \"loopsFused\": " << report.loopsFused << ",\n";
-  os << "  \"loopsUnrolled\": " << report.loopsUnrolled << ",\n";
-  os << "  \"exprsHoisted\": " << report.exprsHoisted << ",\n";
-  os << "  \"scalarsPromoted\": " << report.scalarsPromoted << ",\n";
-  os << "  \"cseEliminated\": " << report.cseEliminated << ",\n";
-  os << "  \"storesRemoved\": " << report.storesRemoved << ",\n";
-  os << "  \"passes\": [";
-  for (std::size_t i = 0; i < report.passes.size(); ++i) {
-    const opt::PassRecord& p = report.passes[i];
-    os << (i ? ",\n    {" : "\n    {");
-    os << "\"name\": " << jsonQuote(p.name) << ", ";
-    os << "\"millis\": " << jsonNum(p.millis) << ", ";
-    appendStats(os, "before", p.before);
-    os << ", ";
-    appendStats(os, "after", p.after);
-    os << ", \"counters\": {\"checksRemoved\": " << p.checksRemoved
-       << ", \"idiomRewrites\": " << p.idiomRewrites
-       << ", \"loopsVectorized\": " << p.loopsVectorized
-       << ", \"loopsFused\": " << p.loopsFused
-       << ", \"loopsUnrolled\": " << p.loopsUnrolled
-       << ", \"exprsHoisted\": " << p.exprsHoisted
-       << ", \"scalarsPromoted\": " << p.scalarsPromoted
-       << ", \"cseEliminated\": " << p.cseEliminated
-       << ", \"storesRemoved\": " << p.storesRemoved << "}}";
+  std::vector<JsonField> doc{textField("entry", entry), textField("isa", isaName),
+                             numField("totalMillis", report.totalMillis, 6)};
+#define MAT2C_TOTAL(field, total) doc.push_back(intField(#field, report.total));
+  MAT2C_PASS_COUNTERS(MAT2C_TOTAL)
+#undef MAT2C_TOTAL
+  std::vector<std::string> passes;
+  for (const opt::PassRecord& p : report.passes) {
+    std::vector<JsonField> counters;
+#define MAT2C_COUNTER(field, total) counters.push_back(intField(#field, p.field));
+    MAT2C_PASS_COUNTERS(MAT2C_COUNTER)
+#undef MAT2C_COUNTER
+    passes.push_back(objectField("", {textField("name", p.name), numField("millis", p.millis, 6),
+                                      functionStats("before", p.before),
+                                      functionStats("after", p.after),
+                                      objectField("counters", counters)}).value);
   }
-  os << "\n  ]\n}\n";
-  return os.str();
+  doc.push_back(arrayField("passes", passes, true));
+  return jsonDocument(doc);
 }
 
 Table passTable(const opt::PipelineReport& report) {
   Table t({"pass", "ms", "stmts", "dstmts", "dloops", "ddecls", "counters"});
   for (const opt::PassRecord& p : report.passes) {
-    std::string counters;
-    auto add = [&](const char* label, int v) {
-      if (v == 0) return;
-      if (!counters.empty()) counters += ", ";
-      counters += label + std::string("=") + std::to_string(v);
-    };
-    add("checksRemoved", p.checksRemoved);
-    add("idiomRewrites", p.idiomRewrites);
-    add("loopsVectorized", p.loopsVectorized);
-    add("loopsFused", p.loopsFused);
-    add("loopsUnrolled", p.loopsUnrolled);
-    add("exprsHoisted", p.exprsHoisted);
-    add("scalarsPromoted", p.scalarsPromoted);
-    add("cseEliminated", p.cseEliminated);
-    add("storesRemoved", p.storesRemoved);
+    std::vector<std::string> counters;
+#define MAT2C_COUNTER(field, total) \
+  if (p.field != 0) counters.push_back(#field "=" + std::to_string(p.field));
+    MAT2C_PASS_COUNTERS(MAT2C_COUNTER)
+#undef MAT2C_COUNTER
     t.addRow({p.name, Table::num(p.millis, 3), std::to_string(p.after.statements),
               std::to_string(p.after.statements - p.before.statements),
               std::to_string(p.after.loops - p.before.loops),
-              std::to_string(p.after.decls - p.before.decls), counters});
+              std::to_string(p.after.decls - p.before.decls), join(counters, ", ")});
   }
   return t;
-}
-
-JsonField textField(std::string key, std::string_view text) {
-  return {std::move(key), jsonQuote(text)};
-}
-
-JsonField numField(std::string key, double v, int decimals) {
-  return {std::move(key), Table::num(v, decimals)};
-}
-
-JsonField objectField(std::string key, const std::vector<JsonField>& members) {
-  std::string value = "{";
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    value += (i ? ", " : "") + jsonQuote(members[i].key) + ": " + members[i].value;
-  }
-  return {std::move(key), value + "}"};
 }
 
 double geomeanSpeedup(const std::vector<SpeedupRow>& rows) {
@@ -169,23 +173,22 @@ double geomeanSpeedup(const std::vector<SpeedupRow>& rows) {
 std::string speedupJson(const std::string& bench, const std::vector<JsonField>& head,
                         const std::vector<SpeedupRow>& rows,
                         const std::vector<JsonField>& tail) {
-  auto member = [](const JsonField& f) { return jsonQuote(f.key) + ": " + f.value; };
-  std::string out = "{\n  " + member(textField("bench", bench)) + ",\n";
-  for (const JsonField& f : head) out += "  " + member(f) + ",\n";
-  out += "  \"kernels\": {\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SpeedupRow& r = rows[i];
+  std::vector<JsonField> doc{textField("bench", bench)};
+  doc.insert(doc.end(), head.begin(), head.end());
+  std::vector<JsonField> kernels;
+  for (const SpeedupRow& r : rows) {
     char err[32];
     std::snprintf(err, sizeof err, "%.3e", r.maxAbsErr);
     std::vector<JsonField> cells{numField("baseline_cycles", r.baselineCycles, 0),
                                  numField("proposed_cycles", r.proposedCycles, 0),
                                  numField("speedup", r.speedup, 4), {"max_abs_err", err}};
     cells.insert(cells.end(), r.extra.begin(), r.extra.end());
-    out += "    " + member(objectField(r.name, cells)) + (i + 1 < rows.size() ? ",\n" : "\n");
+    kernels.push_back(objectField(r.name, cells));
   }
-  out += "  },\n  " + member(numField("geomean_speedup", geomeanSpeedup(rows), 4));
-  for (const JsonField& f : tail) out += ",\n  " + member(f);
-  return out + "\n}\n";
+  doc.push_back(objectField("kernels", kernels, true));
+  doc.push_back(numField("geomean_speedup", geomeanSpeedup(rows), 4));
+  doc.insert(doc.end(), tail.begin(), tail.end());
+  return jsonDocument(doc);
 }
 
 }  // namespace mat2c::report

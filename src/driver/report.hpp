@@ -1,6 +1,7 @@
-// Plain-text table rendering for benchmark harness output.
+// Plain-text tables and the one JSON document writer.
 #pragma once
 
+#include <concepts>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,14 +38,26 @@ std::string telemetryJson(const opt::PipelineReport& report, const std::string& 
 /// Plain-text per-pass telemetry table (CLI --time-passes, benches).
 Table passTable(const opt::PipelineReport& report);
 
-/// One `"key": value` member of a bench JSON document; `value` is JSON text.
+/// One `"key": value` member of a JSON document; `value` is JSON text. Every
+/// JSON document mat2c writes (bench, telemetry, service) is built from these.
 struct JsonField {
   std::string key;
   std::string value;
 };
-JsonField textField(std::string key, std::string_view text);  // quoted
-JsonField numField(std::string key, double v, int decimals);  // %.<decimals>f
-JsonField objectField(std::string key, const std::vector<JsonField>& members);
+JsonField textField(std::string_view key, std::string_view text);  // quoted
+JsonField numField(std::string_view key, double v, int decimals);  // %.<decimals>f
+JsonField boolField(std::string_view key, bool v);
+/// Exact integer: printed from the integer itself, never through double.
+template <std::integral T>
+JsonField intField(std::string_view key, T v) { return {std::string(key), std::to_string(v)}; }
+/// `{"k": v, ...}` on one line, or with `multiline` one member per line.
+JsonField objectField(std::string_view key, const std::vector<JsonField>& members,
+                      bool multiline = false);
+/// `[v, ...]` over JSON texts, on one line or one item per line.
+JsonField arrayField(std::string_view key, const std::vector<std::string>& items,
+                     bool multiline = false);
+/// Top-level document: one member per line, nesting indented 2 spaces, final newline.
+std::string jsonDocument(const std::vector<JsonField>& members);
 
 /// One kernel row of the speedup schema tools/check_perf.py gates.
 struct SpeedupRow {

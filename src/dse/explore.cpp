@@ -23,6 +23,8 @@ namespace {
 /// Mined idioms kept in ExploreResult::idioms (the idiom report).
 constexpr std::size_t kReportedIdioms = 16;
 
+constexpr auto num = report::Table::num;  // %.<precision>f
+
 struct KernelEval {
   vm::CycleStats::PerOp countByOp{};
   std::vector<IdiomInstance> instances;
@@ -73,14 +75,6 @@ double fusedHwCost(const CandidateInstr& c, const DesignPoint& p) {
   }
   int lanes = vec ? (cplx ? p.lanesC64 : p.lanesF64) : 1;
   return c.hwUnits * lanes;
-}
-
-std::string fmt(double v, int precision = 2) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(precision);
-  os << v;
-  return os.str();
 }
 
 void progressLine(const ExploreOptions& opts, const std::string& line) {
@@ -268,9 +262,9 @@ ExploreResult explore(const ExploreOptions& opts) {
   r.best.geomean = geomeanOf(bestSpeedups);
   r.best.measured = true;
   progressLine(opts, "dse: winner " + r.best.point.label() + " geomean " +
-                         fmt(r.best.geomean) + "x at hw " + fmt(r.best.hwCost, 0) +
-                         " (dspx " + fmt(dspxRef.geomean) + "x at " +
-                         fmt(dspxRef.hwCost, 0) + ")");
+                         num(r.best.geomean, 2) + "x at hw " + num(r.best.hwCost, 0) +
+                         " (dspx " + num(dspxRef.geomean, 2) + "x at " +
+                         num(dspxRef.hwCost, 0) + ")");
   return r;
 }
 
@@ -291,8 +285,7 @@ std::string candidateTable(const ExploreResult& r) {
   report::Table t({"candidate", "pattern", "cycles", "latency", "hw/lane",
                    "est. saved cycles"});
   for (const auto& c : r.candidates) {
-    t.addRow({c.name, c.signature, report::Table::num(c.cycles, 0),
-              report::Table::num(c.latency, 0), report::Table::num(c.hwUnits, 1),
+    t.addRow({c.name, c.signature, num(c.cycles, 0), num(c.latency, 0), num(c.hwUnits, 1),
               report::Table::cycles(c.estSavedCycles)});
   }
   return t.toString();
@@ -307,7 +300,7 @@ std::string paretoTable(const ExploreResult& r) {
     std::string note;
     if (label == dspxLabel) note = "= hand-written dspx";
     if (label == bestLabel && ps.expressible) note = "<- emitted auto_dse";
-    t.addRow({label, report::Table::num(ps.hwCost, 0), report::Table::num(ps.geomean, 2) + "x",
+    t.addRow({label, num(ps.hwCost, 0), num(ps.geomean, 2) + "x",
               ps.expressible ? "yes" : "no", note});
   }
   return t.toString();
@@ -320,16 +313,16 @@ std::string isaFileText(const ExploreResult& r) {
      << "-kernel corpus. Do not edit; regenerate with\n"
      << "#   mat2c explore --emit-isa <this file>\n"
      << "# point:   " << r.best.point.label() << "\n"
-     << "# scored:  geomean " << fmt(r.best.geomean) << "x vs scalar at hw cost "
-     << fmt(r.best.hwCost, 0) << " units\n"
-     << "# dspx:    geomean " << fmt(r.dspxRef.geomean) << "x at hw cost "
-     << fmt(r.dspxRef.hwCost, 0) << " units (hand-written reference)\n";
+     << "# scored:  geomean " << num(r.best.geomean, 2) << "x vs scalar at hw cost "
+     << num(r.best.hwCost, 0) << " units\n"
+     << "# dspx:    geomean " << num(r.dspxRef.geomean, 2) << "x at hw cost "
+     << num(r.dspxRef.hwCost, 0) << " units (hand-written reference)\n";
   if (!r.candidates.empty()) {
     os << "# fused candidates mined but not expressible in this format\n"
        << "# (costed via the VM fused-instruction hook; see docs/dse.md):\n";
     for (const auto& c : r.candidates) {
-      os << "#   " << c.name << "  cycles=" << fmt(c.cycles, 0)
-         << "  est. saved cycles=" << fmt(c.estSavedCycles, 0) << "\n";
+      os << "#   " << c.name << "  cycles=" << num(c.cycles, 0)
+         << "  est. saved cycles=" << num(c.estSavedCycles, 0) << "\n";
     }
   }
   os << r.bestIsa.serialize();

@@ -61,6 +61,9 @@ PipelineReport PassPipeline::run(lir::Function& fn, const isa::IsaDescription& i
     rec.millis = std::chrono::duration<double, std::milli>(Clock::now() - start).count();
     rec.after = lir::collectStats(fn);
     report.totalMillis += rec.millis;
+#define MAT2C_ADD_COUNTER(field, total) report.total += rec.field;
+    MAT2C_PASS_COUNTERS(MAT2C_ADD_COUNTER)
+#undef MAT2C_ADD_COUNTER
 
     if (options.maxLirOps > 0 && rec.after.statements > rec.before.statements &&
         static_cast<std::size_t>(rec.after.statements) > options.maxLirOps) {
@@ -97,11 +100,10 @@ PassPipeline standardPipeline(const PipelineOptions& options) {
   // orphaned).
   bool deadStores = options.deadStores;
   auto dce = [deadStores](lir::Function& fn, const isa::IsaDescription&, PassRecord& rec,
-                          PipelineReport& report) {
+                          PipelineReport&) {
     eliminateDeadScalars(fn);
     if (deadStores) {
       rec.storesRemoved = eliminateDeadStores(fn);
-      report.storesRemoved += rec.storesRemoved;
       if (rec.storesRemoved > 0) eliminateDeadScalars(fn);
     }
   };
@@ -110,9 +112,8 @@ PassPipeline standardPipeline(const PipelineOptions& options) {
   if (options.deadCode) p.addPass("dce", dce);
   if (options.checkElim) {
     p.addPass("checkelim", [](lir::Function& fn, const isa::IsaDescription&,
-                              PassRecord& rec, PipelineReport& report) {
+                              PassRecord& rec, PipelineReport&) {
       rec.checksRemoved = eliminateProvableChecks(fn);
-      report.checksRemoved += rec.checksRemoved;
     });
   }
   if (options.sinkDecls) {
@@ -123,17 +124,15 @@ PassPipeline standardPipeline(const PipelineOptions& options) {
     int maxTrip = options.unrollMaxTrip;
     std::size_t budget = options.maxLirOps;
     p.addPass("unroll", [maxTrip, budget](lir::Function& fn, const isa::IsaDescription&,
-                                          PassRecord& rec, PipelineReport& report) {
+                                          PassRecord& rec, PipelineReport&) {
       rec.loopsUnrolled = unrollRecurrences(fn, maxTrip, budget);
-      report.loopsUnrolled += rec.loopsUnrolled;
     });
   }
   if (options.idioms) {
     bool reassoc = options.reassoc;
     p.addPass("idioms", [reassoc](lir::Function& fn, const isa::IsaDescription& isa,
-                                  PassRecord& rec, PipelineReport& report) {
+                                  PassRecord& rec, PipelineReport&) {
       rec.idiomRewrites = recognizeIdioms(fn, isa, reassoc);
-      report.idiomRewrites += rec.idiomRewrites;
     });
   }
   if (options.vectorize) {
@@ -142,7 +141,6 @@ PassPipeline standardPipeline(const PipelineOptions& options) {
       VectorizeStats vs = vectorize(fn, isa);
       rec.loopsVectorized = vs.loopsVectorized;
       report.vec.loopsConsidered += vs.loopsConsidered;
-      report.vec.loopsVectorized += vs.loopsVectorized;
       report.vec.reductionsVectorized += vs.reductionsVectorized;
       for (auto& note : vs.missed) report.vec.missed.push_back(std::move(note));
     });
@@ -153,27 +151,19 @@ PassPipeline standardPipeline(const PipelineOptions& options) {
   if (options.deadCode) p.addPass("dce.post", dce);
   if (options.fuseLoops) {
     p.addPass("fuse", [](lir::Function& fn, const isa::IsaDescription&, PassRecord& rec,
-                         PipelineReport& report) {
-      rec.loopsFused = opt::fuseLoops(fn);
-      report.loopsFused += rec.loopsFused;
-    });
+                         PipelineReport&) { rec.loopsFused = opt::fuseLoops(fn); });
   }
   if (options.licm) {
     p.addPass("licm", [](lir::Function& fn, const isa::IsaDescription&, PassRecord& rec,
-                         PipelineReport& report) {
+                         PipelineReport&) {
       LicmStats ls = hoistLoopInvariants(fn);
       rec.exprsHoisted = ls.exprsHoisted;
       rec.scalarsPromoted = ls.scalarsPromoted;
-      report.exprsHoisted += ls.exprsHoisted;
-      report.scalarsPromoted += ls.scalarsPromoted;
     });
   }
   if (options.cse) {
     p.addPass("cse", [](lir::Function& fn, const isa::IsaDescription&, PassRecord& rec,
-                        PipelineReport& report) {
-      rec.cseEliminated = eliminateCommonSubexprs(fn);
-      report.cseEliminated += rec.cseEliminated;
-    });
+                        PipelineReport&) { rec.cseEliminated = eliminateCommonSubexprs(fn); });
   }
   // The loop layer can leave dead preloads and emptied loops behind.
   if (options.deadCode &&

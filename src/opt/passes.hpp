@@ -161,14 +161,27 @@ struct PipelineReport {
   std::vector<std::string> degraded;
 };
 
+/// The pass counters, X(PassRecord field, PipelineReport total), in telemetry
+/// order: PassPipeline::run sums them, telemetryJson and passTable print them.
+#define MAT2C_PASS_COUNTERS(X)            \
+  X(checksRemoved, checksRemoved)         \
+  X(idiomRewrites, idiomRewrites)         \
+  X(loopsVectorized, vec.loopsVectorized) \
+  X(loopsFused, loopsFused)               \
+  X(loopsUnrolled, loopsUnrolled)         \
+  X(exprsHoisted, exprsHoisted)           \
+  X(scalarsPromoted, scalarsPromoted)     \
+  X(cseEliminated, cseEliminated)         \
+  X(storesRemoved, storesRemoved)
+
 /// An ordered, named sequence of passes run through the instrumented
 /// harness. The standard pipeline is built by standardPipeline(); tests and
 /// tools may assemble custom sequences (e.g. to inject a deliberately broken
 /// pass and check verifyEach attribution).
 class PassPipeline {
  public:
-  /// A pass body: mutates the function and reports pass-specific counters
-  /// into its PassRecord and the aggregate PipelineReport.
+  /// A pass body: mutates the function and sets its PassRecord counters
+  /// (run() sums them into the report); extras go to the report directly.
   using PassFn = std::function<void(lir::Function&, const isa::IsaDescription&,
                                     PassRecord&, PipelineReport&)>;
 

@@ -4,9 +4,8 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
+#include "driver/report.hpp"
 #include "support/fault_injection.hpp"
 #include "support/string_utils.hpp"
 #include "tune/tune.hpp"
@@ -37,6 +36,10 @@ std::string promLabel(const std::string& s) {
     else out += c;
   }
   return out;
+}
+
+double requestsPerSecond(const ServiceStats& stats, double wallMillis) {
+  return wallMillis > 0 ? 1000.0 * static_cast<double>(stats.requests) / wallMillis : 0.0;
 }
 
 }  // namespace
@@ -81,64 +84,53 @@ LatencyStats LatencyHistogram::snapshot() const {
 }
 
 std::string statsJson(const ServiceStats& stats, double wallMillis) {
-  std::ostringstream os;
-  char num[64];
-  auto fixed = [&](double v) {
-    std::snprintf(num, sizeof num, "%.3f", v);
-    return std::string(num);
-  };
-  os << "{\n";
-  os << "  \"requests\": " << stats.requests << ",\n";
-  os << "  \"compiles\": " << stats.compiles << ",\n";
-  os << "  \"tunes\": " << stats.tunes << ",\n";
-  os << "  \"cacheHits\": " << stats.cacheHits << ",\n";
-  os << "  \"storeHits\": " << stats.storeHits << ",\n";
-  os << "  \"dedupJoins\": " << stats.dedupJoins << ",\n";
-  os << "  \"errors\": " << stats.errors << ",\n";
-  os << "  \"timeouts\": " << stats.timeouts << ",\n";
-  os << "  \"panics\": " << stats.panics << ",\n";
-  os << "  \"degraded\": " << stats.degraded << ",\n";
-  os << "  \"threads\": " << stats.threads << ",\n";
+  using namespace report;
+  const LatencyStats& l = stats.latency;
+  std::vector<JsonField> doc{
+      intField("requests", stats.requests), intField("compiles", stats.compiles),
+      intField("tunes", stats.tunes), intField("cacheHits", stats.cacheHits),
+      intField("storeHits", stats.storeHits), intField("dedupJoins", stats.dedupJoins),
+      intField("errors", stats.errors), intField("timeouts", stats.timeouts),
+      intField("panics", stats.panics), intField("degraded", stats.degraded),
+      intField("threads", stats.threads)};
   if (stats.isaVersion > 0) {
-    os << "  \"isaVersion\": " << stats.isaVersion << ",\n";
-    os << "  \"isaReloads\": " << stats.isaReloads << ",\n";
+    doc.insert(doc.end(), {intField("isaVersion", stats.isaVersion),
+                           intField("isaReloads", stats.isaReloads)});
   }
-  os << "  \"compileMillis\": " << fixed(stats.compileMillis) << ",\n";
-  os << "  \"latency\": {\"count\": " << stats.latency.count
-     << ", \"p50Millis\": " << fixed(stats.latency.p50Millis)
-     << ", \"p95Millis\": " << fixed(stats.latency.p95Millis)
-     << ", \"p99Millis\": " << fixed(stats.latency.p99Millis) << "},\n";
+  doc.insert(doc.end(), {numField("compileMillis", stats.compileMillis, 3),
+                         objectField("latency", {intField("count", l.count),
+                                                 numField("p50Millis", l.p50Millis, 3),
+                                                 numField("p95Millis", l.p95Millis, 3),
+                                                 numField("p99Millis", l.p99Millis, 3)})});
   if (!stats.tenants.empty()) {
-    os << "  \"tenantInflightCap\": " << stats.tenantInflightCap << ",\n";
-    os << "  \"tenants\": {";
-    bool first = true;
+    std::vector<JsonField> tenants;
     for (const TenantStats& t : stats.tenants) {
-      if (!first) os << ", ";
-      first = false;
-      os << jsonQuote(t.name) << ": {\"submitted\": " << t.submitted
-         << ", \"completed\": " << t.completed << ", \"queued\": " << t.queued
-         << ", \"inflight\": " << t.inflight << "}";
+      tenants.push_back(objectField(t.name, {intField("submitted", t.submitted),
+                                             intField("completed", t.completed),
+                                             intField("queued", t.queued),
+                                             intField("inflight", t.inflight)}));
     }
-    os << "},\n";
+    doc.insert(doc.end(), {intField("tenantInflightCap", stats.tenantInflightCap),
+                           objectField("tenants", tenants)});
   }
   if (stats.storeEnabled) {
-    os << "  \"store\": {\"hits\": " << stats.store.hits << ", \"misses\": " << stats.store.misses
-       << ", \"puts\": " << stats.store.puts << ", \"putFailures\": " << stats.store.putFailures
-       << ", \"corrupt\": " << stats.store.corrupt << ", \"evictions\": " << stats.store.evictions
-       << ", \"bytes\": " << stats.store.bytes << ", \"files\": " << stats.store.files << "},\n";
+    const ArtifactStore::Stats& st = stats.store;
+    doc.push_back(objectField("store",
+                              {intField("hits", st.hits), intField("misses", st.misses),
+                               intField("puts", st.puts), intField("putFailures", st.putFailures),
+                               intField("corrupt", st.corrupt), intField("evictions", st.evictions),
+                               intField("bytes", st.bytes), intField("files", st.files)}));
   }
-  os << "  \"cache\": {\"entries\": " << stats.cache.entries
-     << ", \"bytes\": " << stats.cache.bytes << ", \"hits\": " << stats.cache.hits
-     << ", \"misses\": " << stats.cache.misses << ", \"evictions\": " << stats.cache.evictions
-     << ", \"insertions\": " << stats.cache.insertions << "}";
+  const CacheStats& c = stats.cache;
+  doc.push_back(objectField("cache", {intField("entries", c.entries), intField("bytes", c.bytes),
+                                      intField("hits", c.hits), intField("misses", c.misses),
+                                      intField("evictions", c.evictions),
+                                      intField("insertions", c.insertions)}));
   if (wallMillis >= 0) {
-    double rps = wallMillis > 0 ? 1000.0 * static_cast<double>(stats.requests) / wallMillis
-                                : 0.0;
-    os << ",\n  \"wallMillis\": " << fixed(wallMillis);
-    os << ",\n  \"requestsPerSecond\": " << fixed(rps);
+    doc.insert(doc.end(), {numField("wallMillis", wallMillis, 3),
+                           numField("requestsPerSecond", requestsPerSecond(stats, wallMillis), 3)});
   }
-  os << "\n}\n";
-  return os.str();
+  return jsonDocument(doc);
 }
 
 std::string healthzText(const ServiceStats& stats) {
@@ -155,72 +147,64 @@ std::string healthzText(const ServiceStats& stats) {
   return "ok";
 }
 
+void PrometheusWriter::family(const std::string& name, const std::string& type,
+                              const std::string& help, const Samples& samples) {
+  if (samples.empty()) return;
+  text += "# HELP " + name + ' ' + help + "\n# TYPE " + name + ' ' + type + '\n';
+  for (const auto& [suffix, value] : samples) text += name + suffix + ' ' + value + '\n';
+}
+
 std::string metricsText(const ServiceStats& stats, double wallMillis) {
-  std::ostringstream os;
-  char num[64];
-  auto fixed = [&](double v) {
-    std::snprintf(num, sizeof num, "%.3f", v);
-    return std::string(num);
-  };
-  auto counter = [&](const char* name, std::uint64_t v, const char* help) {
-    os << "# HELP " << name << ' ' << help << "\n# TYPE " << name << " counter\n"
-       << name << ' ' << v << "\n";
-  };
-  auto gauge = [&](const char* name, const std::string& v, const char* help) {
-    os << "# HELP " << name << ' ' << help << "\n# TYPE " << name << " gauge\n"
-       << name << ' ' << v << "\n";
-  };
-  counter("mat2c_requests_total", stats.requests, "Requests submitted");
-  counter("mat2c_compiles_total", stats.compiles, "Underlying compileSource calls");
-  counter("mat2c_tunes_total", stats.tunes, "Autotune searches run");
-  counter("mat2c_cache_hits_total", stats.cacheHits, "Submit-time cache hits (memory or store)");
-  counter("mat2c_store_hits_total", stats.storeHits, "Cache hits served from the artifact store");
-  counter("mat2c_dedup_joins_total", stats.dedupJoins, "Requests joining an in-flight compile");
-  counter("mat2c_errors_total", stats.errors, "Failed responses");
-  counter("mat2c_timeouts_total", stats.timeouts, "Responses resolved with Timeout");
-  counter("mat2c_panics_total", stats.panics, "Non-standard exceptions contained");
-  counter("mat2c_degraded_total", stats.degraded, "Compiles that used the degradation ladder");
-  gauge("mat2c_threads", std::to_string(stats.threads), "Worker pool size");
+  PrometheusWriter w;
+  w.counter("mat2c_requests_total", stats.requests, "Requests submitted");
+  w.counter("mat2c_compiles_total", stats.compiles, "Underlying compileSource calls");
+  w.counter("mat2c_tunes_total", stats.tunes, "Autotune searches run");
+  w.counter("mat2c_cache_hits_total", stats.cacheHits, "Submit-time cache hits (memory or store)");
+  w.counter("mat2c_store_hits_total", stats.storeHits, "Cache hits served from the artifact store");
+  w.counter("mat2c_dedup_joins_total", stats.dedupJoins, "Requests joining an in-flight compile");
+  w.counter("mat2c_errors_total", stats.errors, "Failed responses");
+  w.counter("mat2c_timeouts_total", stats.timeouts, "Responses resolved with Timeout");
+  w.counter("mat2c_panics_total", stats.panics, "Non-standard exceptions contained");
+  w.counter("mat2c_degraded_total", stats.degraded, "Compiles that used the degradation ladder");
+  w.gauge("mat2c_threads", std::to_string(stats.threads), "Worker pool size");
   if (stats.isaVersion > 0) {
-    gauge("mat2c_isa_version", std::to_string(stats.isaVersion),
-          "Version of the server-default ISA (bumps on hot-reload)");
-    counter("mat2c_isa_reloads_total", stats.isaReloads, "Successful ISA hot-reloads");
+    w.gauge("mat2c_isa_version", std::to_string(stats.isaVersion),
+            "Version of the server-default ISA (bumps on hot-reload)");
+    w.counter("mat2c_isa_reloads_total", stats.isaReloads, "Successful ISA hot-reloads");
   }
-  gauge("mat2c_cache_entries", std::to_string(stats.cache.entries), "Live cache entries");
-  gauge("mat2c_cache_bytes", std::to_string(stats.cache.bytes), "Cache footprint estimate");
-  counter("mat2c_cache_evictions_total", stats.cache.evictions, "LRU evictions");
-  counter("mat2c_cache_insertions_total", stats.cache.insertions, "Cache insertions");
+  w.gauge("mat2c_cache_entries", std::to_string(stats.cache.entries), "Live cache entries");
+  w.gauge("mat2c_cache_bytes", std::to_string(stats.cache.bytes), "Cache footprint estimate");
+  w.counter("mat2c_cache_evictions_total", stats.cache.evictions, "LRU evictions");
+  w.counter("mat2c_cache_insertions_total", stats.cache.insertions, "Cache insertions");
   if (stats.storeEnabled) {
-    gauge("mat2c_store_bytes", std::to_string(stats.store.bytes), "Artifact store on-disk bytes");
-    gauge("mat2c_store_files", std::to_string(stats.store.files), "Artifact store file count");
-    counter("mat2c_store_puts_total", stats.store.puts, "Artifacts persisted");
-    counter("mat2c_store_put_failures_total", stats.store.putFailures,
-            "Artifact persist failures");
-    counter("mat2c_store_corrupt_total", stats.store.corrupt, "Damaged artifacts rejected");
-    counter("mat2c_store_evictions_total", stats.store.evictions, "Artifacts evicted for space");
+    w.gauge("mat2c_store_bytes", std::to_string(stats.store.bytes), "Artifact store on-disk bytes");
+    w.gauge("mat2c_store_files", std::to_string(stats.store.files), "Artifact store file count");
+    w.counter("mat2c_store_puts_total", stats.store.puts, "Artifacts persisted");
+    w.counter("mat2c_store_put_failures_total", stats.store.putFailures,
+              "Artifact persist failures");
+    w.counter("mat2c_store_corrupt_total", stats.store.corrupt, "Damaged artifacts rejected");
+    w.counter("mat2c_store_evictions_total", stats.store.evictions, "Artifacts evicted for space");
   }
-  os << "# HELP mat2c_request_latency_millis Request latency submit-to-fulfillment\n"
-     << "# TYPE mat2c_request_latency_millis summary\n";
-  os << "mat2c_request_latency_millis{quantile=\"0.5\"} " << fixed(stats.latency.p50Millis)
-     << "\n";
-  os << "mat2c_request_latency_millis{quantile=\"0.95\"} " << fixed(stats.latency.p95Millis)
-     << "\n";
-  os << "mat2c_request_latency_millis{quantile=\"0.99\"} " << fixed(stats.latency.p99Millis)
-     << "\n";
-  os << "mat2c_request_latency_millis_count " << stats.latency.count << "\n";
+  w.family("mat2c_request_latency_millis", "summary", "Request latency submit-to-fulfillment",
+           {{"{quantile=\"0.5\"}", report::Table::num(stats.latency.p50Millis, 3)},
+            {"{quantile=\"0.95\"}", report::Table::num(stats.latency.p95Millis, 3)},
+            {"{quantile=\"0.99\"}", report::Table::num(stats.latency.p99Millis, 3)},
+            {"_count", std::to_string(stats.latency.count)}});
+  PrometheusWriter::Samples submitted, completed;
   for (const TenantStats& t : stats.tenants) {
-    os << "mat2c_tenant_requests_total{tenant=\"" << promLabel(t.name) << "\"} " << t.submitted
-       << "\n";
-    os << "mat2c_tenant_completed_total{tenant=\"" << promLabel(t.name) << "\"} " << t.completed
-       << "\n";
+    std::string label = "{tenant=\"" + promLabel(t.name) + "\"}";
+    submitted.emplace_back(label, std::to_string(t.submitted));
+    completed.emplace_back(label, std::to_string(t.completed));
   }
+  w.family("mat2c_tenant_requests_total", "counter", "Requests submitted per tenant", submitted);
+  w.family("mat2c_tenant_completed_total", "counter", "Requests completed per tenant", completed);
   if (wallMillis >= 0) {
-    double rps = wallMillis > 0 ? 1000.0 * static_cast<double>(stats.requests) / wallMillis
-                                : 0.0;
-    gauge("mat2c_requests_per_second", fixed(rps), "Observed request throughput");
+    w.gauge("mat2c_requests_per_second",
+            report::Table::num(requestsPerSecond(stats, wallMillis), 3),
+            "Observed request throughput");
   }
-  gauge("mat2c_healthz", healthzText(stats) == "ok" ? "1" : "0", "1 when healthy");
-  return os.str();
+  w.gauge("mat2c_healthz", healthzText(stats) == "ok" ? "1" : "0", "1 when healthy");
+  return w.text;
 }
 
 CompileService::CompileService() : CompileService(Config{}) {}

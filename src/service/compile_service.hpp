@@ -31,6 +31,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "service/artifact_store.hpp"
@@ -156,6 +157,21 @@ std::string statsJson(const ServiceStats& stats, double wallMillis = -1.0);
 /// Prometheus text-exposition rendering of the same stats (metric names in
 /// docs/service.md). `wallMillis` >= 0 additionally emits throughput.
 std::string metricsText(const ServiceStats& stats, double wallMillis = -1.0);
+
+/// The one Prometheus text writer: a family is HELP, TYPE, then (suffix, value)
+/// samples (suffix `{tenant="x"}`, `_count`, ...); no samples writes nothing.
+struct PrometheusWriter {
+  using Samples = std::vector<std::pair<std::string, std::string>>;
+  void family(const std::string& name, const std::string& type, const std::string& help,
+              const Samples& samples);
+  void counter(const std::string& name, std::uint64_t v, const std::string& help) {
+    family(name, "counter", help, {{"", std::to_string(v)}});
+  }
+  void gauge(const std::string& name, std::string v, const std::string& help) {
+    family(name, "gauge", help, {{"", std::move(v)}});
+  }
+  std::string text;
+};
 
 /// One-line health summary: "ok" while the pool is alive, "degraded: ..."
 /// when panics have been contained or the store is failing writes.

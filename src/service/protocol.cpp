@@ -2,10 +2,10 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "driver/report.hpp"
 #include "support/binary_io.hpp"
 #include "support/string_utils.hpp"
 
@@ -495,49 +495,34 @@ BinaryResponse::BinaryResponse(const CompileResponse& response)
 }
 
 std::string responseJson(const BinaryResponse& response) {
-  std::string out = "{\"id\": " + jsonQuote(response.id);
-  out += ", \"ok\": ";
-  out += response.ok ? "true" : "false";
-  out += ", \"cached\": ";
-  out += response.cached ? "true" : "false";
-  out += ", \"deduped\": ";
-  out += response.deduped ? "true" : "false";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", response.millis);
-  out += ", \"millis\": ";
-  out += buf;
-  if (response.storeHit) out += ", \"storeHit\": true";
-  if (!response.adminInfo.empty()) out += ", \"adminInfo\": " + jsonQuote(response.adminInfo);
+  using namespace report;
+  std::vector<JsonField> fields;
+  fields.reserve(16);
+  auto add = [&fields](auto&&... more) { (fields.push_back(std::move(more)), ...); };
+  add(textField("id", response.id), boolField("ok", response.ok),
+      boolField("cached", response.cached), boolField("deduped", response.deduped),
+      numField("millis", response.millis, 3));
+  if (response.storeHit) add(boolField("storeHit", true));
+  if (!response.adminInfo.empty()) add(textField("adminInfo", response.adminInfo));
   if (!response.ok) {
-    out += ", \"error\": " + jsonQuote(response.error);
-    out += ", \"errorKind\": " + jsonQuote(toString(response.errorKind));
+    add(textField("error", response.error), textField("errorKind", toString(response.errorKind)));
   } else if (response.adminInfo.empty()) {
-    out += ", \"isa\": " + jsonQuote(response.isa);
-    out += ", \"cBytes\": " + std::to_string(response.cBytes);
-    out += ", \"loopsVectorized\": " + std::to_string(response.loopsVectorized);
-    out += ", \"idiomRewrites\": " + std::to_string(response.idiomRewrites);
+    add(textField("isa", response.isa), intField("cBytes", response.cBytes),
+        intField("loopsVectorized", response.loopsVectorized),
+        intField("idiomRewrites", response.idiomRewrites));
     if (response.tuned) {
-      out += ", \"tuned\": true";
-      out += ", \"tunedSignature\": " + jsonQuote(response.tunedSignature);
-      out += ", \"tuneCandidates\": " + std::to_string(response.tuneCandidates);
-      std::snprintf(buf, sizeof buf, "%.1f", response.tunedCycles);
-      out += ", \"tunedCycles\": ";
-      out += buf;
-      std::snprintf(buf, sizeof buf, "%.1f", response.tuneDefaultCycles);
-      out += ", \"tuneDefaultCycles\": ";
-      out += buf;
+      add(boolField("tuned", true), textField("tunedSignature", response.tunedSignature),
+          intField("tuneCandidates", response.tuneCandidates),
+          numField("tunedCycles", response.tunedCycles, 1),
+          numField("tuneDefaultCycles", response.tuneDefaultCycles, 1));
     }
     if (!response.degraded.empty()) {
-      out += ", \"degraded\": [";
-      for (std::size_t i = 0; i < response.degraded.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += jsonQuote(response.degraded[i]);
-      }
-      out += "]";
+      std::vector<std::string> passes;
+      for (const std::string& pass : response.degraded) passes.push_back(textField("", pass).value);
+      add(arrayField("degraded", passes));
     }
   }
-  out += "}";
-  return out;
+  return objectField("", fields).value;
 }
 
 // --- binary framing --------------------------------------------------------

@@ -10,8 +10,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <sstream>
 
+#include "driver/report.hpp"
 #include "support/string_utils.hpp"
 
 extern char** environ;
@@ -633,26 +633,29 @@ std::vector<int> ShardSupervisor::shardPids() const {
   return stats().pids;
 }
 
-std::string ShardSupervisor::metricsText() const {
-  Stats s = stats();
-  std::ostringstream os;
-  auto counter = [&](const char* name, std::uint64_t v, const char* help) {
-    os << "# HELP " << name << ' ' << help << "\n# TYPE " << name << " counter\n"
-       << name << ' ' << v << "\n";
-  };
-  counter("mat2c_shard_requests_total", s.submitted, "Requests routed to shards");
-  counter("mat2c_shard_responses_total", s.completed, "Responses delivered");
-  counter("mat2c_shard_restarts_total", s.restarts, "Worker processes respawned");
-  counter("mat2c_shard_redispatches_total", s.redispatched,
-          "Requests re-sent after a shard died");
-  counter("mat2c_supervisor_reloads_total", s.reloads, "ISA reload broadcasts");
-  counter("mat2c_shard_route_failures_total", s.failedNoShard,
-          "Requests failed with every shard ejected");
-  os << "# HELP mat2c_shards_alive Live (readmitted) worker shards\n"
-     << "# TYPE mat2c_shards_alive gauge\nmat2c_shards_alive " << s.shardsAlive << "\n";
-  os << "# HELP mat2c_shards_ejected Permanently ejected shards\n"
-     << "# TYPE mat2c_shards_ejected gauge\nmat2c_shards_ejected " << s.shardsEjected << "\n";
-  return os.str();
+std::string statsJson(const ShardSupervisor::Stats& s, double wallMillis) {
+  using namespace report;
+  return jsonDocument({intField("requests", s.submitted), intField("completed", s.completed),
+                       intField("restarts", s.restarts), intField("redispatched", s.redispatched),
+                       intField("reloads", s.reloads), intField("failedNoShard", s.failedNoShard),
+                       intField("shardsAlive", s.shardsAlive),
+                       intField("shardsEjected", s.shardsEjected),
+                       numField("wallMillis", wallMillis, 3)});
+}
+
+std::string metricsText(const ShardSupervisor::Stats& s) {
+  PrometheusWriter w;
+  w.counter("mat2c_shard_requests_total", s.submitted, "Requests routed to shards");
+  w.counter("mat2c_shard_responses_total", s.completed, "Responses delivered");
+  w.counter("mat2c_shard_restarts_total", s.restarts, "Worker processes respawned");
+  w.counter("mat2c_shard_redispatches_total", s.redispatched,
+            "Requests re-sent after a shard died");
+  w.counter("mat2c_supervisor_reloads_total", s.reloads, "ISA reload broadcasts");
+  w.counter("mat2c_shard_route_failures_total", s.failedNoShard,
+            "Requests failed with every shard ejected");
+  w.gauge("mat2c_shards_alive", std::to_string(s.shardsAlive), "Live (readmitted) worker shards");
+  w.gauge("mat2c_shards_ejected", std::to_string(s.shardsEjected), "Permanently ejected shards");
+  return w.text;
 }
 
 }  // namespace mat2c::service

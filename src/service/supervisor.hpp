@@ -109,8 +109,6 @@ class ShardSupervisor {
   void shutdown();
 
   Stats stats() const;
-  /// Supervisor-level Prometheus metrics (mat2c_shard_*, mat2c_shards_*).
-  std::string metricsText() const;
   /// Live worker PIDs (per shard; -1 when down) — the chaos harness kills
   /// these directly.
   std::vector<int> shardPids() const;
@@ -154,5 +152,12 @@ class ShardSupervisor {
   std::uint64_t reloads_ = 0;
   std::uint64_t failedNoShard_ = 0;
 };
+
+/// The supervisor's stats document (end of run, and the `stats` admin reply):
+/// `requests` counts compile requests submitted; `wallMillis` is `%.3f`.
+std::string statsJson(const ShardSupervisor::Stats& stats, double wallMillis);
+
+/// Supervisor-level Prometheus metrics (mat2c_shard_*, mat2c_shards_*).
+std::string metricsText(const ShardSupervisor::Stats& stats);
 
 }  // namespace mat2c::service

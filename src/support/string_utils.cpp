@@ -1,5 +1,6 @@
 #include "support/string_utils.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -52,27 +53,27 @@ std::string join(const std::vector<std::string>& items, std::string_view sep) {
   return out;
 }
 
-std::string jsonQuote(std::string_view s) {
-  std::string out = "\"";
-  for (char c : s) {
+void appendJsonQuoted(std::string& out, std::string_view s) {
+  out += '"';
+  while (!s.empty()) {
+    std::size_t plain = std::find_if_not(s.begin(), s.end(), [](char c) {
+                          return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
+                        }) - s.begin();
+    out.append(s.substr(0, plain));
+    if (plain == s.size()) break;
+    char c = s[plain];
+    s.remove_prefix(plain + 1);
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default:  // other control characters: \u00XX
+        out.append("\\u00").append(1, "01"[c >> 4]).append(1, "0123456789abcdef"[c & 0xf]);
     }
   }
   out += '"';
-  return out;
 }
 
 bool isIdentifier(std::string_view name) {

@@ -23,10 +23,9 @@ std::string formatDouble(double v);
 /// Joins items with a separator.
 std::string join(const std::vector<std::string>& items, std::string_view sep);
 
-/// JSON string literal for `s`: quoted, with quote, backslash and control
-/// characters escaped. Shared by the service responses, the stats JSON and
-/// the pass telemetry JSON.
-std::string jsonQuote(std::string_view s);
+/// Appends the JSON string literal for `s` to `out`: quoted, with quote,
+/// backslash and control characters escaped (report::JsonField's writer).
+void appendJsonQuoted(std::string& out, std::string_view s);
 
 /// True if `name` is a valid C/MATLAB identifier.
 bool isIdentifier(std::string_view name);

@@ -236,5 +236,100 @@ TEST(Report, TelemetryJsonHasOneRecordPerPass) {
   EXPECT_EQ(occurrences("\"counters\""), unit.optimizationReport().passes.size());
 }
 
+// ---- Byte-exact telemetry documents -------------------------------------
+//
+// Hand-made reports (no timing): every counter distinct so the key order is
+// pinned, and an empty report for the empty `passes` array.
+
+opt::PipelineReport twoPassReport() {
+  opt::PipelineReport r;
+  opt::PassRecord fold;
+  fold.name = "constfold";
+  fold.millis = 0.125;
+  fold.before = {10, 2, 3, 4, 1};
+  fold.after = {9, 2, 3, 4, 1};
+  opt::PassRecord busy;
+  busy.name = "vectorize";
+  busy.millis = 1.5;
+  busy.before = fold.after;
+  busy.after = {14, 3, 3, 5, 0};
+  busy.checksRemoved = 1;
+  busy.idiomRewrites = 2;
+  busy.loopsVectorized = 3;
+  busy.loopsFused = 4;
+  busy.loopsUnrolled = 5;
+  busy.exprsHoisted = 6;
+  busy.scalarsPromoted = 7;
+  busy.cseEliminated = 8;
+  busy.storesRemoved = 9;
+  r.passes = {fold, busy};
+  r.totalMillis = 1.625;
+  r.checksRemoved = 1;
+  r.idiomRewrites = 2;
+  r.vec.loopsVectorized = 3;
+  r.loopsFused = 4;
+  r.loopsUnrolled = 5;
+  r.exprsHoisted = 6;
+  r.scalarsPromoted = 7;
+  r.cseEliminated = 8;
+  r.storesRemoved = 9;
+  return r;
+}
+
+TEST(ReportGolden, TelemetryJsonTwoPasses) {
+  EXPECT_EQ(report::telemetryJson(twoPassReport(), "fir", "dspx"), R"doc({
+  "entry": "fir",
+  "isa": "dspx",
+  "totalMillis": 1.625000,
+  "checksRemoved": 1,
+  "idiomRewrites": 2,
+  "loopsVectorized": 3,
+  "loopsFused": 4,
+  "loopsUnrolled": 5,
+  "exprsHoisted": 6,
+  "scalarsPromoted": 7,
+  "cseEliminated": 8,
+  "storesRemoved": 9,
+  "passes": [
+    {"name": "constfold", "millis": 0.125000, "before": {"statements": 10, "loops": 2, "decls": 3, "stores": 4, "boundsChecks": 1}, "after": {"statements": 9, "loops": 2, "decls": 3, "stores": 4, "boundsChecks": 1}, "counters": {"checksRemoved": 0, "idiomRewrites": 0, "loopsVectorized": 0, "loopsFused": 0, "loopsUnrolled": 0, "exprsHoisted": 0, "scalarsPromoted": 0, "cseEliminated": 0, "storesRemoved": 0}},
+    {"name": "vectorize", "millis": 1.500000, "before": {"statements": 9, "loops": 2, "decls": 3, "stores": 4, "boundsChecks": 1}, "after": {"statements": 14, "loops": 3, "decls": 3, "stores": 5, "boundsChecks": 0}, "counters": {"checksRemoved": 1, "idiomRewrites": 2, "loopsVectorized": 3, "loopsFused": 4, "loopsUnrolled": 5, "exprsHoisted": 6, "scalarsPromoted": 7, "cseEliminated": 8, "storesRemoved": 9}}
+  ]
+}
+)doc");
+}
+
+TEST(ReportGolden, TelemetryJsonEmptyReport) {
+  EXPECT_EQ(report::telemetryJson({}, "f", "scalar"), R"doc({
+  "entry": "f",
+  "isa": "scalar",
+  "totalMillis": 0.000000,
+  "checksRemoved": 0,
+  "idiomRewrites": 0,
+  "loopsVectorized": 0,
+  "loopsFused": 0,
+  "loopsUnrolled": 0,
+  "exprsHoisted": 0,
+  "scalarsPromoted": 0,
+  "cseEliminated": 0,
+  "storesRemoved": 0,
+  "passes": [
+  ]
+}
+)doc");
+}
+
+TEST(ReportGolden, PassTableTwoPassesAndEmpty) {
+  EXPECT_EQ(report::passTable(twoPassReport()).toString(),
+            R"doc(| pass      | ms    | stmts | dstmts | dloops | ddecls | counters                                                                                                                                                |
+|-----------|-------|-------|--------|--------|--------|---------------------------------------------------------------------------------------------------------------------------------------------------------|
+| constfold | 0.125 | 9     | -1     | 0      | 0      |                                                                                                                                                         |
+| vectorize | 1.500 | 14    | 5      | 1      | 0      | checksRemoved=1, idiomRewrites=2, loopsVectorized=3, loopsFused=4, loopsUnrolled=5, exprsHoisted=6, scalarsPromoted=7, cseEliminated=8, storesRemoved=9 |
+)doc");
+  EXPECT_EQ(report::passTable({}).toString(),
+            R"doc(| pass | ms | stmts | dstmts | dloops | ddecls | counters |
+|------|----|-------|--------|--------|--------|----------|
+)doc");
+}
+
 }  // namespace
 }  // namespace mat2c

@@ -1180,6 +1180,7 @@ TEST(CompileService, StatsJsonCarriesLatencyTenantsAndStoreBlocks) {
   for (const char* name :
        {"mat2c_requests_total 1", "mat2c_compiles_total 1", "mat2c_store_hits_total 0",
         "mat2c_request_latency_millis{quantile=\"0.99\"}",
+        "# TYPE mat2c_tenant_requests_total counter",
         "mat2c_tenant_requests_total{tenant=\"acme\"} 1", "mat2c_requests_per_second",
         "mat2c_healthz 1"}) {
     EXPECT_NE(metrics.find(name), std::string::npos) << "missing metric: " << name;
@@ -1348,6 +1349,283 @@ TEST(CompileService, BlockedStoreDirServesFromMemoryAndReportsDegraded) {
   EXPECT_NE(healthzText(stats).find("degraded"), std::string::npos);
   EXPECT_NE(healthzText(stats).find("store write failures"), std::string::npos);
   fs::remove_all(dir);
+}
+
+// ---- Byte-exact stats, metrics and response documents ---------------------
+//
+// Hand-made inputs (no timing, no compiles). The store, tenant and registry
+// blocks and the wall-time members are all on in one document and all off
+// in the other.
+
+ServiceStats goldenStats(bool blocksOn) {
+  ServiceStats s;
+  s.requests = 7;
+  s.compiles = 3;
+  s.tunes = 1;
+  s.cacheHits = 2;
+  s.storeHits = 1;
+  s.dedupJoins = 1;
+  s.errors = 1;
+  s.timeouts = 1;
+  s.degraded = 1;
+  s.compileMillis = 12.3456;
+  s.threads = 2;
+  s.cache = {2, 5, 1, 4, 3, 4096};
+  s.latency = {7, 0.512, 2.048, 4.096};
+  if (blocksOn) {
+    s.storeEnabled = true;
+    s.store = {1, 2, 3, 0, 1, 0, 9000, 3};
+    s.tenantInflightCap = 3;
+    s.tenants = {{"acme", 4, 4, 0, 0}, {"we\"ird", 3, 2, 1, 1}};
+    s.isaVersion = 2;
+    s.isaReloads = 1;
+  }
+  return s;
+}
+
+TEST(DocumentGolden, StatsJsonWithEveryBlock) {
+  EXPECT_EQ(statsJson(goldenStats(true), 2000.0), R"doc({
+  "requests": 7,
+  "compiles": 3,
+  "tunes": 1,
+  "cacheHits": 2,
+  "storeHits": 1,
+  "dedupJoins": 1,
+  "errors": 1,
+  "timeouts": 1,
+  "panics": 0,
+  "degraded": 1,
+  "threads": 2,
+  "isaVersion": 2,
+  "isaReloads": 1,
+  "compileMillis": 12.346,
+  "latency": {"count": 7, "p50Millis": 0.512, "p95Millis": 2.048, "p99Millis": 4.096},
+  "tenantInflightCap": 3,
+  "tenants": {"acme": {"submitted": 4, "completed": 4, "queued": 0, "inflight": 0}, "we\"ird": {"submitted": 3, "completed": 2, "queued": 1, "inflight": 1}},
+  "store": {"hits": 1, "misses": 2, "puts": 3, "putFailures": 0, "corrupt": 1, "evictions": 0, "bytes": 9000, "files": 3},
+  "cache": {"entries": 3, "bytes": 4096, "hits": 2, "misses": 5, "evictions": 1, "insertions": 4},
+  "wallMillis": 2000.000,
+  "requestsPerSecond": 3.500
+}
+)doc");
+}
+
+TEST(DocumentGolden, StatsJsonWithoutOptionalBlocks) {
+  EXPECT_EQ(statsJson(goldenStats(false)), R"doc({
+  "requests": 7,
+  "compiles": 3,
+  "tunes": 1,
+  "cacheHits": 2,
+  "storeHits": 1,
+  "dedupJoins": 1,
+  "errors": 1,
+  "timeouts": 1,
+  "panics": 0,
+  "degraded": 1,
+  "threads": 2,
+  "compileMillis": 12.346,
+  "latency": {"count": 7, "p50Millis": 0.512, "p95Millis": 2.048, "p99Millis": 4.096},
+  "cache": {"entries": 3, "bytes": 4096, "hits": 2, "misses": 5, "evictions": 1, "insertions": 4}
+}
+)doc");
+}
+
+TEST(DocumentGolden, MetricsTextWithEveryBlock) {
+  EXPECT_EQ(metricsText(goldenStats(true), 2000.0), R"doc(# HELP mat2c_requests_total Requests submitted
+# TYPE mat2c_requests_total counter
+mat2c_requests_total 7
+# HELP mat2c_compiles_total Underlying compileSource calls
+# TYPE mat2c_compiles_total counter
+mat2c_compiles_total 3
+# HELP mat2c_tunes_total Autotune searches run
+# TYPE mat2c_tunes_total counter
+mat2c_tunes_total 1
+# HELP mat2c_cache_hits_total Submit-time cache hits (memory or store)
+# TYPE mat2c_cache_hits_total counter
+mat2c_cache_hits_total 2
+# HELP mat2c_store_hits_total Cache hits served from the artifact store
+# TYPE mat2c_store_hits_total counter
+mat2c_store_hits_total 1
+# HELP mat2c_dedup_joins_total Requests joining an in-flight compile
+# TYPE mat2c_dedup_joins_total counter
+mat2c_dedup_joins_total 1
+# HELP mat2c_errors_total Failed responses
+# TYPE mat2c_errors_total counter
+mat2c_errors_total 1
+# HELP mat2c_timeouts_total Responses resolved with Timeout
+# TYPE mat2c_timeouts_total counter
+mat2c_timeouts_total 1
+# HELP mat2c_panics_total Non-standard exceptions contained
+# TYPE mat2c_panics_total counter
+mat2c_panics_total 0
+# HELP mat2c_degraded_total Compiles that used the degradation ladder
+# TYPE mat2c_degraded_total counter
+mat2c_degraded_total 1
+# HELP mat2c_threads Worker pool size
+# TYPE mat2c_threads gauge
+mat2c_threads 2
+# HELP mat2c_isa_version Version of the server-default ISA (bumps on hot-reload)
+# TYPE mat2c_isa_version gauge
+mat2c_isa_version 2
+# HELP mat2c_isa_reloads_total Successful ISA hot-reloads
+# TYPE mat2c_isa_reloads_total counter
+mat2c_isa_reloads_total 1
+# HELP mat2c_cache_entries Live cache entries
+# TYPE mat2c_cache_entries gauge
+mat2c_cache_entries 3
+# HELP mat2c_cache_bytes Cache footprint estimate
+# TYPE mat2c_cache_bytes gauge
+mat2c_cache_bytes 4096
+# HELP mat2c_cache_evictions_total LRU evictions
+# TYPE mat2c_cache_evictions_total counter
+mat2c_cache_evictions_total 1
+# HELP mat2c_cache_insertions_total Cache insertions
+# TYPE mat2c_cache_insertions_total counter
+mat2c_cache_insertions_total 4
+# HELP mat2c_store_bytes Artifact store on-disk bytes
+# TYPE mat2c_store_bytes gauge
+mat2c_store_bytes 9000
+# HELP mat2c_store_files Artifact store file count
+# TYPE mat2c_store_files gauge
+mat2c_store_files 3
+# HELP mat2c_store_puts_total Artifacts persisted
+# TYPE mat2c_store_puts_total counter
+mat2c_store_puts_total 3
+# HELP mat2c_store_put_failures_total Artifact persist failures
+# TYPE mat2c_store_put_failures_total counter
+mat2c_store_put_failures_total 0
+# HELP mat2c_store_corrupt_total Damaged artifacts rejected
+# TYPE mat2c_store_corrupt_total counter
+mat2c_store_corrupt_total 1
+# HELP mat2c_store_evictions_total Artifacts evicted for space
+# TYPE mat2c_store_evictions_total counter
+mat2c_store_evictions_total 0
+# HELP mat2c_request_latency_millis Request latency submit-to-fulfillment
+# TYPE mat2c_request_latency_millis summary
+mat2c_request_latency_millis{quantile="0.5"} 0.512
+mat2c_request_latency_millis{quantile="0.95"} 2.048
+mat2c_request_latency_millis{quantile="0.99"} 4.096
+mat2c_request_latency_millis_count 7
+# HELP mat2c_tenant_requests_total Requests submitted per tenant
+# TYPE mat2c_tenant_requests_total counter
+mat2c_tenant_requests_total{tenant="acme"} 4
+mat2c_tenant_requests_total{tenant="we\"ird"} 3
+# HELP mat2c_tenant_completed_total Requests completed per tenant
+# TYPE mat2c_tenant_completed_total counter
+mat2c_tenant_completed_total{tenant="acme"} 4
+mat2c_tenant_completed_total{tenant="we\"ird"} 2
+# HELP mat2c_requests_per_second Observed request throughput
+# TYPE mat2c_requests_per_second gauge
+mat2c_requests_per_second 3.500
+# HELP mat2c_healthz 1 when healthy
+# TYPE mat2c_healthz gauge
+mat2c_healthz 1
+)doc");
+}
+
+TEST(DocumentGolden, MetricsTextWithoutOptionalBlocks) {
+  EXPECT_EQ(metricsText(goldenStats(false)), R"doc(# HELP mat2c_requests_total Requests submitted
+# TYPE mat2c_requests_total counter
+mat2c_requests_total 7
+# HELP mat2c_compiles_total Underlying compileSource calls
+# TYPE mat2c_compiles_total counter
+mat2c_compiles_total 3
+# HELP mat2c_tunes_total Autotune searches run
+# TYPE mat2c_tunes_total counter
+mat2c_tunes_total 1
+# HELP mat2c_cache_hits_total Submit-time cache hits (memory or store)
+# TYPE mat2c_cache_hits_total counter
+mat2c_cache_hits_total 2
+# HELP mat2c_store_hits_total Cache hits served from the artifact store
+# TYPE mat2c_store_hits_total counter
+mat2c_store_hits_total 1
+# HELP mat2c_dedup_joins_total Requests joining an in-flight compile
+# TYPE mat2c_dedup_joins_total counter
+mat2c_dedup_joins_total 1
+# HELP mat2c_errors_total Failed responses
+# TYPE mat2c_errors_total counter
+mat2c_errors_total 1
+# HELP mat2c_timeouts_total Responses resolved with Timeout
+# TYPE mat2c_timeouts_total counter
+mat2c_timeouts_total 1
+# HELP mat2c_panics_total Non-standard exceptions contained
+# TYPE mat2c_panics_total counter
+mat2c_panics_total 0
+# HELP mat2c_degraded_total Compiles that used the degradation ladder
+# TYPE mat2c_degraded_total counter
+mat2c_degraded_total 1
+# HELP mat2c_threads Worker pool size
+# TYPE mat2c_threads gauge
+mat2c_threads 2
+# HELP mat2c_cache_entries Live cache entries
+# TYPE mat2c_cache_entries gauge
+mat2c_cache_entries 3
+# HELP mat2c_cache_bytes Cache footprint estimate
+# TYPE mat2c_cache_bytes gauge
+mat2c_cache_bytes 4096
+# HELP mat2c_cache_evictions_total LRU evictions
+# TYPE mat2c_cache_evictions_total counter
+mat2c_cache_evictions_total 1
+# HELP mat2c_cache_insertions_total Cache insertions
+# TYPE mat2c_cache_insertions_total counter
+mat2c_cache_insertions_total 4
+# HELP mat2c_request_latency_millis Request latency submit-to-fulfillment
+# TYPE mat2c_request_latency_millis summary
+mat2c_request_latency_millis{quantile="0.5"} 0.512
+mat2c_request_latency_millis{quantile="0.95"} 2.048
+mat2c_request_latency_millis{quantile="0.99"} 4.096
+mat2c_request_latency_millis_count 7
+# HELP mat2c_healthz 1 when healthy
+# TYPE mat2c_healthz gauge
+mat2c_healthz 1
+)doc");
+}
+
+TEST(DocumentGolden, ResponseJsonVariants) {
+  BinaryResponse ok;
+  ok.id = "r1";
+  ok.ok = true;
+  ok.millis = 1.5;
+  ok.isa = "dspx";
+  ok.cBytes = 1234;
+  ok.loopsVectorized = 1;
+  ok.idiomRewrites = 2;
+  EXPECT_EQ(responseJson(ok), R"doc({"id": "r1", "ok": true, "cached": false, "deduped": false, "millis": 1.500, "isa": "dspx", "cBytes": 1234, "loopsVectorized": 1, "idiomRewrites": 2})doc");
+
+  BinaryResponse error;
+  error.id = "r\"2";
+  error.millis = 0.25;
+  error.error = "boom \"quoted\"\nsecond line";
+  error.errorKind = ErrorKind::ParseError;
+  EXPECT_EQ(responseJson(error), R"doc({"id": "r\"2", "ok": false, "cached": false, "deduped": false, "millis": 0.250, "error": "boom \"quoted\"\nsecond line", "errorKind": "ParseError"})doc");
+
+  BinaryResponse admin;
+  admin.id = "a1";
+  admin.ok = true;
+  admin.adminInfo = "{\n  \"requests\": 2\n}\n";
+  EXPECT_EQ(responseJson(admin), R"doc({"id": "a1", "ok": true, "cached": false, "deduped": false, "millis": 0.000, "adminInfo": "{\n  \"requests\": 2\n}\n"})doc");
+
+  BinaryResponse storeHit = ok;
+  storeHit.id = "s1";
+  storeHit.cached = true;
+  storeHit.storeHit = true;
+  storeHit.millis = 0.0125;
+  EXPECT_EQ(responseJson(storeHit), R"doc({"id": "s1", "ok": true, "cached": true, "deduped": false, "millis": 0.013, "storeHit": true, "isa": "dspx", "cBytes": 1234, "loopsVectorized": 1, "idiomRewrites": 2})doc");
+
+  BinaryResponse tuned = ok;
+  tuned.id = "t1";
+  tuned.tuned = true;
+  tuned.tunedSignature = "style=proposed;vectorize=1";
+  tuned.tuneCandidates = 9;
+  tuned.tunedCycles = 123.0;
+  tuned.tuneDefaultCycles = 456.25;
+  EXPECT_EQ(responseJson(tuned), R"doc({"id": "t1", "ok": true, "cached": false, "deduped": false, "millis": 1.500, "isa": "dspx", "cBytes": 1234, "loopsVectorized": 1, "idiomRewrites": 2, "tuned": true, "tunedSignature": "style=proposed;vectorize=1", "tuneCandidates": 9, "tunedCycles": 123.0, "tuneDefaultCycles": 456.2})doc");
+
+  BinaryResponse degraded = ok;
+  degraded.id = "d1";
+  degraded.deduped = true;
+  degraded.degraded = {"vectorize", "coderLike"};
+  EXPECT_EQ(responseJson(degraded), R"doc({"id": "d1", "ok": true, "cached": false, "deduped": true, "millis": 1.500, "isa": "dspx", "cBytes": 1234, "loopsVectorized": 1, "idiomRewrites": 2, "degraded": ["vectorize", "coderLike"]})doc");
 }
 
 }  // namespace

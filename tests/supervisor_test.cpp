@@ -240,7 +240,7 @@ TEST(ShardSupervisor, KillNineMidLoadRedispatchesAndRestartsWarm) {
     EXPECT_NE(newPids[i], pids[i]) << "shard " << i << " must be a new process";
   }
   // The metrics surface names the restart/redispatch counters.
-  std::string metrics = sup.metricsText();
+  std::string metrics = metricsText(sup.stats());
   EXPECT_NE(metrics.find("mat2c_shard_restarts_total"), std::string::npos);
   EXPECT_NE(metrics.find("mat2c_shard_redispatches_total"), std::string::npos);
   sup.shutdown();
@@ -312,6 +312,96 @@ TEST(ShardSupervisor, ReloadBroadcastReachesEveryLiveShard) {
   EXPECT_TRUE(responses[0].ok) << responses[0].error;
   EXPECT_EQ(sup.stats().reloads, 1u);
   sup.shutdown();
+}
+
+// ---- Byte-exact supervisor documents --------------------------------------
+
+ShardSupervisor::Stats goldenSupervisorStats() {
+  ShardSupervisor::Stats s;
+  s.submitted = 5;
+  s.completed = 4;
+  s.restarts = 2;
+  s.redispatched = 1;
+  s.reloads = 1;
+  s.failedNoShard = 1;
+  s.shardsAlive = 1;
+  s.shardsEjected = 1;
+  s.pids = {42, -1};
+  return s;
+}
+
+TEST(SupervisorDocumentGolden, StatsJson) {
+  EXPECT_EQ(statsJson(goldenSupervisorStats(), 1234.56789), R"doc({
+  "requests": 5,
+  "completed": 4,
+  "restarts": 2,
+  "redispatched": 1,
+  "reloads": 1,
+  "failedNoShard": 1,
+  "shardsAlive": 1,
+  "shardsEjected": 1,
+  "wallMillis": 1234.568
+}
+)doc");
+}
+
+TEST(SupervisorDocumentGolden, MetricsText) {
+  EXPECT_EQ(metricsText(goldenSupervisorStats()), R"doc(# HELP mat2c_shard_requests_total Requests routed to shards
+# TYPE mat2c_shard_requests_total counter
+mat2c_shard_requests_total 5
+# HELP mat2c_shard_responses_total Responses delivered
+# TYPE mat2c_shard_responses_total counter
+mat2c_shard_responses_total 4
+# HELP mat2c_shard_restarts_total Worker processes respawned
+# TYPE mat2c_shard_restarts_total counter
+mat2c_shard_restarts_total 2
+# HELP mat2c_shard_redispatches_total Requests re-sent after a shard died
+# TYPE mat2c_shard_redispatches_total counter
+mat2c_shard_redispatches_total 1
+# HELP mat2c_supervisor_reloads_total ISA reload broadcasts
+# TYPE mat2c_supervisor_reloads_total counter
+mat2c_supervisor_reloads_total 1
+# HELP mat2c_shard_route_failures_total Requests failed with every shard ejected
+# TYPE mat2c_shard_route_failures_total counter
+mat2c_shard_route_failures_total 1
+# HELP mat2c_shards_alive Live (readmitted) worker shards
+# TYPE mat2c_shards_alive gauge
+mat2c_shards_alive 1
+# HELP mat2c_shards_ejected Permanently ejected shards
+# TYPE mat2c_shards_ejected gauge
+mat2c_shards_ejected 1
+)doc");
+}
+
+TEST(SupervisorDocumentGolden, UnstartedFleetMetricsText) {
+  ShardSupervisor::Config c;
+  c.shards = 2;
+  ShardSupervisor sup(c);
+  EXPECT_EQ(metricsText(sup.stats()), R"doc(# HELP mat2c_shard_requests_total Requests routed to shards
+# TYPE mat2c_shard_requests_total counter
+mat2c_shard_requests_total 0
+# HELP mat2c_shard_responses_total Responses delivered
+# TYPE mat2c_shard_responses_total counter
+mat2c_shard_responses_total 0
+# HELP mat2c_shard_restarts_total Worker processes respawned
+# TYPE mat2c_shard_restarts_total counter
+mat2c_shard_restarts_total 0
+# HELP mat2c_shard_redispatches_total Requests re-sent after a shard died
+# TYPE mat2c_shard_redispatches_total counter
+mat2c_shard_redispatches_total 0
+# HELP mat2c_supervisor_reloads_total ISA reload broadcasts
+# TYPE mat2c_supervisor_reloads_total counter
+mat2c_supervisor_reloads_total 0
+# HELP mat2c_shard_route_failures_total Requests failed with every shard ejected
+# TYPE mat2c_shard_route_failures_total counter
+mat2c_shard_route_failures_total 0
+# HELP mat2c_shards_alive Live (readmitted) worker shards
+# TYPE mat2c_shards_alive gauge
+mat2c_shards_alive 0
+# HELP mat2c_shards_ejected Permanently ejected shards
+# TYPE mat2c_shards_ejected gauge
+mat2c_shards_ejected 0
+)doc");
 }
 
 }  // namespace

@@ -989,18 +989,6 @@ int runServeSingle(const ServeOptions& opt, std::istream& in) {
   return out.exitCode();
 }
 
-std::string supervisorStatsJson(const service::ShardSupervisor::Stats& s,
-                                std::size_t requests, double wallMillis) {
-  std::ostringstream os;
-  os << "{\n  \"requests\": " << requests << ",\n  \"completed\": " << s.completed
-     << ",\n  \"restarts\": " << s.restarts << ",\n  \"redispatched\": " << s.redispatched
-     << ",\n  \"reloads\": " << s.reloads << ",\n  \"failedNoShard\": " << s.failedNoShard
-     << ",\n  \"shardsAlive\": " << s.shardsAlive
-     << ",\n  \"shardsEjected\": " << s.shardsEjected << ",\n  \"wallMillis\": "
-     << wallMillis << "\n}\n";
-  return os.str();
-}
-
 /// Supervisor serve: N worker processes behind consistent-hash routing,
 /// crash restart with backoff, and re-dispatch. The supervisor itself never
 /// compiles; it forwards wire requests and relays the workers' binary
@@ -1029,7 +1017,7 @@ int runServeSupervisor(const ServeOptions& opt, std::istream& in) {
     }
     service::ShardSupervisor::Stats s = supervisor.stats();
     if (wire.admin == "stats") {
-      return adminResponse(wire.id, supervisorStatsJson(s, 0, millisSince(t0)));
+      return adminResponse(wire.id, service::statsJson(s, millisSince(t0)));
     }
     std::string shards = std::to_string(s.shardsAlive) + "/" + std::to_string(s.pids.size());
     if (s.shardsAlive == static_cast<int>(s.pids.size())) {
@@ -1054,15 +1042,15 @@ int runServeSupervisor(const ServeOptions& opt, std::istream& in) {
   double wallMillis = millisSince(t0);
 
   service::ShardSupervisor::Stats ss = supervisor.stats();
-  if (!writeServeReports(opt, supervisorStatsJson(ss, out.requests(), wallMillis),
-                         supervisor.metricsText())) {
+  if (!writeServeReports(opt, service::statsJson(ss, wallMillis), service::metricsText(ss))) {
     return 1;
   }
   std::fprintf(stderr,
-               "mat2c: supervised %d shard(s): %zu request(s), %llu restart(s), "
+               "mat2c: supervised %d shard(s): %llu request(s), %llu restart(s), "
                "%llu redispatch(es), %llu reload "
                "broadcast(s), %zu failure(s), %.1f ms\n",
-               opt.shards, out.requests(), static_cast<unsigned long long>(ss.restarts),
+               opt.shards, static_cast<unsigned long long>(ss.submitted),
+               static_cast<unsigned long long>(ss.restarts),
                static_cast<unsigned long long>(ss.redispatched),
                static_cast<unsigned long long>(ss.reloads), out.failures(), wallMillis);
   return out.exitCode();
