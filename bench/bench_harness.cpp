@@ -2,6 +2,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,12 +46,18 @@ void registerVmRun(const std::string& name, CompiledUnit unit, std::vector<Matri
                                               counters = std::move(counters)](
                                                  benchmark::State& state) {
     double cycles = 0;
+    double ops = 0;
+    auto start = std::chrono::steady_clock::now();
     for (auto _ : state) {
       auto r = unit.run(args);
       cycles = r.cycles.total;
+      ops = static_cast<double>(r.cycles.opsExecuted);
       benchmark::DoNotOptimize(r.outputs.data());
     }
+    std::chrono::duration<double, std::nano> wall = std::chrono::steady_clock::now() - start;
     state.counters["asip_cycles"] = cycles;
+    state.counters["vm_ops"] = ops;
+    state.counters["ns_per_op"] = wall.count() / (ops * static_cast<double>(state.iterations()));
     for (const auto& [key, value] : counters) state.counters[key] = value;
   });
 }

@@ -23,7 +23,8 @@ std::string takeJsonPath(const std::string& tool, int& argc, char** argv);
 bool writeFile(const std::string& tool, const std::string& path, const std::string& text);
 
 /// Registers the timer `name` over unit.run(args). It reports the run's cycle
-/// count as `asip_cycles`, plus the fixed `counters`.
+/// count as `asip_cycles`, its VM op count as `vm_ops`, the wall time per VM
+/// op as `ns_per_op`, plus the fixed `counters`.
 void registerVmRun(const std::string& name, CompiledUnit unit, std::vector<Matrix> args,
                    std::map<std::string, double> counters = {});
 

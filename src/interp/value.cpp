@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "support/string_utils.hpp"
@@ -208,6 +209,19 @@ Complex applyScalar(ElemOp op, Complex a, Complex b, bool& logicalOut) {
   throw RuntimeError("bad elementwise op");
 }
 
+/// applyScalar on two real elements. Arithmetic stays in doubles: in complex
+/// arithmetic inf * (0 imaginary) is NaN, which would turn a real inf complex.
+Complex applyReal(ElemOp op, double a, double b, bool& logicalOut) {
+  switch (op) {
+    case ElemOp::Add: return a + b;
+    case ElemOp::Sub: return a - b;
+    case ElemOp::Mul: return a * b;
+    case ElemOp::Div: return a / b;
+    case ElemOp::LeftDiv: return b / a;
+    default: return applyScalar(op, a, b, logicalOut);
+  }
+}
+
 }  // namespace
 
 Matrix elementwise(ElemOp op, const Matrix& a, const Matrix& b) {
@@ -221,12 +235,14 @@ Matrix elementwise(ElemOp op, const Matrix& a, const Matrix& b) {
   std::size_t rows = aScalar ? b.rows() : a.rows();
   std::size_t cols = aScalar ? b.cols() : a.cols();
   Matrix out = Matrix::zeros(rows, cols);
+  const bool real = !a.isComplex() && !b.isComplex();
   bool anyLogical = false;
   for (std::size_t i = 0; i < rows * cols; ++i) {
     Complex av = aScalar ? a.at(0) : a.at(i);
     Complex bv = bScalar ? b.at(0) : b.at(i);
     bool logicalOut = false;
-    out.set(i, applyScalar(op, av, bv, logicalOut));
+    out.set(i, real ? applyReal(op, av.real(), bv.real(), logicalOut)
+                    : applyScalar(op, av, bv, logicalOut));
     anyLogical = logicalOut;
   }
   out.setLogical(anyLogical);
@@ -300,9 +316,20 @@ double maxAbsDiff(const Matrix& a, const Matrix& b) {
                        std::to_string(a.cols()) + " vs " + std::to_string(b.rows()) + "x" +
                        std::to_string(b.cols()));
   }
+  // Real and imaginary parts are compared separately so a NaN cannot hide:
+  // std::max drops a NaN difference, which would validate NaN against a
+  // number with error 0.
+  auto partDiff = [](double x, double y) {
+    if (std::isnan(x) || std::isnan(y))
+      return std::isnan(x) && std::isnan(y) ? 0.0 : std::numeric_limits<double>::infinity();
+    if (std::isinf(x) || std::isinf(y))
+      return x == y ? 0.0 : std::numeric_limits<double>::infinity();
+    return x - y;
+  };
   double worst = 0.0;
   for (std::size_t i = 0; i < a.numel(); ++i) {
-    worst = std::max(worst, std::abs(a.at(i) - b.at(i)));
+    Complex d{partDiff(a.real(i), b.real(i)), partDiff(a.imag(i), b.imag(i))};
+    worst = std::max(worst, std::abs(d));
   }
   return worst;
 }

@@ -6,6 +6,18 @@
 // active IsaDescription assigns it. Numeric results are bit-identical to
 // what the portable C fallbacks compute, so outputs can be validated against
 // the reference interpreter while cycles are being counted.
+//
+// Resolve once, then execute. Each Machine::run first walks the function
+// once and builds a plan parallel to the LIR: every node's isa::Op (one
+// lir::selectOp per node), its cost and intrinsic flag from the per-Machine
+// tables (filled once from IsaDescription::cost and usesIntrinsic), a dense
+// slot for every scalar and array name, and its FusedCosting member, store
+// member and root status as flags. Execution then runs over that plan with
+// no name lookups, no cost queries and no heap allocation per node: f64
+// lanes and f64 arrays are held as double (never as a complex number with
+// a zero imaginary part, which inf * 0 would turn into NaN), c64 lanes as
+// Complex, and statement counts go to a dense vector that is added to the
+// StmtProfile once, at the end of the run.
 #pragma once
 
 #include <array>
@@ -76,7 +88,7 @@ struct FusedCosting {
 
 class Machine {
  public:
-  explicit Machine(const isa::IsaDescription& isa) : isa_(isa) {}
+  explicit Machine(const isa::IsaDescription& isa);
 
   /// Executes `fn` with MATLAB-value arguments (shapes must match the
   /// parameter declarations). Throws RuntimeError on numeric/shape faults.
@@ -90,6 +102,10 @@ class Machine {
 
  private:
   const isa::IsaDescription& isa_;
+  // IsaDescription::cost (NaN where it throws) and usesIntrinsic of every
+  // op, read once here so no run asks the description again.
+  CycleStats::PerOp costs_{};
+  std::array<bool, isa::kNumOps> intrinsic_{};
   std::uint64_t maxOps_ = 2'000'000'000;
   StmtProfile* profile_ = nullptr;
   const FusedCosting* fused_ = nullptr;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "interp/value.hpp"
 
 namespace mat2c {
@@ -189,6 +191,41 @@ TEST(MaxAbsDiff, DetectsDifference) {
   Matrix b = Matrix::rowVector({1, 2.5, 3});
   EXPECT_DOUBLE_EQ(maxAbsDiff(a, b), 0.5);
   EXPECT_DOUBLE_EQ(maxAbsDiff(a, a), 0.0);
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(MaxAbsDiff, FiniteComplexDifferenceIsTheModulus) {
+  EXPECT_DOUBLE_EQ(maxAbsDiff(Matrix::scalar(Complex{1, 2}), Matrix::scalar(Complex{4, 6})),
+                   5.0);
+}
+
+TEST(MaxAbsDiff, NaNOnOneSideIsInfinitelyWrong) {
+  Matrix a = Matrix::rowVector({1, 2, 3});
+  Matrix b = Matrix::rowVector({1, kNaN, 3});
+  EXPECT_EQ(maxAbsDiff(a, b), kInf);
+  EXPECT_EQ(maxAbsDiff(b, a), kInf);
+  // A NaN imaginary part against a real element counts too.
+  EXPECT_EQ(maxAbsDiff(Matrix::scalar(2.0), Matrix::scalar(Complex{2, kNaN})), kInf);
+}
+
+TEST(MaxAbsDiff, NaNOnBothSidesAtOneElementAgrees) {
+  Matrix a = Matrix::rowVector({1, kNaN, 3});
+  EXPECT_EQ(maxAbsDiff(a, a), 0.0);
+  EXPECT_EQ(maxAbsDiff(Matrix::scalar(Complex{kNaN, 1}), Matrix::scalar(Complex{kNaN, 1})), 0.0);
+}
+
+TEST(MaxAbsDiff, EqualInfinitiesAgreeAndDifferentOnesDoNot) {
+  Matrix pos = Matrix::rowVector({kInf, 1});
+  Matrix neg = Matrix::rowVector({-kInf, 1});
+  Matrix fin = Matrix::rowVector({1e300, 1});
+  EXPECT_EQ(maxAbsDiff(pos, pos), 0.0);
+  EXPECT_EQ(maxAbsDiff(neg, neg), 0.0);
+  EXPECT_EQ(maxAbsDiff(pos, neg), kInf);
+  EXPECT_EQ(maxAbsDiff(pos, fin), kInf);
+  EXPECT_EQ(maxAbsDiff(Matrix::scalar(Complex{1, kInf}), Matrix::scalar(Complex{1, -kInf})),
+            kInf);
 }
 
 TEST(MaxAbsDiff, ShapeMismatchThrows) {
