@@ -116,6 +116,8 @@ class CompiledUnit {
   opt::PipelineReport report_;
 };
 
+/// Not thread-safe: a Compiler keeps the diagnostics of its last compile, so
+/// concurrent compiles need one Compiler per thread.
 class Compiler {
  public:
   /// Parse + type/shape-specialize + lower + optimize. Throws

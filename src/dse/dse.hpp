@@ -181,7 +181,15 @@ struct ExploreResult {
 };
 
 /// Runs the full mine -> synthesize -> explore loop. Throws StructuredError /
-/// std::runtime_error on compile or oracle failures.
+/// std::runtime_error on compile or oracle failures; when several kernels
+/// fail, the error is the one a sequential loop over the jobs would throw
+/// first.
+///
+/// Starts threads: the structural measurements and the winner's oracle
+/// checks run on up to std::thread::hardware_concurrency() threads, the
+/// caller's included, and progress lines are written from the calling thread
+/// only. Worker threads do not see a DeadlineGuard the caller installed for
+/// its own thread (DeadlineGuard::current() is thread-local).
 ExploreResult explore(const ExploreOptions& opts = {});
 
 // -- reporting / emission ----------------------------------------------------

@@ -7,10 +7,20 @@
 // analytically from the measured per-op issue counts; that reconstruction is
 // exact because the VM total is exactly sum(count[op] * cost[op]) and zeroed
 // ops still record their counts.
+//
+// No measurement reads another's result, so the compile + VM (+ mining) jobs
+// and the winner's oracle checks fan out over forEachIndex; every aggregation
+// stays on the calling thread in corpus order, so results are bit-identical
+// to a sequential run.
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 
 #include "driver/compiler.hpp"
 #include "driver/report.hpp"
@@ -33,14 +43,16 @@ struct KernelEval {
 
 struct StructuralEval {
   DesignPoint base;  // lanes + features; zol/agu/mem fixed at the run config
+  isa::IsaDescription isa;  // base as compiled and measured ("dse_probe")
   std::vector<KernelEval> kernels;  // corpus order
 };
 
-CompiledUnit compileKernel(Compiler& compiler, const kernels::KernelSpec& spec,
-                           const isa::IsaDescription& isa) {
+/// Compiles with a Compiler of its own: Compiler keeps per-compile
+/// diagnostics, so one instance must not be shared across threads.
+CompiledUnit compileKernel(const kernels::KernelSpec& spec, const isa::IsaDescription& isa) {
   CompileOptions opts;
   opts.isa = isa;
-  return compiler.compileSource(spec.source, spec.entry, spec.argSpecs, opts);
+  return Compiler().compileSource(spec.source, spec.entry, spec.argSpecs, opts);
 }
 
 vm::RunResult runKernel(const CompiledUnit& unit, const kernels::KernelSpec& spec,
@@ -77,6 +89,45 @@ double fusedHwCost(const CandidateInstr& c, const DesignPoint& p) {
   return c.hwUnits * lanes;
 }
 
+/// Runs job(0) .. job(n-1) on min(n, hardware threads) threads, the calling
+/// thread included; jobs are claimed in index order through an atomic
+/// counter. Once a job throws no new job is claimed, and after the join the
+/// exception of the lowest failed index is rethrown. That is the one a
+/// sequential loop would throw: every job below a failed index was claimed
+/// before it and has run to completion.
+template <class Job>
+void forEachIndex(std::size_t n, const Job& job) {
+  std::size_t workers =
+      std::min<std::size_t>(n, std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<std::exception_ptr> errors(n);
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  auto work = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        job(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t t = 1; t < workers; ++t) {
+    try {
+      threads.emplace_back(work);
+    } catch (const std::system_error&) {
+      break;  // no more threads: the ones started and the caller do the rest
+    }
+  }
+  work();
+  for (std::thread& t : threads) t.join();
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+}
+
 void progressLine(const ExploreOptions& opts, const std::string& line) {
   if (opts.progress) *opts.progress << line << "\n";
 }
@@ -88,9 +139,9 @@ ExploreResult explore(const ExploreOptions& opts) {
   std::vector<kernels::KernelSpec> corpus =
       opts.corpus.empty() ? kernels::dseCorpus() : opts.corpus;
   if (corpus.empty()) throw std::invalid_argument("dse: empty corpus");
-  Compiler compiler;
 
-  // -- measured references: scalar baseline and the hand-written dspx --------
+  // -- measured references (scalar baseline, hand-written dspx) and the
+  //    structural sweep (compile + measure + mine), one job per ISA x kernel
   progressLine(opts, "dse: measuring scalar and dspx references over " +
                          std::to_string(corpus.size()) + " kernels");
   isa::IsaDescription scalarIsa = isa::IsaDescription::preset("scalar");
@@ -103,22 +154,7 @@ ExploreResult explore(const ExploreOptions& opts) {
   scalarRef.measured = dspxRef.measured = true;
   scalarRef.hwCost = hwCostEstimate(scalarIsa);
   dspxRef.hwCost = hwCostEstimate(dspxIsa);
-  std::vector<double> dspxSpeedups;
-  for (const auto& spec : corpus) {
-    auto scalarUnit = compileKernel(compiler, spec, scalarIsa);
-    double scalarCycles = runKernel(scalarUnit, spec).cycles.total;
-    r.scalarCycles[spec.name] = scalarCycles;
-    scalarRef.kernelCycles[spec.name] = scalarCycles;
-    auto dspxUnit = compileKernel(compiler, spec, dspxIsa);
-    double dspxCycles = runKernel(dspxUnit, spec).cycles.total;
-    dspxRef.kernelCycles[spec.name] = dspxCycles;
-    dspxSpeedups.push_back(scalarCycles / dspxCycles);
-  }
-  scalarRef.geomean = 1.0;
-  dspxRef.geomean = geomeanOf(dspxSpeedups);
-  r.dspxRef = dspxRef;
 
-  // -- structural sweep: compile + measure + mine ----------------------------
   struct FeatureSet { bool fma, cmul, cmac; };
   const FeatureSet featureSets[] = {{false, false, false}, {true, false, false},
                                     {false, true, false},  {true, true, false},
@@ -129,22 +165,47 @@ ExploreResult explore(const ExploreOptions& opts) {
       StructuralEval se;
       se.base = DesignPoint{w, std::max(1, w / 2), 8, fs.fma, fs.cmul, fs.cmac,
                             true, true, {}};
-      isa::IsaDescription runIsa = toIsa(se.base, "dse_probe");
-      for (const auto& spec : corpus) {
-        KernelEval ke;
-        ke.unit = std::make_shared<CompiledUnit>(compileKernel(compiler, spec, runIsa));
-        vm::StmtProfile profile;
-        auto run = runKernel(*ke.unit, spec, &profile);
-        ke.countByOp = run.cycles.countByOp;
-        ke.instances = mineFunction(ke.unit->fn(), profile);
-        se.kernels.push_back(std::move(ke));
-      }
-      std::string label = se.base.label();
+      se.isa = toIsa(se.base, "dse_probe");
+      se.kernels.resize(corpus.size());
       structurals.push_back(std::move(se));
-      progressLine(opts, "dse: measured structural point " + label + " (" +
-                             std::to_string(structurals.size()) + "/" +
-                             std::to_string(opts.laneWidths.size() * 6) + ")");
     }
+  }
+
+  // Job order is the sequential loop's: (scalar, dspx) per kernel, then the
+  // structural points in (width, feature set) order, kernel by kernel.
+  const std::size_t nk = corpus.size();
+  std::vector<double> refCycles(2 * nk);  // [2k] scalar, [2k + 1] dspx
+  forEachIndex(2 * nk + structurals.size() * nk, [&](std::size_t job) {
+    if (job < 2 * nk) {
+      const kernels::KernelSpec& spec = corpus[job / 2];
+      auto unit = compileKernel(spec, job % 2 == 0 ? scalarIsa : dspxIsa);
+      refCycles[job] = runKernel(unit, spec).cycles.total;
+      return;
+    }
+    std::size_t s = (job - 2 * nk) / nk, k = (job - 2 * nk) % nk;
+    KernelEval& ke = structurals[s].kernels[k];
+    ke.unit = std::make_shared<CompiledUnit>(compileKernel(corpus[k], structurals[s].isa));
+    vm::StmtProfile profile;
+    auto run = runKernel(*ke.unit, corpus[k], &profile);
+    ke.countByOp = run.cycles.countByOp;
+    ke.instances = mineFunction(ke.unit->fn(), profile);
+  });
+
+  std::vector<double> dspxSpeedups;
+  for (std::size_t k = 0; k < nk; ++k) {
+    double scalarCycles = refCycles[2 * k], dspxCycles = refCycles[2 * k + 1];
+    r.scalarCycles[corpus[k].name] = scalarCycles;
+    scalarRef.kernelCycles[corpus[k].name] = scalarCycles;
+    dspxRef.kernelCycles[corpus[k].name] = dspxCycles;
+    dspxSpeedups.push_back(scalarCycles / dspxCycles);
+  }
+  scalarRef.geomean = 1.0;
+  dspxRef.geomean = geomeanOf(dspxSpeedups);
+  r.dspxRef = dspxRef;
+  for (std::size_t s = 0; s < structurals.size(); ++s) {
+    progressLine(opts, "dse: measured structural point " + structurals[s].base.label() +
+                           " (" + std::to_string(s + 1) + "/" +
+                           std::to_string(structurals.size()) + ")");
   }
 
   // -- idiom aggregation + candidate synthesis -------------------------------
@@ -250,14 +311,18 @@ ExploreResult explore(const ExploreOptions& opts) {
   isa::IsaDescription reloaded = isa::IsaDescription::parse(r.bestIsa.serialize(), diags);
   if (diags.hasErrors() || reloaded.fingerprint() != r.bestIsa.fingerprint())
     throw std::logic_error("dse: emitted ISA does not round-trip through parse()");
+  std::vector<double> bestCycles(nk), bestErr(nk);
+  forEachIndex(nk, [&](std::size_t k) {
+    const kernels::KernelSpec& spec = corpus[k];
+    auto unit = compileKernel(spec, reloaded);
+    bestCycles[k] = runKernel(unit, spec).cycles.total;
+    bestErr[k] = validateAgainstInterpreter(spec.source, spec.entry, unit, spec.args);
+  });
   std::vector<double> bestSpeedups;
-  for (const auto& spec : corpus) {
-    auto unit = compileKernel(compiler, spec, reloaded);
-    double cycles = runKernel(unit, spec).cycles.total;
-    r.best.kernelCycles[spec.name] = cycles;
-    bestSpeedups.push_back(r.scalarCycles[spec.name] / cycles);
-    r.bestMaxAbsErr[spec.name] =
-        validateAgainstInterpreter(spec.source, spec.entry, unit, spec.args);
+  for (std::size_t k = 0; k < nk; ++k) {
+    r.best.kernelCycles[corpus[k].name] = bestCycles[k];
+    bestSpeedups.push_back(r.scalarCycles[corpus[k].name] / bestCycles[k]);
+    r.bestMaxAbsErr[corpus[k].name] = bestErr[k];
   }
   r.best.geomean = geomeanOf(bestSpeedups);
   r.best.measured = true;

@@ -50,6 +50,14 @@ Matrix sized(const std::vector<Matrix>& args, const char* name, double fill) {
   return out;
 }
 
+/// a * b, taken in doubles when `real`: in complex arithmetic inf * (0
+/// imaginary) is NaN, which would turn a real inf complex.
+auto realProductIf(bool real) {
+  return [real](Complex a, Complex b) {
+    return real ? Complex{a.real() * b.real()} : a * b;
+  };
+}
+
 // Reduction over the "MATLAB default" dimension: columns of a matrix, the
 // vector itself for row/column vectors.
 template <typename Fold>
@@ -311,7 +319,7 @@ const std::map<std::string, BuiltinFn>& makeTable() {
     };
     t["prod"] = [](const std::vector<Matrix>& args, std::size_t) {
       requireArgs(args, 1, 1, "prod");
-      return one(reduce(args[0], [](Complex a, Complex b) { return a * b; }, Complex{1.0, 0.0},
+      return one(reduce(args[0], realProductIf(!args[0].isComplex()), Complex{1.0, 0.0},
                         /*emptyIsInit=*/true));
     };
     t["mean"] = [](const std::vector<Matrix>& args, std::size_t) {
@@ -360,8 +368,9 @@ const std::map<std::string, BuiltinFn>& makeTable() {
       const Matrix& a = args[0];
       const Matrix& b = args[1];
       if (a.numel() != b.numel()) throw RuntimeError("dot: length mismatch");
+      auto mul = realProductIf(!a.isComplex() && !b.isComplex());
       Complex acc{};
-      for (std::size_t i = 0; i < a.numel(); ++i) acc += std::conj(a.at(i)) * b.at(i);
+      for (std::size_t i = 0; i < a.numel(); ++i) acc += mul(std::conj(a.at(i)), b.at(i));
       return one(Matrix::scalar(acc));
     };
 
@@ -580,9 +589,10 @@ const std::map<std::string, BuiltinFn>& makeTable() {
       if (!a.isVector() && !a.empty())
         throw RuntimeError("cumprod: only vectors are supported");
       Matrix out = Matrix::zeros(a.rows(), a.cols(), a.isComplex());
+      auto mul = realProductIf(!a.isComplex());
       Complex acc{1.0, 0.0};
       for (std::size_t i = 0; i < a.numel(); ++i) {
-        acc *= a.at(i);
+        acc = mul(acc, a.at(i));
         out.set(i, acc);
       }
       out.dropZeroImag();

@@ -256,14 +256,16 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
     throw RuntimeError("inner matrix dimensions must agree: " + std::to_string(a.cols()) +
                        " vs " + std::to_string(b.rows()));
   }
+  // Every term is summed (inf * 0 = NaN must reach the result), and real
+  // operands multiply in doubles, as in elementwise().
   bool cplx = a.isComplex() || b.isComplex();
   Matrix out = Matrix::zeros(a.rows(), b.cols(), cplx);
   for (std::size_t j = 0; j < b.cols(); ++j) {
     for (std::size_t k = 0; k < a.cols(); ++k) {
       Complex bkj = b.at(k, j);
-      if (bkj == Complex{}) continue;
       for (std::size_t i = 0; i < a.rows(); ++i) {
-        out.set(i, j, out.at(i, j) + a.at(i, k) * bkj);
+        out.set(i, j, cplx ? out.at(i, j) + a.at(i, k) * bkj
+                           : Complex{out.at(i, j).real() + a.at(i, k).real() * bkj.real()});
       }
     }
   }

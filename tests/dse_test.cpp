@@ -13,6 +13,12 @@
 namespace mat2c::dse {
 namespace {
 
+CompiledUnit compileKernel(const kernels::KernelSpec& spec, const isa::IsaDescription& isa) {
+  CompileOptions opts;
+  opts.isa = isa;
+  return Compiler().compileSource(spec.source, spec.entry, spec.argSpecs, opts);
+}
+
 /// Compiles `spec` for `point`, runs it once with a statement profile, and
 /// returns (unit, run result, mined instances). The unit must outlive the
 /// instances — their node pointers refer into its LIR.
@@ -23,12 +29,7 @@ struct MinedKernel {
 };
 
 MinedKernel mineKernel(const kernels::KernelSpec& spec, const DesignPoint& point) {
-  Compiler compiler;
-  CompileOptions opts;
-  opts.isa = toIsa(point, "dse_test");
-  MinedKernel mk{compiler.compileSource(spec.source, spec.entry, spec.argSpecs, opts),
-                 {},
-                 {}};
+  MinedKernel mk{compileKernel(spec, toIsa(point, "dse_test")), {}, {}};
   vm::StmtProfile profile;
   vm::Machine machine(mk.unit.isa());
   machine.setProfile(&profile);
@@ -167,12 +168,18 @@ TEST(DseTile, EmptySelectionSavesNothing) {
   EXPECT_DOUBLE_EQ(tileFused(mk.instances, {}, {}, variant), 0.0);
 }
 
-TEST(DseExplore, SmallCorpusEndToEnd) {
+/// A two-kernel, two-width exploration that runs in well under a second.
+ExploreOptions smallCorpusOptions() {
   ExploreOptions opts;
   opts.corpus = {kernels::makeFir(256, 16, 1), kernels::makeCdot(512, 4)};
   opts.laneWidths = {2, 8};
   opts.memLaneChoices = {8};
   opts.topCandidates = 2;
+  return opts;
+}
+
+TEST(DseExplore, SmallCorpusEndToEnd) {
+  ExploreOptions opts = smallCorpusOptions();
   auto r = explore(opts);
 
   EXPECT_FALSE(r.idioms.empty());
@@ -203,11 +210,8 @@ TEST(DseExplore, SmallCorpusEndToEnd) {
 
   // The reloaded description drives a fresh compile whose cycle counts match
   // the recorded winner.
-  Compiler compiler;
   for (const auto& spec : opts.corpus) {
-    CompileOptions copts;
-    copts.isa = reloaded;
-    auto unit = compiler.compileSource(spec.source, spec.entry, spec.argSpecs, copts);
+    auto unit = compileKernel(spec, reloaded);
     vm::Machine machine(unit.isa());
     auto run = machine.run(unit.fn(), spec.args);
     EXPECT_DOUBLE_EQ(run.cycles.total, r.best.kernelCycles.at(spec.name)) << spec.name;
@@ -218,6 +222,63 @@ TEST(DseExplore, SmallCorpusEndToEnd) {
   EXPECT_NE(json.find("\"reference\""), std::string::npos);
   EXPECT_NE(json.find("\"dspx\""), std::string::npos);
   EXPECT_NE(json.find("\"geomean_speedup\""), std::string::npos);
+}
+
+TEST(DseExplore, FirstFailingJobInCorpusOrderIsRethrown) {
+  // A valid kernel, then two that fail in sema with different messages. The
+  // measurements run in parallel, but the error must be the first failing
+  // kernel's, as in a sequential loop. bad_a fails only after a long prefix
+  // of statements and bad_b at once, so on a multi-core host bad_b's jobs
+  // fail first in time.
+  auto failing = [](const std::string& name, const std::string& callee, int prefix) {
+    kernels::KernelSpec spec = kernels::makeFir(64, 4, 1);
+    spec.name = name;
+    spec.source = "function y = fir(x, h)\n";
+    for (int i = 0; i < prefix; ++i) spec.source += "y = x + " + std::to_string(i) + ";\n";
+    spec.source += "y = " + callee + "(x, h);\nend\n";
+    return spec;
+  };
+  ExploreOptions opts = smallCorpusOptions();
+  opts.corpus = {kernels::makeFir(64, 4, 1), failing("bad_a", "no_such_builtin_a", 5000),
+                 failing("bad_b", "no_such_builtin_b", 0)};
+  std::string expected;
+  try {
+    compileKernel(opts.corpus[1], isa::IsaDescription::preset("scalar"));
+  } catch (const std::exception& e) {
+    expected = e.what();
+  }
+  ASSERT_NE(expected.find("no_such_builtin_a"), std::string::npos) << expected;
+  for (int i = 0; i < 20; ++i) {
+    try {
+      explore(opts);
+      ADD_FAILURE() << "explore accepted a corpus that does not compile";
+    } catch (const std::exception& e) {
+      EXPECT_EQ(e.what(), expected) << "run " << i;
+    }
+  }
+}
+
+TEST(DseExplore, RepeatedRunsAreIdentical) {
+  auto first = explore(smallCorpusOptions());
+  auto second = explore(smallCorpusOptions());
+  ASSERT_EQ(first.pareto.size(), second.pareto.size());
+  for (std::size_t i = 0; i < first.pareto.size(); ++i) {
+    EXPECT_EQ(first.pareto[i].point.label(), second.pareto[i].point.label()) << i;
+    EXPECT_EQ(first.pareto[i].hwCost, second.pareto[i].hwCost) << i;
+    EXPECT_EQ(first.pareto[i].geomean, second.pareto[i].geomean) << i;
+  }
+  EXPECT_EQ(first.best.kernelCycles, second.best.kernelCycles);
+  ASSERT_EQ(first.idioms.size(), second.idioms.size());
+  for (std::size_t i = 0; i < first.idioms.size(); ++i) {
+    EXPECT_EQ(first.idioms[i].signature, second.idioms[i].signature) << i;
+    EXPECT_EQ(first.idioms[i].dynCount, second.idioms[i].dynCount) << i;
+  }
+  ASSERT_EQ(first.candidates.size(), second.candidates.size());
+  for (std::size_t i = 0; i < first.candidates.size(); ++i) {
+    EXPECT_EQ(first.candidates[i].name, second.candidates[i].name) << i;
+    EXPECT_EQ(first.candidates[i].signature, second.candidates[i].signature) << i;
+    EXPECT_EQ(first.candidates[i].estSavedCycles, second.candidates[i].estSavedCycles) << i;
+  }
 }
 
 TEST(DseExplore, DefaultCorpusIsNineKernels) {

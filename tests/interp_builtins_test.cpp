@@ -252,6 +252,16 @@ TEST(Builtins, CumsumCumprod) {
   EXPECT_DOUBLE_EQ(p.real(0), 1.0);
 }
 
+TEST(Builtins, CumprodOfRealInfStaysReal) {
+  // As a complex product, (inf+0i)*(0+0i) has a NaN imaginary part.
+  Matrix p = runVar("x = cumprod([2 1/0 0 3]);");
+  EXPECT_FALSE(p.isComplex());
+  EXPECT_DOUBLE_EQ(p.real(0), 2.0);
+  EXPECT_TRUE(std::isinf(p.real(1)));
+  EXPECT_TRUE(std::isnan(p.real(2)));
+  EXPECT_TRUE(std::isnan(p.real(3)));
+}
+
 TEST(Builtins, VarAndStd) {
   // var([1 2 3 4]) = 5/3 (normalized by n-1, MATLAB default)
   EXPECT_NEAR(runScalar("x = var([1 2 3 4]);"), 5.0 / 3.0, 1e-12);

@@ -266,7 +266,10 @@ TEST(VmNonFinite, RealKernelsStayRealAndMatchTheInterpreter) {
                                      {"y = x ./ 4 - 3 .* x;", true},
                                      {"y = abs(x) + x .* x;", true},
                                      {"y = sum(x .* 2);", true},
-                                     {"y = max(x .* 2);", false}};
+                                     {"y = max(x .* 2);", false},
+                                     {"y = prod(x);", true},
+                                     {"y = dot(x, x);", true},
+                                     {"y = x' * x;", true}};
   for (const Kernel& k : kernelsUnderTest) {
     std::string src = std::string("function y = f(x)\n") + k.body + "\nend\n";
     for (const char* preset : {"dspx", "scalar"}) {
