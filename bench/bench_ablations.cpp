@@ -41,25 +41,8 @@ using namespace mat2c;
 
 int validationFailures = 0;
 
-/// Cycle speedup of the proposed code for `proposedIsa` over CoderLike code
-/// for `baselineIsa`, after oracle-checking the proposed build.
-double speedupOverCoder(const kernels::KernelSpec& k, const std::string& proposedIsa,
-                        const std::string& baselineIsa) {
-  Compiler compiler;
-  auto prop = compiler.compileSource(k.source, k.entry, k.argSpecs,
-                                     CompileOptions::proposed(proposedIsa));
-  auto base = compiler.compileSource(k.source, k.entry, k.argSpecs,
-                                     CompileOptions::coderLike(baselineIsa));
-  if (validateAgainstInterpreter(k.source, k.entry, prop, k.args) > 1e-9) {
-    std::fprintf(stderr, "VALIDATION FAILED: %s on %s\n", k.name.c_str(),
-                 proposedIsa.c_str());
-    ++validationFailures;
-  }
-  return base.run(k.args).cycles.total / prop.run(k.args).cycles.total;
-}
-
 /// One column of a speedup sweep: proposed code for `proposedIsa` over
-/// CoderLike code for `baselineIsa`.
+/// CoderLike code for `baselineIsa`, after oracle-checking the proposed build.
 struct Column {
   const char* header;
   const char* proposedIsa;
@@ -71,10 +54,23 @@ void printSpeedupSweep(const char* heading, const std::vector<Column>& columns) 
   std::vector<std::string> headers{"benchmark"};
   for (const Column& c : columns) headers.push_back(c.header);
   report::Table table(headers);
+  Compiler compiler;
   for (auto& k : kernels::dspBenchmarkSuite()) {
     std::vector<std::string> row{k.name};
+    std::vector<Matrix> reference;
     for (const Column& c : columns) {
-      row.push_back(report::Table::num(speedupOverCoder(k, c.proposedIsa, c.baselineIsa), 1) +
+      auto prop = compiler.compileSource(k.source, k.entry, k.argSpecs,
+                                         CompileOptions::proposed(c.proposedIsa));
+      auto base = compiler.compileSource(k.source, k.entry, k.argSpecs,
+                                         CompileOptions::coderLike(c.baselineIsa));
+      if (reference.empty())
+        reference = interpretReference(k.source, k.entry, k.args, prop.fn().outs.size());
+      vm::RunResult run = prop.run(k.args);
+      if (compareToReference(reference, run.outputs) > kOracleMaxAbsErr) {
+        std::fprintf(stderr, "VALIDATION FAILED: %s on %s\n", k.name.c_str(), c.proposedIsa);
+        ++validationFailures;
+      }
+      row.push_back(report::Table::num(base.run(k.args).cycles.total / run.cycles.total, 1) +
                     "x");
     }
     table.addRow(std::move(row));

@@ -81,10 +81,13 @@ int runSuite(const std::string& name, const std::vector<kernels::KernelSpec>& su
                                         CompileOptions::proposed()),
                  compiler.compileSource(k.source, k.entry, k.argSpecs,
                                         CompileOptions::coderLike())};
-    row.proposedCycles = row.proposed.run(k.args).cycles.total;
-    row.baselineCycles = row.baseline.run(k.args).cycles.total;
-    row.proposedErr = validateAgainstInterpreter(k.source, k.entry, row.proposed, k.args);
-    row.baselineErr = validateAgainstInterpreter(k.source, k.entry, row.baseline, k.args);
+    vm::RunResult proposed = row.proposed.run(k.args);
+    vm::RunResult baseline = row.baseline.run(k.args);
+    auto reference = interpretReference(k.source, k.entry, k.args, row.proposed.fn().outs.size());
+    row.proposedCycles = proposed.cycles.total;
+    row.baselineCycles = baseline.cycles.total;
+    row.proposedErr = compareToReference(reference, proposed.outputs);
+    row.baselineErr = compareToReference(reference, baseline.outputs);
     rows.push_back(std::move(row));
   }
   printTable(rows);

@@ -25,16 +25,15 @@ int main(int argc, char** argv) {
   auto baseline = compiler.compileSource(kernel.source, kernel.entry, kernel.argSpecs,
                                          CompileOptions::coderLike());
 
-  // Correctness gate first — never report cycles for wrong answers.
-  double errP =
-      validateAgainstInterpreter(kernel.source, kernel.entry, proposed, kernel.args);
-  double errB =
-      validateAgainstInterpreter(kernel.source, kernel.entry, baseline, kernel.args);
-  std::printf("validated against the MATLAB interpreter: proposed err=%g, baseline err=%g\n\n",
-              errP, errB);
-
   auto rp = proposed.run(kernel.args);
   auto rb = baseline.run(kernel.args);
+
+  // Correctness gate first — never report cycles for wrong answers.
+  auto reference = interpretReference(kernel.source, kernel.entry, kernel.args,
+                                      proposed.fn().outs.size());
+  std::printf("validated against the MATLAB interpreter: proposed err=%g, baseline err=%g\n\n",
+              compareToReference(reference, rp.outputs),
+              compareToReference(reference, rb.outputs));
 
   report::Table table({"metric", "coder-like baseline", "proposed"});
   auto cat = [](const vm::RunResult& r, const char* c) {

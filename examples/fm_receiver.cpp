@@ -12,7 +12,6 @@
 #include "driver/compiler.hpp"
 #include "driver/kernels.hpp"
 #include "driver/report.hpp"
-#include "parser/parser.hpp"
 
 int main() {
   using namespace mat2c;
@@ -61,16 +60,10 @@ int main() {
   auto r3 = fir.run({r2.outputs[0], deemph});
 
   // Reference: the same chain through the interpreter.
-  auto interpStage = [](const kernels::KernelSpec& k, const std::vector<Matrix>& args) {
-    DiagnosticEngine diags;
-    auto prog = parseSource(k.source, diags);
-    Interpreter interp(*prog);
-    return interp.callFunction(k.entry, args)[0];
-  };
-  Matrix ref1 = interpStage(eqK, {rx, channel});
-  Matrix ref2 = interpStage(demodK, {ref1});
-  Matrix ref3 = interpStage(firK, {ref2, deemph});
-  double err = maxAbsDiff(ref3, r3.outputs[0]);
+  auto ref1 = interpretReference(eqK.source, eqK.entry, {rx, channel}, 1);
+  auto ref2 = interpretReference(demodK.source, demodK.entry, ref1, 1);
+  auto ref3 = interpretReference(firK.source, firK.entry, {ref2[0], deemph}, 1);
+  double err = compareToReference(ref3, r3.outputs);
 
   report::Table table({"stage", "kernel", "cycles", "share"});
   double total = r1.cycles.total + r2.cycles.total + r3.cycles.total;
@@ -98,5 +91,5 @@ int main() {
   }
   std::printf("recovered message swing: [%.3f, %.3f] rad/sample (expected ~0.2..0.4)\n", lo,
               hi);
-  return err < 1e-9 ? 0 : 1;
+  return err <= kOracleMaxAbsErr ? 0 : 1;
 }

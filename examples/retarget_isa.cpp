@@ -50,8 +50,9 @@ intrinsic vconj.c64 adsp_conj2
     auto unit = compiler.compileSource(kernel.source, kernel.entry, kernel.argSpecs,
                                        options);
     auto run = unit.run(kernel.args);
-    double err =
-        validateAgainstInterpreter(kernel.source, kernel.entry, unit, kernel.args);
+    double err = compareToReference(
+        interpretReference(kernel.source, kernel.entry, kernel.args, unit.fn().outs.size()),
+        run.outputs);
     std::printf("--- target '%s': %.0f cycles, err=%g ---\n%s\n",
                 options.isa.name().c_str(), run.cycles.total, err,
                 unit.cCode(bodyOnly).c_str());

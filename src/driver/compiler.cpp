@@ -210,27 +210,33 @@ CompiledUnit Compiler::compileOnce(const ast::Program& program, const std::strin
   return CompiledUnit(std::make_shared<lir::Function>(std::move(fn)), unitIsa, report);
 }
 
-double validateAgainstInterpreter(const std::string& matlabSource, const std::string& entry,
-                                  const CompiledUnit& unit, const std::vector<Matrix>& args) {
+std::vector<Matrix> interpretReference(const std::string& matlabSource, const std::string& entry,
+                                       const std::vector<Matrix>& args, std::size_t nOut) {
   DiagnosticEngine diags;
   ast::ProgramPtr program = parseSource(matlabSource, diags);
   if (diags.hasErrors()) throw CompileError(diags.renderAll());
-
   Interpreter interp(*program);
-  std::size_t nOut = unit.fn().outs.size();
-  std::vector<Matrix> expected = interp.callFunction(entry, args, std::max<std::size_t>(nOut, 1));
+  return interp.callFunction(entry, args, std::max<std::size_t>(nOut, 1));
+}
 
-  vm::RunResult actual = unit.run(args);
-  if (actual.outputs.size() != expected.size()) {
-    throw RuntimeError("validate: output count mismatch (" +
-                       std::to_string(actual.outputs.size()) + " vs " +
-                       std::to_string(expected.size()) + ")");
+double compareToReference(const std::vector<Matrix>& reference,
+                          const std::vector<Matrix>& outputs) {
+  if (outputs.size() != reference.size()) {
+    throw RuntimeError("validate: output count mismatch (" + std::to_string(outputs.size()) +
+                       " vs " + std::to_string(reference.size()) + ")");
   }
   double worst = 0.0;
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    worst = std::max(worst, maxAbsDiff(expected[i], actual.outputs[i]));
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    worst = std::max(worst, maxAbsDiff(reference[i], outputs[i]));
   }
   return worst;
+}
+
+double validateAgainstInterpreter(const std::string& matlabSource, const std::string& entry,
+                                  const CompiledUnit& unit, const std::vector<Matrix>& args) {
+  std::vector<Matrix> reference =
+      interpretReference(matlabSource, entry, args, unit.fn().outs.size());
+  return compareToReference(reference, unit.run(args).outputs);
 }
 
 }  // namespace mat2c

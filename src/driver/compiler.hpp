@@ -144,9 +144,21 @@ class Compiler {
   DiagnosticEngine diags_;
 };
 
-/// Runs `entry` through the reference interpreter and through the compiled
-/// unit's VM, returning the maximum elementwise |difference| across all
-/// outputs. The correctness gate for every experiment.
+/// The correctness gate: max |error| vs the reference interpreter.
+inline constexpr double kOracleMaxAbsErr = 1e-9;
+
+/// What the source means: the reference interpreter's outputs of `entry` on
+/// `args`, `nOut` (at least 1) of them -- pass the unit's fn().outs.size().
+/// Compute once per (kernel, inputs). Throws CompileError on parse errors.
+std::vector<Matrix> interpretReference(const std::string& matlabSource, const std::string& entry,
+                                       const std::vector<Matrix>& args, std::size_t nOut);
+
+/// Max elementwise |difference| between `reference` and a run's `outputs`
+/// the caller already holds. Throws RuntimeError if the output counts differ.
+double compareToReference(const std::vector<Matrix>& reference,
+                          const std::vector<Matrix>& outputs);
+
+/// interpretReference, then compareToReference with a fresh run of `unit`.
 double validateAgainstInterpreter(const std::string& matlabSource, const std::string& entry,
                                   const CompiledUnit& unit, const std::vector<Matrix>& args);
 

@@ -315,8 +315,10 @@ ExploreResult explore(const ExploreOptions& opts) {
   forEachIndex(nk, [&](std::size_t k) {
     const kernels::KernelSpec& spec = corpus[k];
     auto unit = compileKernel(spec, reloaded);
-    bestCycles[k] = runKernel(unit, spec).cycles.total;
-    bestErr[k] = validateAgainstInterpreter(spec.source, spec.entry, unit, spec.args);
+    vm::RunResult run = runKernel(unit, spec);
+    auto reference = interpretReference(spec.source, spec.entry, spec.args, unit.fn().outs.size());
+    bestCycles[k] = run.cycles.total;
+    bestErr[k] = compareToReference(reference, run.outputs);
   });
   std::vector<double> bestSpeedups;
   for (std::size_t k = 0; k < nk; ++k) {

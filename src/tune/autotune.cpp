@@ -8,8 +8,6 @@
 #include <unordered_map>
 
 #include "driver/report.hpp"
-#include "interp/interpreter.hpp"
-#include "parser/parser.hpp"
 #include "support/limits.hpp"
 
 namespace mat2c::tune {
@@ -80,7 +78,7 @@ std::string optionsDelta(const CompileOptions& base, const CompileOptions& best)
   return out.empty() ? "(default)" : out;
 }
 
-/// Shared state of one search: the oracle expectation, the signature memo,
+/// Shared state of one search: the oracle reference, the signature memo,
 /// the incumbent, and the budget/deadline counters.
 class Search {
  public:
@@ -179,24 +177,17 @@ class Search {
       try {
         vm::RunResult run = unit->run(args_);
         cand.cycles = run.cycles.total;
-        ensureExpected(unit->fn().outs.size());
-        double worst = 0.0;
-        if (run.outputs.size() != expected_.size()) {
-          cand.note = "oracle: output count mismatch";
-        } else {
-          for (std::size_t i = 0; i < expected_.size(); ++i) {
-            worst = std::max(worst, maxAbsDiff(expected_[i], run.outputs[i]));
-          }
-          cand.maxAbsErr = worst;
-          double bound = candOptions.reassoc ? options_.reassocMaxAbsErr : options_.maxAbsErr;
-          cand.oracleOk = worst <= bound;
-          if (!cand.oracleOk) {
-            char buf[96];
-            std::snprintf(buf, sizeof buf, "oracle: max |err| %.3e exceeds bound %.1e",
-                          worst, bound);
-            cand.note = buf;
-            report_.prunes.push_back(cand.signature + ": " + buf);
-          }
+        if (reference_.empty())
+          reference_ =
+              interpretReference(input_.source, input_.entry, args_, unit->fn().outs.size());
+        cand.maxAbsErr = compareToReference(reference_, run.outputs);
+        cand.oracleOk = cand.maxAbsErr <= options_.maxAbsErr;
+        if (!cand.oracleOk) {
+          char buf[96];
+          std::snprintf(buf, sizeof buf, "oracle: max |err| %.3e exceeds bound %.1e",
+                        cand.maxAbsErr, options_.maxAbsErr);
+          cand.note = buf;
+          report_.prunes.push_back(cand.signature + ": " + buf);
         }
       } catch (const StructuredError& e) {
         if (isBase && e.kind() == ErrorKind::Timeout) throw;
@@ -218,17 +209,6 @@ class Search {
     memo_.emplace(cand.signature, cand);
     report_.candidates.push_back(cand);
     return cand;
-  }
-
-  /// Reference-interpreter outputs, computed once per search.
-  void ensureExpected(std::size_t nOut) {
-    if (haveExpected_) return;
-    DiagnosticEngine diags;
-    ast::ProgramPtr program = parseSource(input_.source, diags);
-    if (diags.hasErrors()) throw CompileError(diags.renderAll());
-    Interpreter interp(*program);
-    expected_ = interp.callFunction(input_.entry, args_, std::max<std::size_t>(nOut, 1));
-    haveExpected_ = true;
   }
 
   void coordinateDescent(const std::vector<Coordinate>& coords) {
@@ -269,8 +249,7 @@ class Search {
   const TuneOptions& options_;
   DeadlineGuard guard_;
   std::vector<Matrix> args_;
-  std::vector<Matrix> expected_;
-  bool haveExpected_ = false;
+  std::vector<Matrix> reference_;  ///< interpreter outputs, computed on the first run
 
   std::unordered_map<std::string, TuneCandidate> memo_;
   TuneReport report_;

@@ -48,13 +48,10 @@ struct TuneOptions {
   /// the full grid fits under the budget the search is exhaustive; otherwise
   /// greedy coordinate descent.
   int budget = 48;
-  /// Oracle bound: a candidate whose max |error| vs the reference
-  /// interpreter exceeds this is rejected no matter how fast it is.
-  double maxAbsErr = 1e-9;
-  /// Separate bound for reassoc candidates (rounding changes are expected
-  /// there); defaults to the same 1e-9 so tuned winners always satisfy the
-  /// corpus-wide correctness gate.
-  double reassocMaxAbsErr = 1e-9;
+  /// Oracle bound: a candidate (reassoc ones included) whose max |error| vs
+  /// the reference interpreter exceeds this is rejected no matter how fast
+  /// it is. The default is the corpus-wide correctness gate.
+  double maxAbsErr = kOracleMaxAbsErr;
   /// Coordinate choices. Trips are clamped through
   /// CompileOptions::effectiveUnrollMaxTrip(), so out-of-range entries
   /// collapse onto their clamped value and are deduplicated.
@@ -65,7 +62,7 @@ struct TuneOptions {
   bool tuneCse = true;
   bool tuneDeadStores = true;
   bool tuneCheckElim = true;
-  /// Admit reassoc=on candidates (bounded by reassocMaxAbsErr).
+  /// Admit reassoc=on candidates (bounded by maxAbsErr).
   bool allowReassoc = true;
   /// Wall-clock budget for the whole search in milliseconds (0 = none).
   /// Expiry mid-search keeps the best configuration found so far; expiry

@@ -681,20 +681,14 @@ class Exec {
       case BinOp::Sub: zip([](auto x, auto y) { return x - y; }); break;
       case BinOp::Mul: zip([](auto x, auto y) { return x * y; }); break;
       case BinOp::Div: zip([](auto x, auto y) { return x / y; }); break;
-      case BinOp::Pow: {
-        // A real result takes the real branch unless the base is negative and
-        // the exponent fractional; that and c64 use the complex power.
-        bool cplx = n.scalar == Scalar::C64;
+      case BinOp::Pow:
+        // A real result is C's pow, as in the emitted C: NaN on a negative
+        // base with a fractional exponent (docs/language_subset.md).
         for (int k = 0; k < n.lanes; ++k) {
-          Complex base = laneC(a, k);
-          Complex expo = laneC(b, k);
-          double x = base.real();
-          double y = expo.real();
-          if (!cplx && (x >= 0.0 || y == std::floor(y))) put(n, k, std::pow(x, y));
-          else put(n, k, std::pow(base, expo));
+          if (n.scalar == Scalar::C64) put(n, k, std::pow(laneC(a, k), laneC(b, k)));
+          else put(n, k, std::pow(laneF(a, k), laneF(b, k)));
         }
         break;
-      }
 #define MAT2C_BUILTIN_BINARY(name, kind, binOp, host, cost, vop, c)  \
       case BinOp::binOp:                                              \
         for (int k = 0; k < n.lanes; ++k)                             \

@@ -90,6 +90,40 @@ TEST(Driver, MultiOutputValidation) {
   EXPECT_LE(validateAgainstInterpreter(src, "f", unit, {gen.rowVector(8)}), 0.0);
 }
 
+// One reference per kernel, compared with each unit's own run, gives exactly
+// what validateAgainstInterpreter computes unit by unit: the bench harness
+// interprets each Table-1 and extended row once for both styles.
+TEST(Oracle, SharedReferenceMatchesValidate) {
+  std::vector<kernels::KernelSpec> suite = kernels::dspBenchmarkSuite();
+  for (auto& k : kernels::extendedKernelSuite()) suite.push_back(std::move(k));
+  Compiler compiler;
+  for (const auto& k : suite) {
+    auto proposed =
+        compiler.compileSource(k.source, k.entry, k.argSpecs, CompileOptions::proposed());
+    auto coder =
+        compiler.compileSource(k.source, k.entry, k.argSpecs, CompileOptions::coderLike());
+    auto reference = interpretReference(k.source, k.entry, k.args, proposed.fn().outs.size());
+    for (const CompiledUnit* unit : {&proposed, &coder}) {
+      EXPECT_EQ(compareToReference(reference, unit->run(k.args).outputs),
+                validateAgainstInterpreter(k.source, k.entry, *unit, k.args))
+          << k.name;
+    }
+  }
+}
+
+TEST(Oracle, OutputCountMismatchThrows) {
+  std::vector<Matrix> reference = {Matrix::scalar(1), Matrix::scalar(2)};
+  EXPECT_THROW(compareToReference(reference, {Matrix::scalar(1)}), RuntimeError);
+  EXPECT_THROW(compareToReference(reference, {}), RuntimeError);
+  EXPECT_EQ(compareToReference(reference, {Matrix::scalar(1), Matrix::scalar(2.5)}), 0.5);
+}
+
+TEST(Oracle, ReferenceRejectsUnparsableSource) {
+  EXPECT_THROW(interpretReference("function y = f(x\ny = 1;\nend\n", "f",
+                                  {Matrix::scalar(1)}, 1),
+               CompileError);
+}
+
 TEST(Driver, UnitIsCopyable) {
   Compiler compiler;
   auto unit = compiler.compileSource("function y = f(x)\ny = x + 1;\nend\n", "f",

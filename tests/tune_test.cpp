@@ -64,21 +64,21 @@ TEST(Autotune, IirWinsViaReassociation) {
   // The 8-section cascade is already fully unrolled by the default pipeline;
   // the remaining headroom is the reassociating fma rewrite, which is opt-in
   // precisely because it changes rounding — the tuner admits it only under
-  // the reassoc oracle bound.
+  // the oracle bound.
   TuneResult r = tune::autotune(inputFor(kernels::makeIir(512)));
 
   EXPECT_LT(r.report.tunedCycles, r.report.defaultCycles);
   EXPECT_TRUE(r.report.best.reassoc);
-  EXPECT_LE(r.report.bestMaxAbsErr, TuneOptions{}.reassocMaxAbsErr);
+  EXPECT_LE(r.report.bestMaxAbsErr, TuneOptions{}.maxAbsErr);
   EXPECT_GT(r.report.bestMaxAbsErr, 0.0) << "reassoc changes rounding";
 }
 
 TEST(Autotune, ZeroReassocBoundRejectsReassocWinners) {
-  // Tightening the reassoc bound to exactly zero disqualifies every
+  // Tightening the oracle bound to exactly zero disqualifies every
   // candidate whose rounding differs from the interpreter, so the reassoc
   // win on iir must vanish rather than slip through the gate.
   TuneOptions topt;
-  topt.reassocMaxAbsErr = 0.0;
+  topt.maxAbsErr = 0.0;
   TuneResult r = tune::autotune(inputFor(kernels::makeIir(512)), topt);
 
   EXPECT_FALSE(r.report.best.reassoc);

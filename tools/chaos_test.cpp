@@ -93,8 +93,9 @@ Expected oracleFor(const kernels::KernelSpec& k, const isa::IsaDescription& isa)
   opts.isa = isa;
   CompiledUnit unit = compiler.compileSource(k.source, k.entry, k.argSpecs, opts);
   double err = validateAgainstInterpreter(k.source, k.entry, unit, k.args);
-  CHAOS_CHECK(err <= 1e-9, "oracle compile of %s on %s diverges from the interpreter (%g)",
-              k.name.c_str(), isa.name().c_str(), err);
+  CHAOS_CHECK(err <= kOracleMaxAbsErr,
+              "oracle compile of %s on %s diverges from the interpreter (%g)", k.name.c_str(),
+              isa.name().c_str(), err);
   Expected e;
   e.isaName = unit.isa().name();
   e.cBytes = unit.cCode().size();

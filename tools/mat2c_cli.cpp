@@ -657,9 +657,11 @@ int cmdCompile(int argc, char** argv) {
         std::printf("out%zu = %s\n", i, result.outputs[i].toString().c_str());
       }
       if (a.validate) {
-        double err = validateAgainstInterpreter(a.source, a.entry, unit, inputs);
+        double err = compareToReference(
+            interpretReference(a.source, a.entry, inputs, unit.fn().outs.size()),
+            result.outputs);
         std::printf("max |error| vs interpreter: %g\n", err);
-        if (err > 1e-9) {
+        if (err > kOracleMaxAbsErr) {
           std::fprintf(stderr, "mat2c: VALIDATION FAILED\n");
           return 1;
         }
