@@ -16,8 +16,7 @@
 namespace mat2c::codegen {
 
 struct EmitOptions {
-  bool comments = true;        // emit section comments
-  bool embedRuntime = true;    // prepend the runtime header (self-contained TU)
+  bool embedRuntime = true;  // prepend the runtime header (self-contained TU)
 };
 
 /// The kernel as a C translation unit.
@@ -25,8 +24,7 @@ std::string emitC(const lir::Function& fn, const isa::IsaDescription& isa,
                   const EmitOptions& options = {});
 
 /// Only the function definition (no runtime header).
-std::string emitFunction(const lir::Function& fn, const isa::IsaDescription& isa,
-                         const EmitOptions& options = {});
+std::string emitFunction(const lir::Function& fn, const isa::IsaDescription& isa);
 
 /// The C prototype, e.g. "void fir(const double* x, ..., double* y)".
 std::string emitSignature(const lir::Function& fn);

@@ -162,7 +162,6 @@ struct ExploreOptions {
   /// Kernels to score; empty means kernels::dseCorpus().
   std::vector<kernels::KernelSpec> corpus;
   std::vector<int> laneWidths = {2, 4, 8, 16};
-  std::vector<int> memLaneChoices = {4, 8, 16};
   int topCandidates = 4;     // fused candidates admitted to the space
   bool exploreFused = true;  // include fused-op inclusion as a dimension
   std::ostream* progress = nullptr;  // optional progress lines (CLI)

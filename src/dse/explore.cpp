@@ -33,6 +33,9 @@ namespace {
 /// Mined idioms kept in ExploreResult::idioms (the idiom report).
 constexpr std::size_t kReportedIdioms = 16;
 
+/// Memory-port widths (in lanes) each structural configuration is rescored at.
+constexpr int kMemLaneChoices[] = {4, 8, 16};
+
 constexpr auto num = report::Table::num;  // %.<precision>f
 
 struct KernelEval {
@@ -234,7 +237,7 @@ ExploreResult explore(const ExploreOptions& opts) {
   std::vector<PointScore> pool = {scalarRef, dspxRef};
   for (const auto& se : structurals) {
     for (bool zolAgu : {true, false}) {
-      for (int mem : opts.memLaneChoices) {
+      for (int mem : kMemLaneChoices) {
         DesignPoint p = se.base;
         p.memLanes = mem;
         p.zol = p.agu = zolAgu;

@@ -50,7 +50,6 @@ class Matrix {
   bool isString() const { return string_; }
 
   void setLogical(bool v) { logical_ = v; }
-  void setString(bool v) { string_ = v; }
 
   /// Linear element access, 0-based internally.
   double real(std::size_t i) const { return re_[i]; }
@@ -73,9 +72,6 @@ class Matrix {
 
   /// String contents; throws unless isString().
   std::string stringValue() const;
-
-  const std::vector<double>& realData() const { return re_; }
-  const std::vector<double>& imagData() const { return im_; }
 
   /// Resizes preserving elements at their (row, col) positions; new cells 0.
   void resizePreserving(std::size_t rows, std::size_t cols);

@@ -59,10 +59,6 @@ class Parser {
   ast::ExprPtr parseMatrixLit();
   std::vector<ast::ExprPtr> parseIndexArgs();  // inside ( ... ), allows : and end
 
-  /// In matrix-literal context: true when the upcoming token begins a new
-  /// element rather than continuing the current expression.
-  bool matrixElementBoundary() const;
-
   std::vector<Token> toks_;
   DiagnosticEngine& diags_;
   std::size_t pos_ = 0;

@@ -369,14 +369,40 @@ void CompileService::workerLoop() {
   }
 }
 
-// Must hold mu_. Runs when the job's waiters have been (or are about to be)
-// handed their responses, BEFORE any promise is fulfilled — so a client that
-// sees its future ready and immediately snapshots stats() never observes a
-// stale inflight count for a finished job.
-void CompileService::finishTenantJobLocked(const std::string& tenant) {
+// Must hold mu_. Runs BEFORE any of the job's promises is fulfilled, so
+// later identical submits either hit the cache or start a fresh flight, and a
+// client that sees its future ready and immediately snapshots stats() never
+// observes a stale inflight count for a finished job.
+std::vector<CompileService::Flight::Waiter> CompileService::retireFlightLocked(
+    Job& job, const std::string& tenant) {
+  auto it = inflight_.find(job.key.canonical);
+  if (it != inflight_.end() && it->second == job.flight) inflight_.erase(it);
   TenantQueue& t = tenants_[tenant];
   if (t.inflight > 0) --t.inflight;
   ++t.completed;
+  return std::move(job.flight->waiters);
+}
+
+void CompileService::answerWaiters(std::vector<Flight::Waiter>& waiters,
+                                   const std::shared_ptr<const CachedResult>& result,
+                                   const std::string& error, ErrorKind errorKind) {
+  for (Flight::Waiter& w : waiters) {
+    CompileResponse r;
+    r.id = std::move(w.id);
+    r.deduped = w.deduped;
+    r.millis = millisSince(w.submitted);
+    if (result) {
+      r.ok = true;
+      r.result = result;
+    } else {
+      r.error = error;
+      r.errorKind = errorKind;
+      errors_.fetch_add(1, std::memory_order_relaxed);
+      if (errorKind == ErrorKind::Timeout) timeouts_.fetch_add(1, std::memory_order_relaxed);
+    }
+    latency_.record(r.millis * 1000.0);
+    w.promise.set_value(std::move(r));
+  }
 }
 
 void CompileService::runJob(Job& job, const std::string& tenant) {
@@ -411,23 +437,10 @@ void CompileService::runJob(Job& job, const std::string& tenant) {
     if (waiters.empty()) {
       // Nobody is listening: retire the flight and skip the compile.
       allExpired = true;
-      auto it = inflight_.find(job.key.canonical);
-      if (it != inflight_.end() && it->second == job.flight) inflight_.erase(it);
-      finishTenantJobLocked(tenant);
+      retireFlightLocked(job, tenant);
     }
   }
-  for (Flight::Waiter& w : expired) {
-    CompileResponse r;
-    r.id = std::move(w.id);
-    r.deduped = w.deduped;
-    r.millis = millisSince(w.submitted);
-    r.error = "request timed out in queue";
-    r.errorKind = ErrorKind::Timeout;
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
-    latency_.record(r.millis * 1000.0);
-    w.promise.set_value(std::move(r));
-  }
+  answerWaiters(expired, nullptr, "request timed out in queue", ErrorKind::Timeout);
   if (allExpired) return;
 
   if (config_.onCompileStart) config_.onCompileStart(job.request);
@@ -439,22 +452,9 @@ void CompileService::runJob(Job& job, const std::string& tenant) {
     std::vector<Flight::Waiter> waiters;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      auto it = inflight_.find(job.key.canonical);
-      if (it != inflight_.end() && it->second == job.flight) inflight_.erase(it);
-      waiters = std::move(job.flight->waiters);
-      finishTenantJobLocked(tenant);
+      waiters = retireFlightLocked(job, tenant);
     }
-    for (Flight::Waiter& w : waiters) {
-      CompileResponse r;
-      r.id = std::move(w.id);
-      r.deduped = w.deduped;
-      r.millis = millisSince(w.submitted);
-      r.error = "injected fault at point 'compile'";
-      r.errorKind = ErrorKind::PassError;
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      latency_.record(r.millis * 1000.0);
-      w.promise.set_value(std::move(r));
-    }
+    answerWaiters(waiters, nullptr, "injected fault at point 'compile'", ErrorKind::PassError);
     return;
   }
 
@@ -537,37 +537,16 @@ void CompileService::runJob(Job& job, const std::string& tenant) {
     if (store_) store_->store(job.key, *result);
   }
 
-  // Retire the flight first (under the lock), so later identical submits
-  // either hit the cache or start a fresh flight — then fulfill everyone.
-  // A slow-but-successful compile is still delivered as success even to
+  // Retire the flight first (under the lock), then fulfill everyone. A
+  // slow-but-successful compile is still delivered as success even to
   // waiters whose deadline lapsed mid-compile: the work is done and the
   // result is strictly more useful than a Timeout.
   std::vector<Flight::Waiter> waiters;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = inflight_.find(job.key.canonical);
-    if (it != inflight_.end() && it->second == job.flight) inflight_.erase(it);
-    waiters = std::move(job.flight->waiters);
-    finishTenantJobLocked(tenant);
+    waiters = retireFlightLocked(job, tenant);
   }
-  for (Flight::Waiter& w : waiters) {
-    CompileResponse r;
-    r.id = std::move(w.id);
-    r.deduped = w.deduped;
-    r.millis = millisSince(w.submitted);
-    if (result) {
-      r.ok = true;
-      r.result = result;
-    } else {
-      r.error = error;
-      r.errorKind = errorKind;
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      if (errorKind == ErrorKind::Timeout) timeouts_.fetch_add(1, std::memory_order_relaxed);
-    }
-    latency_.record(r.millis * 1000.0);
-    w.promise.set_value(std::move(r));
-  }
-
+  answerWaiters(waiters, result, error, errorKind);
 }
 
 ServiceStats CompileService::stats() const {

@@ -257,7 +257,15 @@ class CompileService {
 
   void workerLoop();
   void runJob(Job& job, const std::string& tenant);
-  void finishTenantJobLocked(const std::string& tenant);
+  /// Removes `job`'s flight from inflight_ and counts the tenant's job done
+  /// (caller holds mu_); returns the flight's waiters, still unanswered.
+  std::vector<Flight::Waiter> retireFlightLocked(Job& job, const std::string& tenant);
+  /// Answers each waiter with `result`, or, when it is null, with `error`
+  /// (counted as an error, and as a timeout when `errorKind` is Timeout);
+  /// every answer's latency is recorded.
+  void answerWaiters(std::vector<Flight::Waiter>& waiters,
+                     const std::shared_ptr<const CachedResult>& result,
+                     const std::string& error, ErrorKind errorKind);
   /// Round-robin claim of the next eligible job (caller holds mu_). Returns
   /// false when no tenant has both queued work and in-flight headroom.
   bool claimJobLocked(Job& out, std::string& tenant);

@@ -552,7 +552,7 @@ std::optional<bool> unpackOptional(std::uint8_t bit, std::uint8_t present, std::
 
 std::string encodeFrame(FrameType type, std::string_view payload) {
   std::string out;
-  out.reserve(12 + payload.size());
+  out.reserve(kFrameHeaderBytes + payload.size());
   out.append(kBinaryMagic, sizeof kBinaryMagic);
   bin::appendU16(out, kBinaryVersion);
   bin::appendU16(out, static_cast<std::uint16_t>(type));
@@ -561,21 +561,17 @@ std::string encodeFrame(FrameType type, std::string_view payload) {
   return out;
 }
 
-int readFrame(std::istream& in, FrameType& type, std::string& payload, std::string& error,
-              const ProtocolLimits& limits) {
-  char header[12];
-  in.read(header, sizeof header);
-  std::streamsize got = in.gcount();
-  if (got == 0 && in.eof()) return 0;  // clean end between frames
-  if (got != static_cast<std::streamsize>(sizeof header)) {
+bool decodeFrameHeader(std::string_view header, std::size_t maxPayloadBytes, FrameHeader& out,
+                       std::string& error) {
+  if (header.size() != kFrameHeaderBytes) {
     error = "truncated frame header";
-    return -1;
+    return false;
   }
-  if (std::memcmp(header, kBinaryMagic, sizeof kBinaryMagic) != 0) {
+  if (std::memcmp(header.data(), kBinaryMagic, sizeof kBinaryMagic) != 0) {
     error = "bad frame magic";
-    return -1;
+    return false;
   }
-  bin::Reader r(std::string_view(header + 4, sizeof header - 4));
+  bin::Reader r(header.substr(sizeof kBinaryMagic));
   std::uint16_t version = 0;
   std::uint16_t rawType = 0;
   std::uint32_t payloadLen = 0;
@@ -584,27 +580,43 @@ int readFrame(std::istream& in, FrameType& type, std::string& payload, std::stri
   r.u32(payloadLen);
   if (version != kBinaryVersion) {
     error = "unsupported frame version " + std::to_string(version);
-    return -1;
+    return false;
   }
   if (rawType != static_cast<std::uint16_t>(FrameType::Request) &&
       rawType != static_cast<std::uint16_t>(FrameType::Response)) {
     error = "unknown frame type " + std::to_string(rawType);
-    return -1;
+    return false;
   }
-  if (limits.maxRequestBytes > 0 && payloadLen > limits.maxRequestBytes) {
+  if (maxPayloadBytes > 0 && payloadLen > maxPayloadBytes) {
     error = "frame payload is " + std::to_string(payloadLen) + " bytes (limit " +
-            std::to_string(limits.maxRequestBytes) + ")";
+            std::to_string(maxPayloadBytes) + ")";
+    return false;
+  }
+  out.type = static_cast<FrameType>(rawType);
+  out.payloadLen = payloadLen;
+  return true;
+}
+
+int readFrame(std::istream& in, FrameType& type, std::string& payload, std::string& error,
+              const ProtocolLimits& limits) {
+  char header[kFrameHeaderBytes];
+  in.read(header, sizeof header);
+  std::streamsize got = in.gcount();
+  if (got == 0 && in.eof()) return 0;  // clean end between frames
+  FrameHeader h;
+  if (!decodeFrameHeader(std::string_view(header, static_cast<std::size_t>(got)),
+                         limits.maxRequestBytes, h, error)) {
     return -1;
   }
-  payload.resize(payloadLen);
-  if (payloadLen > 0) {
-    in.read(payload.data(), static_cast<std::streamsize>(payloadLen));
-    if (in.gcount() != static_cast<std::streamsize>(payloadLen)) {
+  payload.resize(h.payloadLen);
+  if (h.payloadLen > 0) {
+    in.read(payload.data(), static_cast<std::streamsize>(h.payloadLen));
+    if (in.gcount() != static_cast<std::streamsize>(h.payloadLen)) {
       error = "truncated frame payload";
       return -1;
     }
   }
-  type = static_cast<FrameType>(rawType);
+  type = h.type;
   return 1;
 }
 
@@ -755,7 +767,7 @@ std::uint64_t splitmix64(std::uint64_t x) {
 double RetryPolicy::delayMillis(int attempt, std::uint64_t seed) const {
   if (attempt < 0) attempt = 0;
   double cap = baseMillis;
-  for (int i = 0; i < attempt && cap < maxMillis; ++i) cap *= multiplier;
+  for (int i = 0; i < attempt && cap < maxMillis; ++i) cap *= 2.0;
   if (cap > maxMillis) cap = maxMillis;
   // Jitter in [cap/2, cap]: enough spread to break restart synchronization
   // across shards, never so little backoff that a retry storm forms.

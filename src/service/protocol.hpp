@@ -183,6 +183,19 @@ enum class FrameType : std::uint16_t {
 /// Wraps `payload` in a frame header.
 std::string encodeFrame(FrameType type, std::string_view payload);
 
+struct FrameHeader {
+  FrameType type = FrameType::Request;
+  std::uint32_t payloadLen = 0;
+};
+
+/// Decodes one frame header (kFrameHeaderBytes bytes): checks the length,
+/// magic, version and type, and that the payload is at most
+/// `maxPayloadBytes` (0 = unlimited). Returns false with `error` set on the
+/// first check that fails. readFrame and the shard supervisor's response
+/// reader both call it.
+bool decodeFrameHeader(std::string_view header, std::size_t maxPayloadBytes, FrameHeader& out,
+                       std::string& error);
+
 /// Reads one frame from `in`. Returns 1 on a frame, 0 on clean EOF (stream
 /// exhausted exactly at a frame boundary), -1 on error (bad magic/version,
 /// truncated frame, or payload over `limits.maxRequestBytes` — the stream
@@ -211,13 +224,12 @@ bool decodeBinaryResponse(std::string_view payload, BinaryResponse& out, std::st
 /// purpose: the chaos harness must replay the exact same schedule from a
 /// seed, so the "jitter" is a hash of (seed, attempt), not a clock or RNG.
 struct RetryPolicy {
-  int maxAttempts = 5;        ///< total tries (first attempt included)
   double baseMillis = 10.0;   ///< delay before attempt 1's retry
   double maxMillis = 2000.0;  ///< backoff ceiling
-  double multiplier = 2.0;
 
   /// Delay before retry number `attempt` (0-based: the wait after the
-  /// (attempt+1)-th failure). Full jitter over the exponential cap:
+  /// (attempt+1)-th failure). Full jitter over the exponential cap, which
+  /// doubles per attempt:
   /// uniform-ish in [cap/2, cap], derived from splitmix64(seed ^ attempt).
   double delayMillis(int attempt, std::uint64_t seed) const;
 };

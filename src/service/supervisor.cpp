@@ -58,26 +58,20 @@ bool readExact(int fd, char* data, std::size_t size, bool& cleanEof) {
 
 /// fd flavor of protocol.cpp's readFrame: 1 = Response frame, 0 = clean EOF
 /// at a frame boundary, -1 = torn/garbled stream (truncated header or
-/// payload, bad magic/version/type). -1 is not resynchronizable — the shard
-/// is declared dead and its traffic re-dispatched.
+/// payload, a header decodeFrameHeader rejects, or a Request frame). -1 is
+/// not resynchronizable — the shard is declared dead and its traffic
+/// re-dispatched.
 int readResponseFrameFd(int fd, std::string& payload) {
   char header[kFrameHeaderBytes];
   bool cleanEof = false;
   if (!readExact(fd, header, sizeof header, cleanEof)) return cleanEof ? 0 : -1;
-  if (std::memcmp(header, kBinaryMagic, sizeof kBinaryMagic) != 0) return -1;
-  auto u16At = [&](int off) {
-    return static_cast<std::uint16_t>(static_cast<unsigned char>(header[off]) |
-                                      (static_cast<unsigned char>(header[off + 1]) << 8));
-  };
-  std::uint32_t payloadLen = 0;
-  for (int i = 0; i < 4; ++i) {
-    payloadLen |= static_cast<std::uint32_t>(static_cast<unsigned char>(header[8 + i])) << (8 * i);
-  }
-  if (u16At(4) != kBinaryVersion) return -1;
-  if (u16At(6) != static_cast<std::uint16_t>(FrameType::Response)) return -1;
-  if (payloadLen > (64u << 20)) return -1;  // a worker never sends frames this big
-  payload.resize(payloadLen);
-  if (payloadLen > 0 && !readExact(fd, payload.data(), payloadLen, cleanEof)) return -1;
+  FrameHeader h;
+  std::string error;
+  constexpr std::size_t kMaxResponseBytes = 64u << 20;  // a worker never sends more
+  if (!decodeFrameHeader({header, sizeof header}, kMaxResponseBytes, h, error)) return -1;
+  if (h.type != FrameType::Response) return -1;
+  payload.resize(h.payloadLen);
+  if (h.payloadLen > 0 && !readExact(fd, payload.data(), h.payloadLen, cleanEof)) return -1;
   return 1;
 }
 

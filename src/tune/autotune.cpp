@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <functional>
 #include <map>
-#include <set>
+#include <type_traits>
 #include <unordered_map>
 
 #include "driver/report.hpp"
@@ -24,39 +24,30 @@ struct Coordinate {
   std::function<int(const CompileOptions&)> value;
 };
 
-/// The coordinates `options` enables, in rank order.
-std::vector<Coordinate> makeCoordinates(const TuneOptions& options) {
+/// The unroll trip counts the tuner tries, ascending.
+constexpr int kUnrollTrips[] = {1, 2, 4, 8, 16};
+
+/// Every row of opt/passes.def with a tune rank, in rank order: a bool row
+/// tries on then off, the trip row each of kUnrollTrips.
+std::vector<Coordinate> makeCoordinates() {
   std::vector<Coordinate> coords;
-#define TUNE(rank, enable) \
-  [&](const char* key, auto field) { add(rank, key, field, options.enable); }
-#define NO_TUNE(...)
-  auto add = [&](int rank, const char* key, bool CompileOptions::*field, bool enabled) {
-    if (!enabled) return;
-    coords.push_back({rank, key,
-                      {[field](CompileOptions& o) { o.*field = true; },
-                       [field](CompileOptions& o) { o.*field = false; }},
-                      [field](const CompileOptions& o) { return o.*field ? 1 : 0; }});
-  };
-#define MAT2C_PASS_BOOL(field, key, stage, proposed, coder, passes, flag, wire, tune) \
-  tune(key, &CompileOptions::field);
-#include "opt/passes.def"
-  // Trip choices are clamped through the same normalization the pipeline
-  // and the cache key use, then deduplicated: a caller-supplied {0, -3, 1}
-  // collapses to the single "never unroll" choice.
-#define TUNE(rank, enable) \
-  [&](const char* key, auto field) { addTrips(rank, key, field, options.enable); }
-#define NO_TUNE(...)
-  auto addTrips = [&](int rank, const char* key, int CompileOptions::*field,
-                      const std::vector<int>& trips) {
-    std::set<int> clamped;
-    for (int t : trips) clamped.insert(CompileOptions::clampTrip(t));
-    if (clamped.size() < 2) return;
-    Coordinate c{rank, key, {}, [field](const CompileOptions& o) {
-                   return CompileOptions::clampTrip(o.*field);
-                 }};
-    for (int t : clamped) c.choices.push_back([field, t](CompileOptions& o) { o.*field = t; });
+  auto add = [&](int rank, const char* key, auto field) {
+    Coordinate c{rank, key, {}, {}};
+    if constexpr (std::is_same_v<decltype(field), bool CompileOptions::*>) {
+      for (bool v : {true, false})
+        c.choices.push_back([field, v](CompileOptions& o) { o.*field = v; });
+      c.value = [field](const CompileOptions& o) { return o.*field ? 1 : 0; };
+    } else {
+      for (int t : kUnrollTrips)
+        c.choices.push_back([field, t](CompileOptions& o) { o.*field = t; });
+      c.value = [field](const CompileOptions& o) { return CompileOptions::clampTrip(o.*field); };
+    }
     coords.push_back(std::move(c));
   };
+#define TUNE(rank) [&](const char* key, auto field) { add(rank, key, field); }
+#define NO_TUNE(...)
+#define MAT2C_PASS_BOOL(field, key, stage, proposed, coder, passes, flag, wire, tune) \
+  tune(key, &CompileOptions::field);
 #define MAT2C_PASS_TRIP(field, key, proposed, coder, flag, tune) \
   tune(key, &CompileOptions::field);
 #include "opt/passes.def"
@@ -67,10 +58,9 @@ std::vector<Coordinate> makeCoordinates(const TuneOptions& options) {
 
 /// Differences between the default and the tuned configuration over every
 /// tuned row, e.g. "unrollMaxTrip=16 licm=0" ("(default)" when identical).
-/// TuneOptions{} enables every coordinate.
 std::string optionsDelta(const CompileOptions& base, const CompileOptions& best) {
   std::string out;
-  for (const Coordinate& c : makeCoordinates(TuneOptions{})) {
+  for (const Coordinate& c : makeCoordinates()) {
     if (c.value(base) == c.value(best)) continue;
     if (!out.empty()) out += ' ';
     out += c.name + "=" + std::to_string(c.value(best));
@@ -105,9 +95,8 @@ class Search {
     }
     report_.defaultCycles = baseCand.cycles;
 
-    std::vector<Coordinate> coords = makeCoordinates(options_);
-    int space = searchSpaceSize(options_);
-    report_.exhaustive = space <= options_.budget;
+    std::vector<Coordinate> coords = makeCoordinates();
+    report_.exhaustive = searchSpaceSize() <= options_.budget;
     if (report_.exhaustive) {
       exhaustive(coords);
     } else {
@@ -126,18 +115,11 @@ class Search {
   /// True when the search must stop (budget or deadline); records why.
   bool outOfBudget() {
     if (report_.candidatesTried >= options_.budget) {
-      if (!report_.budgetExhausted) {
-        report_.budgetExhausted = true;
-        report_.prunes.push_back("stopped: candidate budget (" +
-                                 std::to_string(options_.budget) + ") exhausted");
-      }
+      report_.budgetExhausted = true;
       return true;
     }
     if (guard_.active() && guard_.expired()) {
-      if (!report_.deadlineExpired) {
-        report_.deadlineExpired = true;
-        report_.prunes.push_back("stopped: tune deadline expired, keeping best so far");
-      }
+      report_.deadlineExpired = true;
       return true;
     }
     return false;
@@ -187,7 +169,6 @@ class Search {
           std::snprintf(buf, sizeof buf, "oracle: max |err| %.3e exceeds bound %.1e",
                         cand.maxAbsErr, options_.maxAbsErr);
           cand.note = buf;
-          report_.prunes.push_back(cand.signature + ": " + buf);
         }
       } catch (const StructuredError& e) {
         if (isBase && e.kind() == ErrorKind::Timeout) throw;
@@ -260,9 +241,9 @@ class Search {
 
 }  // namespace
 
-int searchSpaceSize(const TuneOptions& options) {
+int searchSpaceSize() {
   int size = 1;
-  for (const Coordinate& c : makeCoordinates(options)) {
+  for (const Coordinate& c : makeCoordinates()) {
     size *= static_cast<int>(c.choices.size());
   }
   return size;

@@ -8,11 +8,10 @@
 // This subsystem closes the search-then-cache loop Triton applies to GPU
 // kernels, on the pass-parameter side of this compiler:
 //
-//   1. Candidate space — a bounded grid over the output-affecting knobs
-//      the TUNE column of opt/passes.def names, in its rank order:
-//      unrollMaxTrip in {1,2,4,8,16}, fuseLoops / licm / cse / deadStores /
-//      vectorize / checkElim on/off, and (opt-in) reassociating fma rewrites
-//      under a separate interpreter-oracle error bound.
+//   1. Candidate space — a fixed 640-point grid over the output-affecting
+//      knobs the TUNE column of opt/passes.def names, in its rank order:
+//      unrollMaxTrip in {1,2,4,8,16}, and vectorize / fuseLoops / licm /
+//      cse / deadStores / checkElim / reassoc on/off.
 //   2. Search — greedy coordinate descent from the default configuration,
 //      one coordinate at a time, repeated until a full sweep finds no
 //      improvement; when the whole space fits in the candidate budget the
@@ -24,7 +23,7 @@
 //      Compiler::compileSource path and runs on the VM cycle model with
 //      deterministic inputs; a candidate is accepted only when it is
 //      strictly faster AND its outputs match the reference interpreter
-//      within the error bound (reassoc candidates use their own bound).
+//      within the one error bound, reassoc candidates included.
 //
 // The serving layer memoizes the winner's passSignature() in the compile
 // cache keyed WITHOUT the pass options (service/cache_key.hpp makeTuned), so
@@ -45,25 +44,13 @@ namespace mat2c::tune {
 struct TuneOptions {
   /// Hard cap on candidates compiled + scored (the --budget flag). The
   /// default-configuration candidate always counts as the first one. When
-  /// the full grid fits under the budget the search is exhaustive; otherwise
-  /// greedy coordinate descent.
+  /// the full grid (searchSpaceSize()) fits under the budget the search is
+  /// exhaustive; otherwise greedy coordinate descent.
   int budget = 48;
   /// Oracle bound: a candidate (reassoc ones included) whose max |error| vs
   /// the reference interpreter exceeds this is rejected no matter how fast
   /// it is. The default is the corpus-wide correctness gate.
   double maxAbsErr = kOracleMaxAbsErr;
-  /// Coordinate choices. Trips are clamped through
-  /// CompileOptions::effectiveUnrollMaxTrip(), so out-of-range entries
-  /// collapse onto their clamped value and are deduplicated.
-  std::vector<int> unrollTrips = {1, 2, 4, 8, 16};
-  bool tuneVectorize = true;
-  bool tuneFuseLoops = true;
-  bool tuneLicm = true;
-  bool tuneCse = true;
-  bool tuneDeadStores = true;
-  bool tuneCheckElim = true;
-  /// Admit reassoc=on candidates (bounded by maxAbsErr).
-  bool allowReassoc = true;
   /// Wall-clock budget for the whole search in milliseconds (0 = none).
   /// Expiry mid-search keeps the best configuration found so far; expiry
   /// before the default configuration was scored is a Timeout error.
@@ -113,7 +100,6 @@ struct TuneReport {
   bool deadlineExpired = false;
   CompileOptions best;                   ///< winning configuration
   std::vector<TuneCandidate> candidates; ///< in evaluation order
-  std::vector<std::string> prunes;       ///< human-readable pruning decisions
 };
 
 /// Search outcome: the report plus the unit compiled at the winner (reused
@@ -128,9 +114,9 @@ struct TuneResult {
 /// and Timeout when the deadline expires before the base was scored.
 TuneResult autotune(const TuneInput& input, const TuneOptions& options = {});
 
-/// Size of the full candidate grid under `options` (the exhaustive-fallback
-/// threshold; exposed for tests and the CLI).
-int searchSpaceSize(const TuneOptions& options);
+/// Size of the full candidate grid, 640 (the exhaustive-fallback threshold;
+/// exposed for tests and the CLI).
+int searchSpaceSize();
 
 /// Deterministic inputs for `specs` (the CLI --run generator); used when
 /// TuneInput::args is empty.

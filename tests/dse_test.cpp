@@ -173,7 +173,6 @@ ExploreOptions smallCorpusOptions() {
   ExploreOptions opts;
   opts.corpus = {kernels::makeFir(256, 16, 1), kernels::makeCdot(512, 4)};
   opts.laneWidths = {2, 8};
-  opts.memLaneChoices = {8};
   opts.topCandidates = 2;
   return opts;
 }

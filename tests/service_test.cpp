@@ -1154,6 +1154,50 @@ TEST(Protocol, FrameRoundTripAndFramingErrors) {
   EXPECT_NE(error.find("frame payload is"), std::string::npos);
 }
 
+TEST(Protocol, FrameHeaderTable) {
+  // decodeFrameHeader is the one header check behind readFrame and the shard
+  // supervisor's response reader; each row edits one byte of a valid
+  // Response header whose payload is 4 bytes.
+  const std::string good = encodeFrame(FrameType::Response, "abcd").substr(0, kFrameHeaderBytes);
+  auto with = [&](std::size_t at, char byte) {
+    std::string h = good;
+    h[at] = byte;
+    return h;
+  };
+  struct Case {
+    std::string header;
+    std::size_t maxPayload;
+    std::string error;  ///< "" = decodes, to a payload of `len` bytes
+    std::uint32_t len;
+  };
+  const Case cases[] = {
+      {good, 4, "", 4},  // exactly at the limit
+      {good, 3, "frame payload is 4 bytes (limit 3)", 0},
+      {good.substr(0, kFrameHeaderBytes - 1), 0, "truncated frame header", 0},
+      {with(3, 'X'), 0, "bad frame magic", 0},              // last magic byte
+      {with(4, 1), 0, "unsupported frame version 1", 0},    // the v1 wire
+      {with(5, 1), 0, "unsupported frame version 258", 0},  // version high byte
+      {with(6, 0), 0, "unknown frame type 0", 0},
+      {with(7, 1), 0, "unknown frame type 258", 0},  // type high byte
+      // The supervisor's 64 MiB response bound, and 0 = unlimited.
+      {with(11, '\xff'), 64u << 20, "frame payload is 4278190084 bytes (limit 67108864)", 0},
+      {with(11, '\xff'), 0, "", 4278190084u},
+  };
+  int row = 0;
+  for (const Case& c : cases) {
+    FrameHeader h;
+    std::string error;
+    bool ok = decodeFrameHeader(c.header, c.maxPayload, h, error);
+    EXPECT_EQ(ok, c.error.empty()) << "row " << row;
+    EXPECT_EQ(error, c.error) << "row " << row;
+    if (ok) {
+      EXPECT_EQ(h.type, FrameType::Response) << "row " << row;
+      EXPECT_EQ(h.payloadLen, c.len) << "row " << row;
+    }
+    ++row;
+  }
+}
+
 // ---- stats rendering: JSON, Prometheus, healthz ---------------------------
 
 TEST(CompileService, StatsJsonCarriesLatencyTenantsAndStoreBlocks) {

@@ -100,7 +100,6 @@ TEST(RetryPolicy, DeterministicJitterWithinExponentialEnvelope) {
   RetryPolicy p;
   p.baseMillis = 10.0;
   p.maxMillis = 2000.0;
-  p.multiplier = 2.0;
   for (int attempt = 0; attempt < 12; ++attempt) {
     double cap = 10.0;
     for (int i = 0; i < attempt && cap < 2000.0; ++i) cap *= 2.0;
@@ -200,10 +199,16 @@ TEST(ShardSupervisor, KillNineMidLoadRedispatchesAndRestartsWarm) {
   ASSERT_TRUE(sup.start(error)) << error;
   ASSERT_TRUE(waitForAlive(sup, 2));
 
+  // One repeat per shard, so drainPending() below waits for both restarts.
+  WireRequest onShard1 = makeRequest("r1", kFirSource, "fir", "1x64,1x64");
+  WireRequest onShard0 = makeRequest("r2", kScaleSource, "scale", "1x32");
+  ASSERT_EQ(ShardSupervisor::routeHash(onShard1) % 2, 1u);
+  ASSERT_EQ(ShardSupervisor::routeHash(onShard0) % 2, 0u);
+
   // Warm the store first so restarted workers can answer from disk.
   Collector warmup;
   sup.submit(makeRequest("w1", kFirSource, "fir", "1x64,1x64"), warmup.handler());
-  sup.submit(makeRequest("w2", kScaleSource, "scale", "1x64"), warmup.handler());
+  sup.submit(makeRequest("w2", kScaleSource, "scale", "1x32"), warmup.handler());
   sup.drainPending();
   for (const auto& r : warmup.take()) ASSERT_TRUE(r.ok) << r.id << ": " << r.error;
 
@@ -219,8 +224,8 @@ TEST(ShardSupervisor, KillNineMidLoadRedispatchesAndRestartsWarm) {
   }
 
   Collector out;
-  sup.submit(makeRequest("r1", kFirSource, "fir", "1x64,1x64"), out.handler());
-  sup.submit(makeRequest("r2", kScaleSource, "scale", "1x64"), out.handler());
+  sup.submit(onShard1, out.handler());
+  sup.submit(onShard0, out.handler());
   sup.drainPending();
 
   auto responses = out.take();

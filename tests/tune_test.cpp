@@ -104,22 +104,14 @@ TEST(Autotune, DefaultOptimalKernelKeepsTheDefaultConfiguration) {
 
 TEST(Autotune, SearchSpaceSizeCountsTheGrid) {
   // 5 trips x 2^7 toggles (vectorize, fuseLoops, licm, cse, deadStores,
-  // checkElim, reassoc) — the documented default grid.
-  EXPECT_EQ(tune::searchSpaceSize(TuneOptions{}), 640);
-
-  TuneOptions narrow;
-  narrow.unrollTrips = {1};
-  narrow.tuneVectorize = narrow.tuneFuseLoops = narrow.tuneLicm = false;
-  narrow.tuneCse = narrow.tuneDeadStores = narrow.tuneCheckElim = false;
-  narrow.allowReassoc = false;
-  EXPECT_EQ(tune::searchSpaceSize(narrow), 1);
+  // checkElim, reassoc) — the documented grid.
+  EXPECT_EQ(tune::searchSpaceSize(), 640);
 }
 
 TEST(Autotune, ClampedTripsCollapseToOneChoice) {
   // All out-of-range trips normalize through effectiveUnrollMaxTrip() — the
-  // single clamp point shared with the pipeline and the cache key — so a
-  // caller-supplied {0, 1, -3} is one "never unroll" choice, not three
-  // candidates wasting budget on identical compiles.
+  // single clamp point shared with the pipeline and the cache key — so 0,
+  // 1 and -5 are one "never unroll" configuration with one signature.
   CompileOptions zero, one, negative, huge;
   zero.unrollMaxTrip = 0;
   one.unrollMaxTrip = 1;
@@ -130,32 +122,20 @@ TEST(Autotune, ClampedTripsCollapseToOneChoice) {
   EXPECT_EQ(huge.effectiveUnrollMaxTrip(), CompileOptions::kUnrollTripCap);
   EXPECT_EQ(zero.passSignature(), one.passSignature());
   EXPECT_EQ(negative.passSignature(), one.passSignature());
-
-  TuneOptions topt;
-  topt.unrollTrips = {0, 1, -3};
-  topt.tuneVectorize = topt.tuneFuseLoops = topt.tuneLicm = false;
-  topt.tuneCse = topt.tuneDeadStores = topt.tuneCheckElim = false;
-  topt.allowReassoc = false;
-  EXPECT_EQ(tune::searchSpaceSize(topt), 1);
 }
 
 TEST(Autotune, ExhaustiveFallbackWhenTheGridFitsTheBudget) {
-  // One toggled knob -> a 2-point space, well under the default budget: the
-  // search enumerates it instead of descending, and the base configuration
-  // is memo-pruned rather than compiled twice.
+  // A budget that covers the whole grid: the search enumerates it instead of
+  // descending, and the base configuration is memo-pruned rather than
+  // compiled twice.
   TuneOptions topt;
-  topt.unrollTrips = {8};
-  topt.tuneVectorize = topt.tuneFuseLoops = false;
-  topt.tuneCse = topt.tuneDeadStores = topt.tuneCheckElim = false;
-  topt.allowReassoc = false;
-  topt.tuneLicm = true;
-  ASSERT_EQ(tune::searchSpaceSize(topt), 2);
+  topt.budget = tune::searchSpaceSize();
 
   TuneResult r = tune::autotune(squareInput(), topt);
   EXPECT_TRUE(r.report.exhaustive);
   EXPECT_FALSE(r.report.budgetExhausted);
-  EXPECT_EQ(r.report.candidatesTried, 2);   // base + licm=off
-  EXPECT_EQ(r.report.candidatesPruned, 1);  // the licm=on revisit of the base
+  EXPECT_EQ(r.report.candidatesTried, 640);  // base + the 639 other grid points
+  EXPECT_EQ(r.report.candidatesPruned, 1);   // the grid's revisit of the base
 }
 
 TEST(Autotune, CandidateBudgetIsAHardCap) {

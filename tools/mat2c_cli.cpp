@@ -557,7 +557,7 @@ int cmdTune(int argc, char** argv) {
   }
 
   std::printf("Autotune results (budget %d, search space %d):\n%s\n", a.topt.budget,
-              tune::searchSpaceSize(a.topt), tune::reportTable(reports).c_str());
+              tune::searchSpaceSize(), tune::reportTable(reports).c_str());
   std::printf("%d of %zu kernel(s) beat the default pipeline\n", improved,
               reports.size());
   if (!a.jsonPath.empty() && !writeFile(a.jsonPath, tune::benchJson(reports, base.isa.name()))) {
