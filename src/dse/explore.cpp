@@ -9,22 +9,19 @@
 // ops still record their counts.
 //
 // No measurement reads another's result, so the compile + VM (+ mining) jobs
-// and the winner's oracle checks fan out over forEachIndex; every aggregation
-// stays on the calling thread in corpus order, so results are bit-identical
-// to a sequential run.
+// and the winner's oracle checks fan out over forEachIndex
+// (support/parallel.hpp); every aggregation stays on the calling thread in
+// corpus order, so results are bit-identical to a sequential run.
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <system_error>
-#include <thread>
 
 #include "driver/compiler.hpp"
 #include "driver/report.hpp"
 #include "dse/dse.hpp"
+#include "support/parallel.hpp"
 #include "support/string_utils.hpp"
 
 namespace mat2c::dse {
@@ -90,45 +87,6 @@ double fusedHwCost(const CandidateInstr& c, const DesignPoint& p) {
   }
   int lanes = vec ? (cplx ? p.lanesC64 : p.lanesF64) : 1;
   return c.hwUnits * lanes;
-}
-
-/// Runs job(0) .. job(n-1) on min(n, hardware threads) threads, the calling
-/// thread included; jobs are claimed in index order through an atomic
-/// counter. Once a job throws no new job is claimed, and after the join the
-/// exception of the lowest failed index is rethrown. That is the one a
-/// sequential loop would throw: every job below a failed index was claimed
-/// before it and has run to completion.
-template <class Job>
-void forEachIndex(std::size_t n, const Job& job) {
-  std::size_t workers =
-      std::min<std::size_t>(n, std::max(1u, std::thread::hardware_concurrency()));
-  std::vector<std::exception_ptr> errors(n);
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  auto work = [&] {
-    while (!failed.load(std::memory_order_relaxed)) {
-      std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        job(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-  std::vector<std::thread> threads;
-  for (std::size_t t = 1; t < workers; ++t) {
-    try {
-      threads.emplace_back(work);
-    } catch (const std::system_error&) {
-      break;  // no more threads: the ones started and the caller do the rest
-    }
-  }
-  work();
-  for (std::thread& t : threads) t.join();
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
 }
 
 void progressLine(const ExploreOptions& opts, const std::string& line) {

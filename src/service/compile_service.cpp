@@ -490,8 +490,9 @@ void CompileService::runJob(Job& job, const std::string& tenant) {
       topt.wallBudgetMillis = options.limits.wallBudgetMillis;
       tune::TuneResult tuned = tune::autotune(input, topt);
       tunes_.fetch_add(1, std::memory_order_relaxed);
-      // The search ran candidatesTried real compiles; the counter stays an
-      // honest count of compileSource calls.
+      // The search committed candidatesTried compiles; the counter counts
+      // those. Speculative compiles the search discarded before their
+      // commit (a few per accepted candidate) are not counted.
       compilesThisJob = static_cast<std::uint64_t>(
           std::max(1, tuned.report.candidatesTried));
       std::string cCode = tuned.unit.cCode();

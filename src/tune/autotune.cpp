@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <functional>
 #include <map>
 #include <type_traits>
@@ -9,6 +10,7 @@
 
 #include "driver/report.hpp"
 #include "support/limits.hpp"
+#include "support/parallel.hpp"
 
 namespace mat2c::tune {
 
@@ -68,8 +70,35 @@ std::string optionsDelta(const CompileOptions& base, const CompileOptions& best)
   return out.empty() ? "(default)" : out;
 }
 
-/// Shared state of one search: the oracle reference, the signature memo,
-/// the incumbent, and the budget/deadline counters.
+/// Most positions one speculative batch scores: bounds the compiled units
+/// alive at once on the exhaustive path (a coordinate sweep is smaller).
+constexpr std::size_t kMaxBatch = 64;
+
+/// What compiling and running one configuration produced, before the
+/// oracle. Failures are kept as exceptions so that commit() classifies them
+/// exactly where a sequential search would have thrown them.
+struct Score {
+  std::optional<CompiledUnit> unit;
+  std::exception_ptr compileError;
+  std::exception_ptr runError;
+  double cycles = std::numeric_limits<double>::infinity();
+  std::vector<Matrix> outputs;
+};
+
+/// One search: the oracle reference, the signature memo, the incumbent, the
+/// budget/deadline counters, and the batch of scores computed ahead of
+/// their commit.
+///
+/// The search order is sequential; the work is not. Before the first
+/// position whose score is missing, every fresh candidate from there to the
+/// end of the coordinate sweep (or the next kMaxBatch grid points), each
+/// derived from the current incumbent, is scored in one fork-join; the
+/// first fork-join also interprets the reference. Commits then walk the
+/// positions in order. An acceptance changes the incumbent, so the batch's
+/// candidates of later coordinates no longer match the positions they were
+/// scored for: their signatures miss, and the first miss scores a new
+/// batch. The rest of the same coordinate stays valid (its choices replace
+/// the one coordinate the acceptance changed).
 class Search {
  public:
   Search(const TuneInput& input, const TuneOptions& options)
@@ -78,11 +107,30 @@ class Search {
   }
 
   TuneResult run() {
-    // Score the starting configuration first: it is the incumbent every
-    // alternative must strictly beat, and its failure is the caller's error
-    // (nothing to cache), not a pruning decision.
-    CompileOptions base = input_.base;
-    TuneCandidate baseCand = evaluate(base, /*isBase=*/true);
+    // Score the starting configuration first, alone: it is the incumbent
+    // every alternative must strictly beat, its failure is the caller's error
+    // (nothing to cache), not a pruning decision, and its output count sizes
+    // the reference interpretation the first batch runs.
+    const CompileOptions& base = input_.base;
+    best_ = base;
+    Score baseScore = score(base);
+    std::size_t outs =
+        baseScore.unit && !baseScore.runError ? baseScore.unit->fn().outs.size() : 0;
+    scored_.emplace(base.passSignature(), std::move(baseScore));
+
+    std::vector<Coordinate> coords = makeCoordinates();
+    report_.exhaustive = searchSpaceSize() <= options_.budget;
+    auto firstBatch = [&] {
+      std::vector<CompileOptions> batch =
+          report_.exhaustive ? gridFrom(coords, std::vector<std::size_t>(coords.size(), 0))
+                             : sweepFrom(coords, 0);
+      batch.insert(batch.begin(), base);
+      return batch;
+    };
+    // A base that failed is committed (and thrown) at once; otherwise the
+    // reference is interpreted beside the first batch.
+    if (outs > 0) speculate(firstBatch(), outs);
+    TuneCandidate baseCand = evaluate(base, firstBatch, /*isBase=*/true);
     if (!baseCand.compiled) {
       throw StructuredError(ErrorKind::PassError,
                             "autotune: default configuration failed to compile: " +
@@ -95,8 +143,6 @@ class Search {
     }
     report_.defaultCycles = baseCand.cycles;
 
-    std::vector<Coordinate> coords = makeCoordinates();
-    report_.exhaustive = searchSpaceSize() <= options_.budget;
     if (report_.exhaustive) {
       exhaustive(coords);
     } else {
@@ -125,17 +171,11 @@ class Search {
     return false;
   }
 
-  /// Compiles + scores one configuration; memoized by passSignature, so an
-  /// incumbent value revisited during a sweep costs nothing.
-  TuneCandidate evaluate(const CompileOptions& candOptions, bool isBase = false) {
-    TuneCandidate cand;
-    cand.signature = candOptions.passSignature();
-    if (auto it = memo_.find(cand.signature); it != memo_.end()) {
-      ++report_.candidatesPruned;
-      return it->second;
-    }
-
-    ++report_.candidatesTried;
+  /// Compiles and runs one configuration on a Compiler and Machine of its
+  /// own. Reads no search state that a commit writes, so the scores of one
+  /// batch run in parallel.
+  Score score(const CompileOptions& candOptions) const {
+    Score s;
     CompileOptions attempt = candOptions;
     // Map the remaining search deadline onto the compile's own wall budget
     // (tighter wins), the same way the serving layer maps request deadlines.
@@ -146,23 +186,98 @@ class Search {
         attempt.limits.wallBudgetMillis = remaining;
       }
     }
-    std::optional<CompiledUnit> unit;
     try {
-      Compiler compiler;
-      unit = compiler.compileSource(input_.source, input_.entry, input_.argSpecs, attempt);
+      s.unit = Compiler().compileSource(input_.source, input_.entry, input_.argSpecs, attempt);
+    } catch (...) {
+      s.compileError = std::current_exception();
+      return s;
+    }
+    try {
+      vm::RunResult run = s.unit->run(args_);
+      s.cycles = run.cycles.total;
+      s.outputs = std::move(run.outputs);
+    } catch (...) {
+      s.runError = std::current_exception();
+    }
+    return s;
+  }
+
+  /// Scores, in one fork-join, each configuration of `batch` that neither
+  /// the memo nor the current batch holds, as many positions as the budget
+  /// has left (kMaxBatch at most). With `referenceOuts` > 0 the reference
+  /// interpretation is job 0, claimed first: it is the longest job. Scores
+  /// the new batch does not list are stale and dropped.
+  void speculate(const std::vector<CompileOptions>& batch, std::size_t referenceOuts = 0) {
+    std::size_t room = std::min<std::size_t>(
+        kMaxBatch, std::max(1, options_.budget - report_.candidatesTried));
+    std::unordered_map<std::string, Score> next;
+    std::vector<std::pair<const CompileOptions*, Score*>> fresh;
+    for (const CompileOptions& o : batch) {
+      std::string sig = o.passSignature();
+      if (memo_.count(sig) || next.count(sig)) continue;
+      if (next.size() == room) break;
+      auto old = scored_.find(sig);
+      bool have = old != scored_.end();
+      Score& slot = next.emplace(sig, have ? std::move(old->second) : Score{}).first->second;
+      if (!have) fresh.emplace_back(&o, &slot);
+    }
+    std::size_t first = referenceOuts > 0 ? 1 : 0;
+    forEachIndex(first + fresh.size(), [&](std::size_t i) {
+      if (i >= first) {
+        *fresh[i - first].second = score(*fresh[i - first].first);
+        return;
+      }
+      try {
+        reference_ = interpretReference(input_.source, input_.entry, args_, referenceOuts);
+      } catch (...) {
+        referenceError_ = std::current_exception();
+      }
+    });
+    scored_ = std::move(next);
+  }
+
+  /// The search's next position: memoized signatures are pruned; any other
+  /// is committed with its batch score, after scoring `upcoming()` (this
+  /// position and the ones after it) when the batch lacks it.
+  template <class Upcoming>
+  TuneCandidate evaluate(const CompileOptions& candOptions, const Upcoming& upcoming,
+                         bool isBase = false) {
+    std::string signature = candOptions.passSignature();
+    if (auto it = memo_.find(signature); it != memo_.end()) {
+      ++report_.candidatesPruned;
+      return it->second;
+    }
+    auto it = scored_.find(signature);
+    if (it == scored_.end()) {
+      speculate(upcoming());
+      it = scored_.find(signature);
+    }
+    Score s = std::move(it->second);
+    scored_.erase(it);
+    return commit(candOptions, std::move(signature), std::move(s), isBase);
+  }
+
+  /// Judges one score in search order: the oracle against the reference,
+  /// then strictly-better acceptance against the incumbent; memoizes and
+  /// reports the outcome.
+  TuneCandidate commit(const CompileOptions& candOptions, std::string signature, Score s,
+                       bool isBase) {
+    TuneCandidate cand;
+    cand.signature = std::move(signature);
+    ++report_.candidatesTried;
+    try {
+      if (s.compileError) std::rethrow_exception(s.compileError);
       cand.compiled = true;
     } catch (const StructuredError& e) {
       if (isBase && e.kind() == ErrorKind::Timeout) throw;  // nothing scored yet
       cand.note = std::string("compile failed: ") + e.what();
     }
-    if (unit) {
+    if (cand.compiled) {
       try {
-        vm::RunResult run = unit->run(args_);
-        cand.cycles = run.cycles.total;
-        if (reference_.empty())
-          reference_ =
-              interpretReference(input_.source, input_.entry, args_, unit->fn().outs.size());
-        cand.maxAbsErr = compareToReference(reference_, run.outputs);
+        if (s.runError) std::rethrow_exception(s.runError);
+        cand.cycles = s.cycles;
+        if (referenceError_) std::rethrow_exception(referenceError_);
+        cand.maxAbsErr = compareToReference(reference_, s.outputs);
         cand.oracleOk = cand.maxAbsErr <= options_.maxAbsErr;
         if (!cand.oracleOk) {
           char buf[96];
@@ -184,7 +299,7 @@ class Search {
       cand.accepted = true;
       bestCycles_ = cand.cycles;
       best_ = candOptions;
-      bestUnit_ = std::move(unit);
+      bestUnit_ = std::move(s.unit);
       report_.bestMaxAbsErr = cand.maxAbsErr;
     }
     memo_.emplace(cand.signature, cand);
@@ -192,47 +307,83 @@ class Search {
     return cand;
   }
 
+  /// Every candidate of the sweep from coordinate `c` on, each derived from
+  /// the current incumbent, in commit order.
+  std::vector<CompileOptions> sweepFrom(const std::vector<Coordinate>& coords,
+                                        std::size_t c) const {
+    std::vector<CompileOptions> out;
+    for (; c < coords.size(); ++c) {
+      for (const auto& apply : coords[c].choices) {
+        out.push_back(best_);
+        apply(out.back());
+      }
+    }
+    return out;
+  }
+
   void coordinateDescent(const std::vector<Coordinate>& coords) {
     bool improved = true;
     while (improved && !outOfBudget()) {
       improved = false;
-      for (const Coordinate& coord : coords) {
-        for (const auto& apply : coord.choices) {
+      for (std::size_t c = 0; c < coords.size(); ++c) {
+        for (const auto& apply : coords[c].choices) {
           if (outOfBudget()) return;
           CompileOptions cand = best_;
           apply(cand);
           double before = bestCycles_;
-          evaluate(cand);
+          evaluate(cand, [&] { return sweepFrom(coords, c); });
           if (bestCycles_ < before) improved = true;
         }
       }
     }
   }
 
+  /// The grid point the odometer `idx` names.
+  CompileOptions gridPoint(const std::vector<Coordinate>& coords,
+                           const std::vector<std::size_t>& idx) const {
+    CompileOptions cand = input_.base;
+    for (std::size_t i = 0; i < coords.size(); ++i) coords[i].choices[idx[i]](cand);
+    return cand;
+  }
+
+  /// Advances the odometer; false once it wraps (the space is fully listed).
+  static bool advance(const std::vector<Coordinate>& coords, std::vector<std::size_t>& idx) {
+    for (std::size_t i = 0; i < coords.size(); ++i) {
+      if (++idx[i] < coords[i].choices.size()) return true;
+      idx[i] = 0;
+    }
+    return false;
+  }
+
+  /// The next kMaxBatch grid points in odometer order, from `idx` on.
+  std::vector<CompileOptions> gridFrom(const std::vector<Coordinate>& coords,
+                                       std::vector<std::size_t> idx) const {
+    std::vector<CompileOptions> out;
+    do {
+      out.push_back(gridPoint(coords, idx));
+    } while (out.size() < kMaxBatch && advance(coords, idx));
+    return out;
+  }
+
   void exhaustive(const std::vector<Coordinate>& coords) {
     // Odometer over the cross product; the all-defaults combination is
     // memo-pruned (the base already scored it).
     std::vector<std::size_t> idx(coords.size(), 0);
-    while (!outOfBudget()) {
-      CompileOptions cand = input_.base;
-      for (std::size_t i = 0; i < coords.size(); ++i) coords[i].choices[idx[i]](cand);
-      evaluate(cand);
-      std::size_t i = 0;
-      for (; i < coords.size(); ++i) {
-        if (++idx[i] < coords[i].choices.size()) break;
-        idx[i] = 0;
-      }
-      if (i == coords.size()) return;  // odometer wrapped: space fully scored
-    }
+    do {
+      if (outOfBudget()) return;
+      evaluate(gridPoint(coords, idx), [&] { return gridFrom(coords, idx); });
+    } while (advance(coords, idx));
   }
 
   const TuneInput& input_;
   const TuneOptions& options_;
   DeadlineGuard guard_;
   std::vector<Matrix> args_;
-  std::vector<Matrix> reference_;  ///< interpreter outputs, computed on the first run
+  std::vector<Matrix> reference_;      ///< interpreter outputs, computed in the first batch
+  std::exception_ptr referenceError_;  ///< what that interpretation threw instead
 
   std::unordered_map<std::string, TuneCandidate> memo_;
+  std::unordered_map<std::string, Score> scored_;  ///< the current batch, by signature
   TuneReport report_;
   CompileOptions best_;
   double bestCycles_ = std::numeric_limits<double>::infinity();

@@ -18,7 +18,11 @@
 //      search is exhaustive instead. Every evaluated signature is memoized,
 //      so revisits are pruned, and the whole search runs under an optional
 //      wall-clock deadline (DeadlineGuard) — on expiry the best
-//      configuration found so far wins.
+//      configuration found so far wins. The rest of a sweep (or the next
+//      grid points) is scored speculatively in one parallel batch, the
+//      first batch beside the reference interpretation, and committed in
+//      search order: a candidate whose incumbent was replaced before its
+//      commit is scored again, so the report is the sequential search's.
 //   3. Scoring — each candidate compiles through the degradation-aware
 //      Compiler::compileSource path and runs on the VM cycle model with
 //      deterministic inputs; a candidate is accepted only when it is
@@ -42,7 +46,7 @@ namespace mat2c::tune {
 
 /// What the autotuner searches over and how long it may look.
 struct TuneOptions {
-  /// Hard cap on candidates compiled + scored (the --budget flag). The
+  /// Hard cap on candidates committed (the --budget flag). The
   /// default-configuration candidate always counts as the first one. When
   /// the full grid (searchSpaceSize()) fits under the budget the search is
   /// exhaustive; otherwise greedy coordinate descent.
@@ -93,7 +97,9 @@ struct TuneReport {
   double tunedCycles = 0.0;    ///< cycles at the winner
   double speedup = 1.0;        ///< defaultCycles / tunedCycles
   double bestMaxAbsErr = 0.0;  ///< oracle error at the winner
-  int candidatesTried = 0;     ///< compiles actually performed
+  /// Candidates committed, each one compile. Speculative compiles that
+  /// went stale before their commit are discarded and not counted.
+  int candidatesTried = 0;
   int candidatesPruned = 0;    ///< skipped via the signature memo
   bool exhaustive = false;     ///< full grid fit under the budget
   bool budgetExhausted = false;
@@ -112,6 +118,12 @@ struct TuneResult {
 /// Runs the search. Throws StructuredError when even the base configuration
 /// fails to compile or misses the oracle bound (there is nothing to cache),
 /// and Timeout when the deadline expires before the base was scored.
+///
+/// Starts threads: each batch of candidates (and the reference
+/// interpretation) is scored on up to std::thread::hardware_concurrency()
+/// threads, the caller's included. Worker threads do not see a
+/// DeadlineGuard the caller installed for its own thread; the search's own
+/// deadline bounds every candidate compile.
 TuneResult autotune(const TuneInput& input, const TuneOptions& options = {});
 
 /// Size of the full candidate grid, 640 (the exhaustive-fallback threshold;

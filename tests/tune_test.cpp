@@ -7,6 +7,12 @@
 // not depend on the outer trip count and the suite stays fast.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <map>
+#include <set>
+#include <sstream>
+
 #include "support/errors.hpp"
 #include "tune/tune.hpp"
 
@@ -84,7 +90,9 @@ TEST(Autotune, ZeroReassocBoundRejectsReassocWinners) {
   EXPECT_FALSE(r.report.best.reassoc);
   EXPECT_EQ(r.report.bestMaxAbsErr, 0.0);
   for (const tune::TuneCandidate& c : r.report.candidates) {
-    if (c.accepted) EXPECT_TRUE(c.oracleOk) << c.signature;
+    if (c.accepted) {
+      EXPECT_TRUE(c.oracleOk) << c.signature;
+    }
   }
 }
 
@@ -98,6 +106,99 @@ TEST(Autotune, DefaultOptimalKernelKeepsTheDefaultConfiguration) {
   EXPECT_EQ(r.report.tunedCycles, r.report.defaultCycles);
   EXPECT_EQ(r.report.speedup, 1.0);
   EXPECT_EQ(r.report.best.passSignature(), input.base.passSignature());
+}
+
+// ---- Speculative batches commit in search order ---------------------------
+
+/// Every field of a committed candidate, one line (doubles as hex floats).
+std::string describe(const tune::TuneCandidate& c) {
+  char nums[96];
+  std::snprintf(nums, sizeof nums, " cycles=%a err=%a", c.cycles, c.maxAbsErr);
+  return c.signature + nums + " compiled=" + std::to_string(c.compiled) +
+         " oracleOk=" + std::to_string(c.oracleOk) +
+         " accepted=" + std::to_string(c.accepted) + " note=" + c.note;
+}
+
+std::vector<std::string> describeAll(const tune::TuneReport& r) {
+  std::vector<std::string> out;
+  for (const tune::TuneCandidate& c : r.candidates) out.push_back(describe(c));
+  return out;
+}
+
+/// The passSignature() keys of the tuner's coordinates (the TUNE rows of
+/// opt/passes.def).
+std::set<std::string> tuneKeys() {
+  std::set<std::string> keys;
+#define TUNE(rank) [&](const char* key) { keys.insert(key); }
+#define NO_TUNE(...)
+#define MAT2C_PASS_BOOL(field, key, stage, proposed, coder, passes, flag, wire, tune) tune(key);
+#define MAT2C_PASS_TRIP(field, key, proposed, coder, flag, tune) tune(key);
+#include "opt/passes.def"
+  return keys;
+}
+
+/// passSignature() as key -> value ("style=proposed;licm=1;...").
+std::map<std::string, std::string> signatureFields(const std::string& signature) {
+  std::map<std::string, std::string> fields;
+  std::istringstream in(signature);
+  for (std::string item; std::getline(in, item, ';');) {
+    auto eq = item.find('=');
+    fields[item.substr(0, eq)] = eq == std::string::npos ? "" : item.substr(eq + 1);
+  }
+  return fields;
+}
+
+TEST(Autotune, CoordinateDescentCommitsOneCoordinateMovesInOrder) {
+  // Candidates are scored ahead of their commit, each derived from the
+  // incumbent of the moment the batch was formed. Committing one whose
+  // incumbent was replaced in the meantime (an acceptance earlier in the
+  // batch) would show as a candidate two coordinates away from the
+  // incumbent, and a smaller budget would no longer see a prefix of the
+  // same search.
+  TuneInput input = inputFor(kernels::makeIir16(128));
+  TuneOptions topt;
+  topt.budget = 48;
+  tune::TuneReport full = tune::autotune(input, topt).report;
+  ASSERT_FALSE(full.exhaustive);
+
+  const std::set<std::string> keys = tuneKeys();
+  ASSERT_FALSE(full.candidates.empty());
+  EXPECT_TRUE(full.candidates.front().accepted) << "the base is the first incumbent";
+  std::string incumbent = full.candidates.front().signature;
+  int acceptances = 0;
+  for (std::size_t i = 1; i < full.candidates.size(); ++i) {
+    const tune::TuneCandidate& c = full.candidates[i];
+    auto was = signatureFields(incumbent), now = signatureFields(c.signature);
+    std::vector<std::string> moved;
+    for (const auto& [key, value] : now)
+      if (was[key] != value) moved.push_back(key);
+    ASSERT_EQ(moved.size(), 1u) << "candidate " << i << ": " << c.signature
+                                << "\nincumbent: " << incumbent;
+    EXPECT_TRUE(keys.count(moved[0])) << moved[0] << " is not a tuned coordinate";
+    if (c.accepted) {
+      incumbent = c.signature;
+      ++acceptances;
+    }
+  }
+  EXPECT_GE(acceptances, 1) << "no acceptance: nothing was speculated past";
+
+  std::vector<std::string> expect = describeAll(full);
+  for (int budget = 1; budget <= 22; ++budget) {
+    topt.budget = budget;
+    std::vector<std::string> got = describeAll(tune::autotune(input, topt).report);
+    ASSERT_EQ(got.size(), std::min<std::size_t>(budget, expect.size())) << "budget " << budget;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(got[i], expect[i]) << "budget " << budget << ", candidate " << i;
+  }
+}
+
+TEST(Autotune, RepeatedSearchesCommitTheSameCandidates) {
+  // The batch's scores finish in any order; the commits must not.
+  TuneInput input = inputFor(kernels::makeIir16(128));
+  std::vector<std::string> first = describeAll(tune::autotune(input).report);
+  ASSERT_FALSE(first.empty());
+  for (int run = 1; run < 10; ++run)
+    EXPECT_EQ(describeAll(tune::autotune(input).report), first) << "run " << run;
 }
 
 // ---- Budgets and deadlines -----------------------------------------------
