@@ -223,8 +223,7 @@ void measureFraming(ServeMeasurement& m) {
     else escaped += c;
   }
   std::string jsonLine = "{\"id\": \"k0\", \"source\": \"" + escaped +
-                         "\", \"entry\": \"f\", \"args\": \"1x64,1x64\", "
-                         "\"tenant\": \"bench\"}";
+                         "\", \"entry\": \"f\", \"args\": \"1x64,1x64\"}";
   service::CompileResponse resp;
   resp.id = "k0";
   resp.ok = true;
@@ -260,7 +259,6 @@ void measureFraming(ServeMeasurement& m) {
   wire.source = proto.source;
   wire.entry = "f";
   wire.args = "1x64,1x64";
-  wire.tenant = "bench";
   std::string reqFrame =
       service::encodeFrame(service::FrameType::Request, service::encodeBinaryRequest(wire));
   m.binaryFrameNs = time([&]() -> std::size_t {

@@ -16,26 +16,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Admission bound on queued jobs, global across all tenant FIFOs: a full
-/// queue blocks the submitter, not the heap.
+/// Admission bound on queued jobs: a full queue blocks the submitter, not the
+/// heap.
 constexpr std::size_t kQueueCapacity = 1024;
 /// Lock stripes of the memory compile cache.
 constexpr std::size_t kCacheShards = 8;
 
 double millisSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-/// Prometheus label-value escape (backslash, quote, newline).
-std::string promLabel(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '\\') out += "\\\\";
-    else if (c == '"') out += "\\\"";
-    else if (c == '\n') out += "\\n";
-    else out += c;
-  }
-  return out;
 }
 
 double requestsPerSecond(const ServiceStats& stats, double wallMillis) {
@@ -92,27 +80,11 @@ std::string statsJson(const ServiceStats& stats, double wallMillis) {
       intField("storeHits", stats.storeHits), intField("dedupJoins", stats.dedupJoins),
       intField("errors", stats.errors), intField("timeouts", stats.timeouts),
       intField("panics", stats.panics), intField("degraded", stats.degraded),
-      intField("threads", stats.threads)};
-  if (stats.isaVersion > 0) {
-    doc.insert(doc.end(), {intField("isaVersion", stats.isaVersion),
-                           intField("isaReloads", stats.isaReloads)});
-  }
-  doc.insert(doc.end(), {numField("compileMillis", stats.compileMillis, 3),
-                         objectField("latency", {intField("count", l.count),
-                                                 numField("p50Millis", l.p50Millis, 3),
-                                                 numField("p95Millis", l.p95Millis, 3),
-                                                 numField("p99Millis", l.p99Millis, 3)})});
-  if (!stats.tenants.empty()) {
-    std::vector<JsonField> tenants;
-    for (const TenantStats& t : stats.tenants) {
-      tenants.push_back(objectField(t.name, {intField("submitted", t.submitted),
-                                             intField("completed", t.completed),
-                                             intField("queued", t.queued),
-                                             intField("inflight", t.inflight)}));
-    }
-    doc.insert(doc.end(), {intField("tenantInflightCap", stats.tenantInflightCap),
-                           objectField("tenants", tenants)});
-  }
+      intField("threads", stats.threads),
+      numField("compileMillis", stats.compileMillis, 3),
+      objectField("latency", {intField("count", l.count), numField("p50Millis", l.p50Millis, 3),
+                              numField("p95Millis", l.p95Millis, 3),
+                              numField("p99Millis", l.p99Millis, 3)})};
   if (stats.storeEnabled) {
     const ArtifactStore::Stats& st = stats.store;
     doc.push_back(objectField("store",
@@ -167,11 +139,6 @@ std::string metricsText(const ServiceStats& stats, double wallMillis) {
   w.counter("mat2c_panics_total", stats.panics, "Non-standard exceptions contained");
   w.counter("mat2c_degraded_total", stats.degraded, "Compiles that used the degradation ladder");
   w.gauge("mat2c_threads", std::to_string(stats.threads), "Worker pool size");
-  if (stats.isaVersion > 0) {
-    w.gauge("mat2c_isa_version", std::to_string(stats.isaVersion),
-            "Version of the server-default ISA (bumps on hot-reload)");
-    w.counter("mat2c_isa_reloads_total", stats.isaReloads, "Successful ISA hot-reloads");
-  }
   w.gauge("mat2c_cache_entries", std::to_string(stats.cache.entries), "Live cache entries");
   w.gauge("mat2c_cache_bytes", std::to_string(stats.cache.bytes), "Cache footprint estimate");
   w.counter("mat2c_cache_evictions_total", stats.cache.evictions, "LRU evictions");
@@ -190,14 +157,6 @@ std::string metricsText(const ServiceStats& stats, double wallMillis) {
             {"{quantile=\"0.95\"}", report::Table::num(stats.latency.p95Millis, 3)},
             {"{quantile=\"0.99\"}", report::Table::num(stats.latency.p99Millis, 3)},
             {"_count", std::to_string(stats.latency.count)}});
-  PrometheusWriter::Samples submitted, completed;
-  for (const TenantStats& t : stats.tenants) {
-    std::string label = "{tenant=\"" + promLabel(t.name) + "\"}";
-    submitted.emplace_back(label, std::to_string(t.submitted));
-    completed.emplace_back(label, std::to_string(t.completed));
-  }
-  w.family("mat2c_tenant_requests_total", "counter", "Requests submitted per tenant", submitted);
-  w.family("mat2c_tenant_completed_total", "counter", "Requests completed per tenant", completed);
   if (wallMillis >= 0) {
     w.gauge("mat2c_requests_per_second",
             report::Table::num(requestsPerSecond(stats, wallMillis), 3),
@@ -237,13 +196,6 @@ CompileService::~CompileService() {
 std::future<CompileResponse> CompileService::submit(CompileRequest request) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   Clock::time_point start = Clock::now();
-  // Default-ISA stamping happens HERE, before the cache key is computed:
-  // the request is pinned to one registry snapshot for its whole life, so a
-  // hot-reload never yields a mixed-ISA answer — in-flight work finishes on
-  // the old fingerprint, later submissions key (and miss) on the new one.
-  if (request.useDefaultIsa && config_.isaRegistry) {
-    request.options.isa = *config_.isaRegistry->snapshot().isa;
-  }
   // Tune requests are keyed without the pass options: the tuned configuration
   // is what the cache stores, not what it is keyed on. Everything downstream
   // (fast path, single-flight, queueing) is shared with plain compiles.
@@ -299,14 +251,9 @@ std::future<CompileResponse> CompileService::submit(CompileRequest request) {
   std::future<CompileResponse> future = flight->waiters.back().promise.get_future();
   inflight_.emplace(key.canonical, flight);
 
-  // Bounded admission: block the submitter, not the heap. The bound is
-  // global across tenants; fairness is enforced at the drain, not here.
-  notFull_.wait(lock, [&] { return queuedTotal_ < kQueueCapacity || stopping_; });
-  auto [it, inserted] = tenants_.try_emplace(request.tenant);
-  if (inserted) rrOrder_.push_back(request.tenant);
-  ++it->second.submitted;
-  it->second.jobs.push_back(Job{std::move(key), std::move(request), std::move(flight)});
-  ++queuedTotal_;
+  // Bounded admission: block the submitter, not the heap.
+  notFull_.wait(lock, [&] { return queue_.size() < kQueueCapacity || stopping_; });
+  queue_.push_back(Job{std::move(key), std::move(request), std::move(flight)});
   lock.unlock();
   notEmpty_.notify_one();
   return future;
@@ -322,64 +269,26 @@ std::vector<CompileResponse> CompileService::compileBatch(std::vector<CompileReq
   return responses;
 }
 
-bool CompileService::claimJobLocked(Job& out, std::string& tenant) {
-  const std::size_t n = rrOrder_.size();
-  for (std::size_t offset = 0; offset < n; ++offset) {
-    std::size_t idx = (rrNext_ + offset) % n;
-    TenantQueue& t = tenants_[rrOrder_[idx]];
-    if (t.jobs.empty()) continue;
-    // The fair-share cap: a tenant already holding its quota of workers is
-    // skipped, letting the round-robin hand the slot to the next tenant with
-    // work. During shutdown the cap is waived so the queue fully drains
-    // (every future must become ready).
-    if (!stopping_ && config_.tenantInflightCap > 0 && t.inflight >= config_.tenantInflightCap) {
-      continue;
-    }
-    out = std::move(t.jobs.front());
-    t.jobs.pop_front();
-    ++t.inflight;
-    --queuedTotal_;
-    tenant = rrOrder_[idx];
-    rrNext_ = (idx + 1) % n;
-    return true;
-  }
-  return false;
-}
-
 void CompileService::workerLoop() {
   while (true) {
     Job job;
-    std::string tenant;
-    bool claimed = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      notEmpty_.wait(lock, [&] {
-        if (claimJobLocked(job, tenant)) {
-          claimed = true;
-          return true;
-        }
-        return stopping_ && queuedTotal_ == 0;
-      });
-      if (!claimed) return;  // stopping, fully drained
+      notEmpty_.wait(lock, [&] { return !queue_.empty() || stopping_; });
+      if (queue_.empty()) return;  // stopping, fully drained
+      job = std::move(queue_.front());
+      queue_.pop_front();
     }
     notFull_.notify_one();
-    runJob(job, tenant);
-    // Freeing an in-flight slot can make a capped tenant eligible again.
-    notEmpty_.notify_all();
+    runJob(job);
   }
 }
 
 // Must hold mu_. Runs BEFORE any of the job's promises is fulfilled, so
-// later identical submits either hit the cache or start a fresh flight, and a
-// client that sees its future ready and immediately snapshots stats() never
-// observes a stale inflight count for a finished job.
-std::vector<CompileService::Flight::Waiter> CompileService::retireFlightLocked(
-    Job& job, const std::string& tenant) {
+// later identical submits either hit the cache or start a fresh flight.
+std::vector<CompileService::Flight::Waiter> CompileService::retireFlightLocked(Job& job) {
   auto it = inflight_.find(job.key.canonical);
   if (it != inflight_.end() && it->second == job.flight) inflight_.erase(it);
-  TenantQueue& t = tenants_[tenant];
-  if (t.inflight > 0) --t.inflight;
-  ++t.completed;
   return std::move(job.flight->waiters);
 }
 
@@ -405,7 +314,7 @@ void CompileService::answerWaiters(std::vector<Flight::Waiter>& waiters,
   }
 }
 
-void CompileService::runJob(Job& job, const std::string& tenant) {
+void CompileService::runJob(Job& job) {
   Clock::time_point pickup = Clock::now();
 
   // Pickup-time triage (under the lock): waiters whose per-request deadline
@@ -437,7 +346,7 @@ void CompileService::runJob(Job& job, const std::string& tenant) {
     if (waiters.empty()) {
       // Nobody is listening: retire the flight and skip the compile.
       allExpired = true;
-      retireFlightLocked(job, tenant);
+      retireFlightLocked(job);
     }
   }
   answerWaiters(expired, nullptr, "request timed out in queue", ErrorKind::Timeout);
@@ -452,7 +361,7 @@ void CompileService::runJob(Job& job, const std::string& tenant) {
     std::vector<Flight::Waiter> waiters;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      waiters = retireFlightLocked(job, tenant);
+      waiters = retireFlightLocked(job);
     }
     answerWaiters(waiters, nullptr, "injected fault at point 'compile'", ErrorKind::PassError);
     return;
@@ -545,7 +454,7 @@ void CompileService::runJob(Job& job, const std::string& tenant) {
   std::vector<Flight::Waiter> waiters;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    waiters = retireFlightLocked(job, tenant);
+    waiters = retireFlightLocked(job);
   }
   answerWaiters(waiters, result, error, errorKind);
 }
@@ -564,31 +473,11 @@ ServiceStats CompileService::stats() const {
   s.degraded = degraded_.load(std::memory_order_relaxed);
   s.compileMillis = static_cast<double>(compileMicros_.load(std::memory_order_relaxed)) / 1000.0;
   s.threads = workers_.size();
-  s.tenantInflightCap = config_.tenantInflightCap;
   s.cache = cache_.stats();
   s.latency = latency_.snapshot();
   if (store_) {
     s.storeEnabled = true;
     s.store = store_->stats();
-  }
-  if (config_.isaRegistry) {
-    s.isaVersion = config_.isaRegistry->version();
-    s.isaReloads = config_.isaRegistry->reloads();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.tenants.reserve(rrOrder_.size());
-    for (const std::string& name : rrOrder_) {
-      auto it = tenants_.find(name);
-      if (it == tenants_.end()) continue;
-      TenantStats t;
-      t.name = name;
-      t.submitted = it->second.submitted;
-      t.completed = it->second.completed;
-      t.queued = it->second.jobs.size();
-      t.inflight = it->second.inflight;
-      s.tenants.push_back(std::move(t));
-    }
   }
   return s;
 }

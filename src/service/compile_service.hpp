@@ -2,9 +2,8 @@
 //
 // CompileService fronts mat2c::Compiler with the mechanisms a production
 // compile farm needs:
-//   * a fixed worker pool draining bounded per-tenant FIFOs, fair-share
-//     round-robin across tenants with optional per-tenant in-flight caps
-//     (one chatty tenant can no longer starve the fleet),
+//   * a fixed worker pool draining one bounded FIFO (a full queue blocks
+//     the submitter, not the heap),
 //   * a content-addressed CompileCache (see cache_key.hpp) so repeated
 //     requests are served without recompiling,
 //   * an optional persistent ArtifactStore second tier (read-through on
@@ -36,7 +35,6 @@
 
 #include "service/artifact_store.hpp"
 #include "service/compile_cache.hpp"
-#include "service/isa_registry.hpp"
 
 namespace mat2c::service {
 
@@ -46,12 +44,6 @@ struct CompileRequest {
   std::string entry;
   std::vector<sema::ArgSpec> args;
   CompileOptions options;
-  /// Fair-share admission class (wire field "tenant", "" = the default
-  /// tenant). Requests are queued per tenant and drained round-robin;
-  /// Config::tenantInflightCap bounds how many of one tenant's jobs may
-  /// occupy workers at once. The tenant is deliberately NOT part of the
-  /// cache key: artifacts are content-addressed and shared across tenants.
-  std::string tenant;
   /// Tune mode (src/tune): instead of compiling with `options` as given, the
   /// worker searches the pass-parameter space around them and caches the
   /// winner. Tune requests are keyed WITHOUT the pass options
@@ -61,12 +53,6 @@ struct CompileRequest {
   bool tune = false;
   /// Candidate budget for the search (0 = TuneOptions default).
   int tuneBudget = 0;
-  /// The request did not name a target: stamp the server-default ISA from
-  /// Config::isaRegistry at submit time (before the cache key is computed),
-  /// so the request is pinned to one registry version for its whole life —
-  /// a concurrent reload changes later submissions, never this one. When no
-  /// registry is configured, `options.isa` is used as given.
-  bool useDefaultIsa = false;
   /// Per-request deadline in milliseconds from submit (0 = none). Covers
   /// queue time and the compile itself: a request still queued past its
   /// deadline is resolved with Timeout at pickup (the future is never
@@ -87,7 +73,7 @@ struct CompileResponse {
   ErrorKind errorKind = ErrorKind::None;
   std::shared_ptr<const CachedResult> result;  ///< non-null when ok
   double millis = 0.0;    ///< latency from submit to fulfillment
-  /// Admin-request result text (reload/healthz/stats), "" for compiles.
+  /// Admin-request result text (healthz/stats), "" for compiles.
   /// Synthesized by the serve loop — CompileService itself never sets it.
   std::string adminInfo;
 };
@@ -117,15 +103,6 @@ class LatencyHistogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
-/// Per-tenant admission counters (quota observability).
-struct TenantStats {
-  std::string name;            ///< "" = the default tenant
-  std::uint64_t submitted = 0; ///< jobs enqueued for this tenant
-  std::uint64_t completed = 0; ///< jobs a worker finished for this tenant
-  std::size_t queued = 0;      ///< currently waiting in the tenant's FIFO
-  std::size_t inflight = 0;    ///< currently occupying a worker
-};
-
 struct ServiceStats {
   std::uint64_t requests = 0;
   std::uint64_t compiles = 0;    ///< underlying Compiler::compileSource calls
@@ -139,14 +116,10 @@ struct ServiceStats {
   std::uint64_t degraded = 0;    ///< successful compiles that used the degradation ladder
   double compileMillis = 0.0;    ///< wall time spent inside compileSource
   std::size_t threads = 0;
-  std::size_t tenantInflightCap = 0;  ///< 0 = unlimited
   CacheStats cache;
   LatencyStats latency;
   bool storeEnabled = false;
   ArtifactStore::Stats store;    ///< zeros when !storeEnabled
-  std::vector<TenantStats> tenants;  ///< round-robin order (first-seen)
-  std::uint64_t isaVersion = 0;  ///< registry version (0 = no registry)
-  std::uint64_t isaReloads = 0;  ///< successful hot-reloads
 };
 
 /// Serializes stats in the same style as the pipeline telemetry JSON
@@ -159,7 +132,7 @@ std::string statsJson(const ServiceStats& stats, double wallMillis = -1.0);
 std::string metricsText(const ServiceStats& stats, double wallMillis = -1.0);
 
 /// The one Prometheus text writer: a family is HELP, TYPE, then (suffix, value)
-/// samples (suffix `{tenant="x"}`, `_count`, ...); no samples writes nothing.
+/// samples (suffix `{quantile="0.5"}`, `_count`, ...); no samples writes nothing.
 struct PrometheusWriter {
   using Samples = std::vector<std::pair<std::string, std::string>>;
   void family(const std::string& name, const std::string& type, const std::string& help,
@@ -182,11 +155,6 @@ class CompileService {
   struct Config {
     std::size_t threads = 0;        ///< 0 = hardware_concurrency (min 1)
     std::size_t cacheEntries = 1024;
-    /// Max jobs of ONE tenant occupying workers at once (0 = unlimited).
-    /// With the round-robin drain this is the fair-share knob: a flooding
-    /// tenant can hold at most this many workers while other tenants have
-    /// queued work.
-    std::size_t tenantInflightCap = 0;
     /// Persistent artifact store directory ("" = disabled). Read-through on
     /// cache miss, persisted after each successful compile and before its
     /// waiters are answered.
@@ -197,11 +165,6 @@ class CompileService {
     /// before each underlying compile (lets tests stall the worker to prove
     /// single-flight dedup deterministically).
     std::function<void(const CompileRequest&)> onCompileStart;
-    /// Server-default ISA with zero-downtime reload (non-owning; the serve
-    /// loop owns the registry and outlives the service). When set, requests
-    /// flagged useDefaultIsa are stamped with the registry's current ISA at
-    /// submit time. Null = requests compile with options.isa as given.
-    IsaRegistry* isaRegistry = nullptr;
   };
 
   CompileService();
@@ -246,41 +209,26 @@ class CompileService {
     CompileRequest request;
     std::shared_ptr<Flight> flight;
   };
-  /// One tenant's FIFO + quota counters. A flight joined by several tenants
-  /// is queued (and capped) under the tenant that opened it.
-  struct TenantQueue {
-    std::deque<Job> jobs;
-    std::size_t inflight = 0;
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;
-  };
-
   void workerLoop();
-  void runJob(Job& job, const std::string& tenant);
-  /// Removes `job`'s flight from inflight_ and counts the tenant's job done
-  /// (caller holds mu_); returns the flight's waiters, still unanswered.
-  std::vector<Flight::Waiter> retireFlightLocked(Job& job, const std::string& tenant);
+  void runJob(Job& job);
+  /// Removes `job`'s flight from inflight_ (caller holds mu_); returns the
+  /// flight's waiters, still unanswered.
+  std::vector<Flight::Waiter> retireFlightLocked(Job& job);
   /// Answers each waiter with `result`, or, when it is null, with `error`
   /// (counted as an error, and as a timeout when `errorKind` is Timeout);
   /// every answer's latency is recorded.
   void answerWaiters(std::vector<Flight::Waiter>& waiters,
                      const std::shared_ptr<const CachedResult>& result,
                      const std::string& error, ErrorKind errorKind);
-  /// Round-robin claim of the next eligible job (caller holds mu_). Returns
-  /// false when no tenant has both queued work and in-flight headroom.
-  bool claimJobLocked(Job& out, std::string& tenant);
 
   Config config_;
   CompileCache cache_;
   std::unique_ptr<ArtifactStore> store_;  ///< null when persistence disabled
 
-  mutable std::mutex mu_;  // guards tenants_/rrOrder_/queuedTotal_ and inflight_
+  std::mutex mu_;  // guards queue_ and inflight_
   std::condition_variable notEmpty_;
   std::condition_variable notFull_;
-  std::unordered_map<std::string, TenantQueue> tenants_;
-  std::vector<std::string> rrOrder_;  ///< tenant names, first-seen order
-  std::size_t rrNext_ = 0;            ///< next rrOrder_ index to offer a worker
-  std::size_t queuedTotal_ = 0;       ///< jobs across all tenant FIFOs
+  std::deque<Job> queue_;
   std::unordered_map<std::string, std::shared_ptr<Flight>> inflight_;  // by canonical key
   bool stopping_ = false;
 

@@ -314,7 +314,6 @@ bool WireRequest::resolve(CompileRequest& out, std::string& error) const {
   out.id = id;
   out.source = source;
   out.entry = entry;
-  out.tenant = tenant;
   out.tune = tune;
   out.tuneBudget = tuneBudget;
   out.deadlineMillis = deadlineMillis;
@@ -359,11 +358,6 @@ bool WireRequest::resolve(CompileRequest& out, std::string& error) const {
       error = e.what();
       return false;
     }
-  } else {
-    // No explicit target: take the server default. options.isa keeps the
-    // style's dspx preset (standalone use); a service configured with an
-    // IsaRegistry overwrites it at submit time — see CompileService::submit.
-    out.useDefaultIsa = true;
   }
   for (const WireToggle& t : wireToggles()) {
     if (const std::optional<bool>& v = this->*t.wire) out.options.*t.option = *v;
@@ -422,8 +416,6 @@ bool parseWireRequest(std::string_view line, WireRequest& out, std::string& erro
       if (!wantString(req.isaText)) return false;
     } else if (key == "style") {
       if (!wantString(req.style)) return false;
-    } else if (key == "tenant") {
-      if (!wantString(req.tenant)) return false;
     } else if (key == "admin") {
       if (!wantString(req.admin)) return false;
     } else if (const WireToggle* t = findToggle(key)) {
@@ -629,7 +621,6 @@ std::string encodeBinaryRequest(const WireRequest& req) {
   bin::appendStr(out, req.isa);
   bin::appendStr(out, req.isaText);
   bin::appendStr(out, req.style);
-  bin::appendStr(out, req.tenant);
   std::uint8_t present = 0;
   std::uint8_t value = 0;
   for (const WireToggle& t : wireToggles()) packOptional(req.*t.wire, t.bit, present, value);
@@ -638,7 +629,7 @@ std::string encodeBinaryRequest(const WireRequest& req) {
   bin::appendU8(out, req.tune ? 1 : 0);
   bin::appendI32(out, req.tuneBudget);
   bin::appendF64(out, req.deadlineMillis);
-  bin::appendStr(out, req.admin);  // v2
+  bin::appendStr(out, req.admin);
   return out;
 }
 
@@ -651,7 +642,7 @@ bool decodeBinaryRequest(std::string_view payload, WireRequest& out, std::string
   std::int32_t tuneBudget = 0;
   double deadline = 0.0;
   if (!r.str(out.id) || !r.str(out.source) || !r.str(out.entry) || !r.str(out.args) ||
-      !r.str(out.isa) || !r.str(out.isaText) || !r.str(out.style) || !r.str(out.tenant) ||
+      !r.str(out.isa) || !r.str(out.isaText) || !r.str(out.style) ||
       !r.u8(present) || !r.u8(value) || !r.u8(flags) || !r.i32(tuneBudget) ||
       !r.f64(deadline) || !r.str(out.admin) || !r.done()) {
     error = "malformed request payload";

@@ -66,19 +66,16 @@ struct WireRequest {
   std::string source;
   std::string entry;
   std::string args;             ///< CLI arg-spec syntax, "" = none
-  /// Preset name; "" = the server default target (the ISA registry when the
-  /// server runs with --isa-file, the dspx preset otherwise). resolve() maps
-  /// "" to CompileRequest::useDefaultIsa so the service stamps the registry
-  /// snapshot at submit time.
+  /// Preset name; "" = the server default target. resolve() leaves the
+  /// style's dspx preset; `mat2c serve --isa-file` replaces it with that
+  /// description.
   std::string isa;
   std::string isaText;          ///< inline ISA description, overrides `isa`
   std::string style = "proposed";
-  std::string tenant;           ///< fair-share admission class, "" = default
   /// Admin command ("" = a normal compile request). Handled by the serve
-  /// loop, never by CompileService: "reload" re-parses --isa-file through
-  /// the registry, "healthz" / "stats" return the health line / stats JSON
-  /// in the response's adminInfo. A frame with a non-empty admin field
-  /// carries no compile payload.
+  /// loop, never by CompileService: "healthz" / "stats" return the health
+  /// line / stats JSON in the response's adminInfo. A frame with a non-empty
+  /// admin field carries no compile payload.
   std::string admin;
   /// Pass-toggle overrides, one per opt/passes.def row with a wire bit,
   /// under its name; nullopt keeps the style's default.
@@ -101,7 +98,7 @@ struct WireRequest {
 /// Parses one JSON-lines request into a CompileRequest. Recognized fields:
 ///   source (required), entry (required), id, args ("1x32,c1x8"),
 ///   isa (preset name), isa_text (inline ISA description, overrides isa),
-///   style ("proposed"|"coder"), tenant (fair-share admission class),
+///   style ("proposed"|"coder"),
 ///   the wire toggles of opt/passes.def under their keys (bools),
 ///   deadline_ms (number, per-request deadline), tune (bool: autotune the
 ///   pass parameters and cache the winner), tune_budget (positive integer:
@@ -167,11 +164,12 @@ std::string responseJson(const BinaryResponse& response);
 // (all integers little-endian). docs/service.md has the payload layouts.
 
 inline constexpr char kBinaryMagic[4] = {'M', '2', 'C', 'B'};
-/// v2 (PR 10): request payload gained a trailing `str admin`, response
-/// payload a trailing `str adminInfo`. Decoding is exact-consumption, so the
-/// additions are a wire break — the version bump makes v1 frames fail fast
-/// with "unsupported frame version" instead of a confusing payload error.
-inline constexpr std::uint16_t kBinaryVersion = 2;
+/// v3: the request payload has seven strings before the toggle bytes, not
+/// eight (v2 added `str admin` to the request and `str adminInfo` to the
+/// response). Decoding is exact-consumption, so every layout change is a
+/// wire break — the version bump makes older frames fail fast with
+/// "unsupported frame version" instead of a confusing payload error.
+inline constexpr std::uint16_t kBinaryVersion = 3;
 /// magic + version + type + payloadLen.
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 

@@ -82,13 +82,6 @@ std::string healthzProbePayload() {
   return encodeBinaryRequest(probe);
 }
 
-std::string reloadPayload() {
-  WireRequest req;
-  req.id = "__reload__";
-  req.admin = "reload";
-  return encodeBinaryRequest(req);
-}
-
 }  // namespace
 
 /// One routed request. It can sit in a backlog or an outstanding FIFO while
@@ -101,7 +94,7 @@ struct ShardSupervisor::Pending {
   ResponseHandler done;
   bool sentOnce = false;     ///< a later send is a re-dispatch (counted)
   bool completed = false;
-  bool isProbe = false;      ///< internal readmission probe / reload
+  bool isProbe = false;      ///< internal readmission probe
 };
 
 struct ShardSupervisor::Shard {
@@ -327,28 +320,6 @@ int ShardSupervisor::pickShardLocked(std::uint64_t hash) const {
   return -1;
 }
 
-int ShardSupervisor::broadcastReload() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!started_ || stopping_) return 0;
-  int sent = 0;
-  for (auto& shPtr : shards_) {
-    Shard& sh = *shPtr;
-    if (sh.ejected) continue;
-    auto p = std::make_shared<Pending>();
-    p->id = "__reload__";
-    p->payload = reloadPayload();
-    p->isProbe = true;  // internal: no caller, dropped if the shard dies
-    if (sh.alive) {
-      if (sendLocked(sh, p)) ++sent;
-    } else {
-      // A restarting shard re-reads --isa-file at startup anyway; nothing to
-      // send, but it still comes back on the new ISA.
-    }
-  }
-  ++reloads_;
-  return sent;
-}
-
 void ShardSupervisor::failPending(const std::shared_ptr<Pending>& p, const std::string& why) {
   ResponseHandler done;
   {
@@ -389,7 +360,7 @@ void ShardSupervisor::completeFromShard(std::size_t idx, std::string rawPayload)
     if (p->isProbe) {
       // Readmission: the worker is answering, so it is healthy enough to
       // take its backlog (healthz "degraded" still answers — degraded beats
-      // down). Reload acks ride the same path.
+      // down).
       if (!sh.alive && !sh.down) {
         sh.alive = true;
         flushBacklogLocked(idx);
@@ -613,7 +584,6 @@ ShardSupervisor::Stats ShardSupervisor::stats() const {
   s.completed = completed_;
   s.restarts = restarts_;
   s.redispatched = redispatched_;
-  s.reloads = reloads_;
   s.failedNoShard = failedNoShard_;
   for (const auto& shPtr : shards_) {
     if (shPtr->alive) ++s.shardsAlive;
@@ -631,7 +601,7 @@ std::string statsJson(const ShardSupervisor::Stats& s, double wallMillis) {
   using namespace report;
   return jsonDocument({intField("requests", s.submitted), intField("completed", s.completed),
                        intField("restarts", s.restarts), intField("redispatched", s.redispatched),
-                       intField("reloads", s.reloads), intField("failedNoShard", s.failedNoShard),
+                       intField("failedNoShard", s.failedNoShard),
                        intField("shardsAlive", s.shardsAlive),
                        intField("shardsEjected", s.shardsEjected),
                        numField("wallMillis", wallMillis, 3)});
@@ -644,7 +614,6 @@ std::string metricsText(const ShardSupervisor::Stats& s) {
   w.counter("mat2c_shard_restarts_total", s.restarts, "Worker processes respawned");
   w.counter("mat2c_shard_redispatches_total", s.redispatched,
             "Requests re-sent after a shard died");
-  w.counter("mat2c_supervisor_reloads_total", s.reloads, "ISA reload broadcasts");
   w.counter("mat2c_shard_route_failures_total", s.failedNoShard,
             "Requests failed with every shard ejected");
   w.gauge("mat2c_shards_alive", std::to_string(s.shardsAlive), "Live (readmitted) worker shards");

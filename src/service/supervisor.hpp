@@ -17,12 +17,10 @@
 //     worker comes back warm from the shared artifact store,
 //   * a restarted shard is readmitted only after it answers a healthz probe;
 //     a shard that dies more than maxRestarts times is permanently ejected
-//     and its traffic re-routed to surviving shards,
-//   * broadcastReload() sends every live shard an ISA-reload admin request
-//     (the supervisor CLI wires SIGHUP to this).
+//     and its traffic re-routed to surviving shards.
 //
 // Determinism contract for the chaos harness: given the same schedule of
-// submissions, kills, and reloads, restart delays derive from RetryPolicy's
+// submissions and kills, restart delays derive from RetryPolicy's
 // seeded jitter — no wall-clock randomness — so a chaos failure reproduces
 // from its seed.
 #pragma once
@@ -68,7 +66,6 @@ class ShardSupervisor {
     std::uint64_t completed = 0;     ///< responses delivered to callers
     std::uint64_t restarts = 0;      ///< worker processes respawned
     std::uint64_t redispatched = 0;  ///< requests re-sent after a shard died
-    std::uint64_t reloads = 0;       ///< broadcastReload() calls
     std::uint64_t failedNoShard = 0; ///< requests failed: every shard ejected
     int shardsAlive = 0;
     int shardsEjected = 0;
@@ -96,10 +93,6 @@ class ShardSupervisor {
   /// restarting (its cache affinity is worth the wait); fails fast only when
   /// every shard has been permanently ejected.
   void submit(const WireRequest& request, ResponseHandler done);
-
-  /// Sends every live shard an ISA-reload admin request. Returns the number
-  /// of shards the reload was queued to.
-  int broadcastReload();
 
   /// Blocks until every submitted request has been answered and its
   /// handler has returned.
@@ -149,7 +142,6 @@ class ShardSupervisor {
   std::uint64_t completed_ = 0;
   std::uint64_t restarts_ = 0;
   std::uint64_t redispatched_ = 0;
-  std::uint64_t reloads_ = 0;
   std::uint64_t failedNoShard_ = 0;
 };
 

@@ -471,6 +471,10 @@ TEST(Protocol, RequestErrorsNameTheProblem) {
   EXPECT_NE(error.find("source"), std::string::npos);
   EXPECT_FALSE(parseCompileRequest(R"({"source": "s", "entry": "f", "typo": 1})", r, error));
   EXPECT_NE(error.find("typo"), std::string::npos);
+  // A request that still sends the removed `tenant` field gets a clean error.
+  EXPECT_FALSE(
+      parseCompileRequest(R"({"source": "s", "entry": "f", "tenant": "acme"})", r, error));
+  EXPECT_EQ(error, "unknown request field 'tenant'");
   EXPECT_FALSE(parseCompileRequest(R"({"source": "s", "entry": "f", "args": "0x3"})", r, error));
   EXPECT_NE(error.find("bad arg spec '0x3'"), std::string::npos);
   EXPECT_FALSE(
@@ -780,138 +784,6 @@ TEST(LatencyHistogram, PercentilesReadBucketUpperBounds) {
   EXPECT_EQ(edges.snapshot().count, 2u);
 }
 
-// ---- fair-share admission -------------------------------------------------
-
-TEST(CompileService, FairShareKeepsFloodedTenantResponsive) {
-  // Tenant A floods 24 distinct jobs into a single-worker service; tenant B
-  // then submits 4. Round-robin draining must interleave B's jobs with A's —
-  // every one of B's compiles happens within the first 2*4+1 claims, and
-  // B's worst-case latency stays far below A's tail instead of queueing
-  // behind all 24 floods.
-  constexpr int kFlood = 24;
-  constexpr int kVictim = 4;
-  std::mutex mu;
-  std::condition_variable released;
-  bool release = false;
-  std::vector<std::string> claimOrder;
-
-  CompileService::Config config;
-  config.threads = 1;
-  config.onCompileStart = [&](const CompileRequest& r) {
-    std::unique_lock<std::mutex> lock(mu);
-    claimOrder.push_back(r.tenant);
-    // Hold the FIRST job until both tenants finished submitting, so the
-    // round-robin sees the full backlog.
-    if (claimOrder.size() == 1) released.wait(lock, [&] { return release; });
-  };
-  CompileService svc(config);
-
-  auto distinct = [](const std::string& tenant, int i) {
-    CompileRequest r;
-    r.id = tenant + std::to_string(i);
-    r.source = "function y = f(x)\ny = x + " + std::to_string(i) + ";\nend\n";
-    if (tenant == "B") r.source += "% tenant B\n";
-    r.entry = "f";
-    r.args = {ArgSpec::row(8)};
-    r.options = CompileOptions::proposed();
-    r.tenant = tenant;
-    return r;
-  };
-
-  std::vector<std::future<CompileResponse>> floodFutures, victimFutures;
-  for (int i = 0; i < kFlood; ++i) floodFutures.push_back(svc.submit(distinct("A", i)));
-  for (int i = 0; i < kVictim; ++i) victimFutures.push_back(svc.submit(distinct("B", i)));
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  released.notify_all();
-
-  double victimMax = 0.0;
-  for (auto& f : victimFutures) {
-    CompileResponse r = f.get();
-    ASSERT_TRUE(r.ok) << r.error;
-    victimMax = std::max(victimMax, r.millis);
-  }
-  double floodMax = 0.0;
-  for (auto& f : floodFutures) {
-    CompileResponse r = f.get();
-    ASSERT_TRUE(r.ok) << r.error;
-    floodMax = std::max(floodMax, r.millis);
-  }
-
-  std::lock_guard<std::mutex> lock(mu);
-  ASSERT_EQ(claimOrder.size(), static_cast<std::size_t>(kFlood + kVictim));
-  for (int i = 0; i < kVictim; ++i) {
-    auto pos = std::find(claimOrder.begin() + 1, claimOrder.end(), "B");
-    ASSERT_NE(pos, claimOrder.end());
-    std::size_t index = static_cast<std::size_t>(pos - claimOrder.begin());
-    EXPECT_LE(index, static_cast<std::size_t>(2 * (i + 1)))
-        << "victim job " << i << " claimed too late";
-    *pos = "A(done B" + std::to_string(i) + ")";
-  }
-  EXPECT_LT(victimMax, floodMax)
-      << "the flooding tenant, not the victim, must absorb the queueing delay";
-
-  ServiceStats stats = svc.stats();
-  ASSERT_EQ(stats.tenants.size(), 2u);
-  EXPECT_EQ(stats.tenants[0].name, "A");
-  EXPECT_EQ(stats.tenants[0].submitted, static_cast<std::uint64_t>(kFlood));
-  EXPECT_EQ(stats.tenants[1].name, "B");
-  EXPECT_EQ(stats.tenants[1].submitted, static_cast<std::uint64_t>(kVictim));
-  EXPECT_EQ(stats.latency.count, static_cast<std::uint64_t>(kFlood + kVictim));
-}
-
-TEST(CompileService, TenantInflightCapNeverExceeded) {
-  // With a cap of 1 a tenant's jobs serialize even on a 4-thread pool, while
-  // two tenants still run concurrently with each other.
-  std::atomic<int> inHook{0};
-  std::atomic<int> maxPerTenantA{0};
-  std::atomic<int> maxOverall{0};
-  std::atomic<int> inHookA{0};
-
-  CompileService::Config config;
-  config.threads = 4;
-  config.tenantInflightCap = 1;
-  config.onCompileStart = [&](const CompileRequest& r) {
-    int all = ++inHook;
-    int prevMax = maxOverall.load();
-    while (all > prevMax && !maxOverall.compare_exchange_weak(prevMax, all)) {
-    }
-    if (r.tenant == "A") {
-      int a = ++inHookA;
-      int prev = maxPerTenantA.load();
-      while (a > prev && !maxPerTenantA.compare_exchange_weak(prev, a)) {
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    if (r.tenant == "A") --inHookA;
-    --inHook;
-  };
-  CompileService svc(config);
-
-  std::vector<CompileRequest> batch;
-  for (int i = 0; i < 4; ++i) {
-    for (const char* tenant : {"A", "B"}) {
-      CompileRequest r;
-      r.id = std::string(tenant) + std::to_string(i);
-      r.source = "function y = f(x)\ny = x * " + std::to_string(i + 2) + ";\nend\n" +
-                 "% " + tenant + "\n";
-      r.entry = "f";
-      r.args = {ArgSpec::row(8)};
-      r.options = CompileOptions::proposed();
-      r.tenant = tenant;
-      batch.push_back(std::move(r));
-    }
-  }
-  for (const auto& r : svc.compileBatch(std::move(batch))) ASSERT_TRUE(r.ok) << r.error;
-
-  EXPECT_EQ(maxPerTenantA.load(), 1) << "cap of 1 means tenant A never overlaps itself";
-  EXPECT_GE(maxOverall.load(), 2) << "distinct tenants still run concurrently";
-  ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.tenantInflightCap, 1u);
-}
-
 // ---- binary wire protocol -------------------------------------------------
 
 TEST(Protocol, BinaryRequestRoundTripMatchesJsonParse) {
@@ -922,7 +794,6 @@ TEST(Protocol, BinaryRequestRoundTripMatchesJsonParse) {
   wire.args = "1x8,c1x4";
   wire.isa = "dspx";  // empty now means "server default", so name it explicitly
   wire.style = "coder";
-  wire.tenant = "acme";
   wire.vectorize = false;
   wire.degrade = true;
   wire.deadlineMillis = 1500.0;
@@ -939,7 +810,6 @@ TEST(Protocol, BinaryRequestRoundTripMatchesJsonParse) {
   EXPECT_EQ(decoded.args, wire.args);
   EXPECT_EQ(decoded.isa, "dspx");
   EXPECT_EQ(decoded.style, "coder");
-  EXPECT_EQ(decoded.tenant, "acme");
   EXPECT_EQ(decoded.vectorize, std::optional<bool>(false));
   EXPECT_EQ(decoded.degrade, std::optional<bool>(true));
   EXPECT_EQ(decoded.constFold, std::nullopt) << "absent toggles stay absent";
@@ -952,7 +822,7 @@ TEST(Protocol, BinaryRequestRoundTripMatchesJsonParse) {
   ASSERT_TRUE(decoded.resolve(fromBinary, error)) << error;
   ASSERT_TRUE(parseCompileRequest(
       R"({"id": "r1", "source": "function y = f(x)\ny = x;\nend\n", "entry": "f",)"
-      R"( "args": "1x8,c1x4", "style": "coder", "tenant": "acme",)"
+      R"( "args": "1x8,c1x4", "style": "coder",)"
       R"( "vectorize": false, "degrade": true, "deadline_ms": 1500,)"
       R"( "tune": true, "tune_budget": 9})",
       fromJson, error))
@@ -961,7 +831,6 @@ TEST(Protocol, BinaryRequestRoundTripMatchesJsonParse) {
                            fromBinary.options),
             CacheKey::make(fromJson.source, fromJson.entry, fromJson.args,
                            fromJson.options));
-  EXPECT_EQ(fromBinary.tenant, fromJson.tenant);
   EXPECT_EQ(fromBinary.deadlineMillis, fromJson.deadlineMillis);
   EXPECT_EQ(fromBinary.tuneBudget, fromJson.tuneBudget);
 }
@@ -1026,7 +895,6 @@ TEST(Protocol, WireToggleBitsAreGolden) {
       "\x01\0\0\0f"                   // entry
       "\0\0\0\0\0\0\0\0\0\0\0\0"  // args, isa, isa_text
       "\x08\0\0\0proposed"            // style
-      "\0\0\0\0"                      // tenant
       "\x3f\x15"                       // toggle presence, toggle values
       "\0"                              // tune
       "\0\0\0\0"                      // tune_budget
@@ -1176,7 +1044,8 @@ TEST(Protocol, FrameHeaderTable) {
       {good.substr(0, kFrameHeaderBytes - 1), 0, "truncated frame header", 0},
       {with(3, 'X'), 0, "bad frame magic", 0},              // last magic byte
       {with(4, 1), 0, "unsupported frame version 1", 0},    // the v1 wire
-      {with(5, 1), 0, "unsupported frame version 258", 0},  // version high byte
+      {with(4, 2), 0, "unsupported frame version 2", 0},    // the v2 wire
+      {with(5, 1), 0, "unsupported frame version 259", 0},  // version high byte
       {with(6, 0), 0, "unknown frame type 0", 0},
       {with(7, 1), 0, "unknown frame type 258", 0},  // type high byte
       // The supervisor's 64 MiB response bound, and 0 = unlimited.
@@ -1203,19 +1072,13 @@ TEST(Protocol, FrameHeaderTable) {
 TEST(CompileService, StatsJsonCarriesLatencyTenantsAndStoreBlocks) {
   CompileService::Config config;
   config.threads = 2;
-  config.tenantInflightCap = 3;
   CompileService svc(config);
-  CompileRequest r = firRequest("s1");
-  r.tenant = "acme";
-  ASSERT_TRUE(svc.compileBatch({r})[0].ok);
+  ASSERT_TRUE(svc.compileBatch({firRequest("s1")})[0].ok);
 
   std::string doc = statsJson(svc.stats(), /*wallMillis=*/10.0);
   EXPECT_NE(doc.find("\"storeHits\": 0"), std::string::npos);
   EXPECT_NE(doc.find("\"latency\""), std::string::npos);
   EXPECT_NE(doc.find("\"p99Millis\""), std::string::npos);
-  EXPECT_NE(doc.find("\"tenantInflightCap\": 3"), std::string::npos);
-  EXPECT_NE(doc.find("\"tenants\""), std::string::npos);
-  EXPECT_NE(doc.find("\"acme\""), std::string::npos);
   EXPECT_EQ(doc.find("\"store\""), std::string::npos)
       << "no store block when persistence is disabled";
   EXPECT_NE(doc.find("\"requestsPerSecond\""), std::string::npos);
@@ -1223,9 +1086,7 @@ TEST(CompileService, StatsJsonCarriesLatencyTenantsAndStoreBlocks) {
   std::string metrics = metricsText(svc.stats(), /*wallMillis=*/10.0);
   for (const char* name :
        {"mat2c_requests_total 1", "mat2c_compiles_total 1", "mat2c_store_hits_total 0",
-        "mat2c_request_latency_millis{quantile=\"0.99\"}",
-        "# TYPE mat2c_tenant_requests_total counter",
-        "mat2c_tenant_requests_total{tenant=\"acme\"} 1", "mat2c_requests_per_second",
+        "mat2c_request_latency_millis{quantile=\"0.99\"}", "mat2c_requests_per_second",
         "mat2c_healthz 1"}) {
     EXPECT_NE(metrics.find(name), std::string::npos) << "missing metric: " << name;
   }
@@ -1235,120 +1096,6 @@ TEST(CompileService, StatsJsonCarriesLatencyTenantsAndStoreBlocks) {
   degraded.panics = 2;
   EXPECT_NE(healthzText(degraded).find("degraded"), std::string::npos);
   EXPECT_NE(metricsText(degraded).find("mat2c_healthz 0"), std::string::npos);
-}
-
-// ---- ISA registry: zero-downtime reload ----------------------------------
-
-TEST(IsaRegistry, ReloadKeepsOldIsaOnBadFileAndBumpsVersionOnSuccess) {
-  namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "mat2c_registry_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  fs::path file = dir / "default.isa";
-  {
-    std::ofstream out(file);
-    out << isa::IsaDescription::preset("dspx").serialize();
-  }
-
-  IsaRegistry registry(IsaRegistry::parseFile(file.string()), file.string());
-  EXPECT_EQ(registry.snapshot().isa->name(), "dspx");
-  EXPECT_EQ(registry.version(), 1u);
-
-  // A bad push must NOT take the default target down: reload reports the
-  // parse failure and the old description keeps serving.
-  {
-    std::ofstream out(file, std::ios::trunc);
-    out << "isa utterly { broken\n";
-  }
-  std::string error = registry.reload();
-  EXPECT_FALSE(error.empty());
-  EXPECT_EQ(registry.snapshot().isa->name(), "dspx");
-  EXPECT_EQ(registry.version(), 1u);
-  EXPECT_EQ(registry.reloads(), 0u);
-
-  {
-    std::ofstream out(file, std::ios::trunc);
-    out << isa::IsaDescription::preset("dspx_w4").serialize();
-  }
-  EXPECT_EQ(registry.reload(), "");
-  EXPECT_EQ(registry.snapshot().isa->name(), "dspx_w4");
-  EXPECT_EQ(registry.version(), 2u);
-  EXPECT_EQ(registry.reloads(), 1u);
-
-  // Snapshots taken before the reload stay valid: in-flight requests hold
-  // the shared_ptr, not the registry.
-  IsaRegistry fresh(isa::IsaDescription::preset("dspx"));
-  IsaRegistry::Snapshot old = fresh.snapshot();
-  fresh.install(isa::IsaDescription::preset("scalar"));
-  EXPECT_EQ(old.isa->name(), "dspx");
-  EXPECT_EQ(fresh.snapshot().isa->name(), "scalar");
-
-  EXPECT_THROW(IsaRegistry::parseFile((dir / "missing.isa").string()),
-               std::runtime_error);
-  fs::remove_all(dir);
-}
-
-TEST(CompileService, IsaHotReloadDrainsInFlightOnOldFingerprint) {
-  // The reload-correctness contract: a request submitted before the swap
-  // finishes on the ISA it was stamped with, a request submitted after it
-  // compiles fresh under the new ISA (the fingerprint change makes the old
-  // cache entry unreachable — no stale or mixed answers), and repeats of the
-  // new request hit the new entry.
-  IsaRegistry registry(isa::IsaDescription::preset("dspx"));
-
-  std::promise<void> reloadDone;
-  std::shared_future<void> reloadDoneFuture = reloadDone.get_future().share();
-  std::promise<void> compileEntered;
-  std::atomic<bool> gateArmed{true};
-
-  CompileService::Config config;
-  config.threads = 1;
-  config.isaRegistry = &registry;
-  config.onCompileStart = [&](const CompileRequest&) {
-    if (gateArmed.exchange(false)) {
-      compileEntered.set_value();
-      reloadDoneFuture.wait();  // the swap happens while this compile runs
-    }
-  };
-  CompileService svc(config);
-
-  CompileRequest r1 = firRequest("inflight");
-  r1.useDefaultIsa = true;
-  std::future<CompileResponse> f1 = svc.submit(r1);
-
-  compileEntered.get_future().wait();
-  registry.install(isa::IsaDescription::preset("dspx_w4"));
-  reloadDone.set_value();
-
-  CompileResponse inflight = f1.get();
-  ASSERT_TRUE(inflight.ok) << inflight.error;
-  ASSERT_NE(inflight.result, nullptr);
-  EXPECT_EQ(inflight.result->isaName, "dspx")
-      << "in-flight request must finish on the ISA it was stamped with";
-
-  CompileRequest r2 = firRequest("post_swap");
-  r2.useDefaultIsa = true;
-  CompileResponse post = svc.submit(r2).get();
-  ASSERT_TRUE(post.ok) << post.error;
-  EXPECT_FALSE(post.cacheHit)
-      << "the old artifact must be unreachable after the swap";
-  ASSERT_NE(post.result, nullptr);
-  EXPECT_EQ(post.result->isaName, "dspx_w4");
-
-  CompileRequest r3 = firRequest("post_swap_repeat");
-  r3.useDefaultIsa = true;
-  CompileResponse repeat = svc.submit(r3).get();
-  ASSERT_TRUE(repeat.ok) << repeat.error;
-  EXPECT_TRUE(repeat.cacheHit);
-  EXPECT_EQ(repeat.result->isaName, "dspx_w4");
-
-  ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.isaVersion, 2u);
-  EXPECT_EQ(stats.compiles, 2u) << "one compile per ISA version, no mixing";
-
-  std::string metrics = metricsText(stats);
-  EXPECT_NE(metrics.find("mat2c_isa_version 2"), std::string::npos);
-  EXPECT_NE(metrics.find("mat2c_isa_reloads_total"), std::string::npos);
 }
 
 // ---- artifact store: blocked directory degrades, never fails -------------
@@ -1397,9 +1144,8 @@ TEST(CompileService, BlockedStoreDirServesFromMemoryAndReportsDegraded) {
 
 // ---- Byte-exact stats, metrics and response documents ---------------------
 //
-// Hand-made inputs (no timing, no compiles). The store, tenant and registry
-// blocks and the wall-time members are all on in one document and all off
-// in the other.
+// Hand-made inputs (no timing, no compiles). The store block and the
+// wall-time members are all on in one document and all off in the other.
 
 ServiceStats goldenStats(bool blocksOn) {
   ServiceStats s;
@@ -1419,10 +1165,6 @@ ServiceStats goldenStats(bool blocksOn) {
   if (blocksOn) {
     s.storeEnabled = true;
     s.store = {1, 2, 3, 0, 1, 0, 9000, 3};
-    s.tenantInflightCap = 3;
-    s.tenants = {{"acme", 4, 4, 0, 0}, {"we\"ird", 3, 2, 1, 1}};
-    s.isaVersion = 2;
-    s.isaReloads = 1;
   }
   return s;
 }
@@ -1440,12 +1182,8 @@ TEST(DocumentGolden, StatsJsonWithEveryBlock) {
   "panics": 0,
   "degraded": 1,
   "threads": 2,
-  "isaVersion": 2,
-  "isaReloads": 1,
   "compileMillis": 12.346,
   "latency": {"count": 7, "p50Millis": 0.512, "p95Millis": 2.048, "p99Millis": 4.096},
-  "tenantInflightCap": 3,
-  "tenants": {"acme": {"submitted": 4, "completed": 4, "queued": 0, "inflight": 0}, "we\"ird": {"submitted": 3, "completed": 2, "queued": 1, "inflight": 1}},
   "store": {"hits": 1, "misses": 2, "puts": 3, "putFailures": 0, "corrupt": 1, "evictions": 0, "bytes": 9000, "files": 3},
   "cache": {"entries": 3, "bytes": 4096, "hits": 2, "misses": 5, "evictions": 1, "insertions": 4},
   "wallMillis": 2000.000,
@@ -1508,12 +1246,6 @@ mat2c_degraded_total 1
 # HELP mat2c_threads Worker pool size
 # TYPE mat2c_threads gauge
 mat2c_threads 2
-# HELP mat2c_isa_version Version of the server-default ISA (bumps on hot-reload)
-# TYPE mat2c_isa_version gauge
-mat2c_isa_version 2
-# HELP mat2c_isa_reloads_total Successful ISA hot-reloads
-# TYPE mat2c_isa_reloads_total counter
-mat2c_isa_reloads_total 1
 # HELP mat2c_cache_entries Live cache entries
 # TYPE mat2c_cache_entries gauge
 mat2c_cache_entries 3
@@ -1550,14 +1282,6 @@ mat2c_request_latency_millis{quantile="0.5"} 0.512
 mat2c_request_latency_millis{quantile="0.95"} 2.048
 mat2c_request_latency_millis{quantile="0.99"} 4.096
 mat2c_request_latency_millis_count 7
-# HELP mat2c_tenant_requests_total Requests submitted per tenant
-# TYPE mat2c_tenant_requests_total counter
-mat2c_tenant_requests_total{tenant="acme"} 4
-mat2c_tenant_requests_total{tenant="we\"ird"} 3
-# HELP mat2c_tenant_completed_total Requests completed per tenant
-# TYPE mat2c_tenant_completed_total counter
-mat2c_tenant_completed_total{tenant="acme"} 4
-mat2c_tenant_completed_total{tenant="we\"ird"} 2
 # HELP mat2c_requests_per_second Observed request throughput
 # TYPE mat2c_requests_per_second gauge
 mat2c_requests_per_second 3.500

@@ -3,7 +3,7 @@
 //
 // These tests exercise the resilience layer end to end — spawn, routing,
 // kill -9 recovery with re-dispatch, warm restarts from a shared artifact
-// store, permanent ejection, and reload broadcasting — with the seeded
+// store and permanent ejection — with the seeded
 // chaos schedule living in tools/chaos_test.cpp. Labeled `service` and
 // `chaos` so the suite runs under the sanitizer presets.
 #include <gtest/gtest.h>
@@ -288,37 +288,6 @@ TEST(ShardSupervisor, CrashLoopingShardIsEjectedAndSubmitsFailCleanly) {
   sup.shutdown();
 }
 
-TEST(ShardSupervisor, ReloadBroadcastReachesEveryLiveShard) {
-  fs::path store = freshDir("fleet_reload");
-  // Workers need an --isa-file for reload to mean anything.
-  fs::path isaFile = store / "default.isa";
-  {
-    std::string text = isa::IsaDescription::preset("dspx").serialize();
-    FILE* f = std::fopen(isaFile.string().c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-  }
-  ShardSupervisor::Config c = fleetConfig(2, store);
-  c.workerArgs.push_back("--isa-file");
-  c.workerArgs.push_back(isaFile.string());
-  ShardSupervisor sup(c);
-  std::string error;
-  ASSERT_TRUE(sup.start(error)) << error;
-  ASSERT_TRUE(waitForAlive(sup, 2));
-
-  EXPECT_EQ(sup.broadcastReload(), 2);
-  // The fleet stays serviceable across the reload.
-  Collector out;
-  sup.submit(makeRequest("post", kScaleSource, "scale", "1x64"), out.handler());
-  sup.drainPending();
-  auto responses = out.take();
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_TRUE(responses[0].ok) << responses[0].error;
-  EXPECT_EQ(sup.stats().reloads, 1u);
-  sup.shutdown();
-}
-
 // ---- Byte-exact supervisor documents --------------------------------------
 
 ShardSupervisor::Stats goldenSupervisorStats() {
@@ -327,7 +296,6 @@ ShardSupervisor::Stats goldenSupervisorStats() {
   s.completed = 4;
   s.restarts = 2;
   s.redispatched = 1;
-  s.reloads = 1;
   s.failedNoShard = 1;
   s.shardsAlive = 1;
   s.shardsEjected = 1;
@@ -341,7 +309,6 @@ TEST(SupervisorDocumentGolden, StatsJson) {
   "completed": 4,
   "restarts": 2,
   "redispatched": 1,
-  "reloads": 1,
   "failedNoShard": 1,
   "shardsAlive": 1,
   "shardsEjected": 1,
@@ -363,9 +330,6 @@ mat2c_shard_restarts_total 2
 # HELP mat2c_shard_redispatches_total Requests re-sent after a shard died
 # TYPE mat2c_shard_redispatches_total counter
 mat2c_shard_redispatches_total 1
-# HELP mat2c_supervisor_reloads_total ISA reload broadcasts
-# TYPE mat2c_supervisor_reloads_total counter
-mat2c_supervisor_reloads_total 1
 # HELP mat2c_shard_route_failures_total Requests failed with every shard ejected
 # TYPE mat2c_shard_route_failures_total counter
 mat2c_shard_route_failures_total 1
@@ -394,9 +358,6 @@ mat2c_shard_restarts_total 0
 # HELP mat2c_shard_redispatches_total Requests re-sent after a shard died
 # TYPE mat2c_shard_redispatches_total counter
 mat2c_shard_redispatches_total 0
-# HELP mat2c_supervisor_reloads_total ISA reload broadcasts
-# TYPE mat2c_supervisor_reloads_total counter
-mat2c_supervisor_reloads_total 0
 # HELP mat2c_shard_route_failures_total Requests failed with every shard ejected
 # TYPE mat2c_shard_route_failures_total counter
 mat2c_shard_route_failures_total 0

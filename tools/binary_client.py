@@ -36,7 +36,7 @@ import threading
 import time
 
 MAGIC = b"M2CB"
-VERSION = 2  # v2: request gained trailing `admin`, response trailing `adminInfo`
+VERSION = 3  # v3: seven leading request strings, not eight; v2 added `admin`/`adminInfo`
 TYPE_REQUEST = 1
 TYPE_RESPONSE = 2
 
@@ -75,12 +75,16 @@ def pack_str(s):
     return struct.pack("<I", len(b)) + b
 
 
+STRING_FIELDS = [("id", ""), ("source", ""), ("entry", ""), ("args", ""),
+                 ("isa", ""), ("isa_text", ""), ("style", "proposed")]
+KNOWN_FIELDS = ({k for k, _ in STRING_FIELDS} | set(TOGGLES) |
+                {"tune", "tune_budget", "deadline_ms", "admin"})
+
+
 def encode_request(obj):
-    # isa defaults to "" = the server-default target (its --isa-file registry,
-    # or the dspx preset); name a preset explicitly to pin one.
-    payload = b"".join(pack_str(obj.get(k, d)) for k, d in [
-        ("id", ""), ("source", ""), ("entry", ""), ("args", ""),
-        ("isa", ""), ("isa_text", ""), ("style", "proposed"), ("tenant", "")])
+    # isa defaults to "" = the server-default target (its --isa-file
+    # description, or the dspx preset); name a preset explicitly to pin one.
+    payload = b"".join(pack_str(obj.get(k, d)) for k, d in STRING_FIELDS)
     present = value = 0
     for bit, name in enumerate(TOGGLES):
         if name in obj:
@@ -91,7 +95,7 @@ def encode_request(obj):
                            1 if obj.get("tune") else 0,
                            int(obj.get("tune_budget", 0)),
                            float(obj.get("deadline_ms", 0.0)))
-    payload += pack_str(obj.get("admin", ""))  # v2
+    payload += pack_str(obj.get("admin", ""))
     return MAGIC + struct.pack("<HHI", VERSION, TYPE_REQUEST, len(payload)) + payload
 
 
@@ -145,17 +149,26 @@ def decode_response(payload):
     return out
 
 
-def load_requests(path):
-    requests = []
+def read_requests(path):
+    """The JSON-lines requests of `path`, blank and '#' lines skipped. An
+    unknown field raises ValueError, as the server rejects it."""
     with open(path) as f:
         for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             obj = json.loads(line)
-            if not obj.get("id"):
-                obj["id"] = f"req{len(requests) + 1}"
-            requests.append(obj)
+            unknown = sorted(set(obj) - KNOWN_FIELDS)
+            if unknown:
+                raise ValueError(f"unknown request field '{unknown[0]}'")
+            yield obj
+
+
+def load_requests(path):
+    requests = list(read_requests(path))
+    for n, obj in enumerate(requests, 1):
+        if not obj.get("id"):
+            obj["id"] = f"req{n}"
     return requests
 
 
@@ -306,12 +319,8 @@ def main():
         return 2
 
     if sys.argv[1] == "encode":
-        with open(sys.argv[2]) as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                sys.stdout.buffer.write(encode_request(json.loads(line)))
+        for obj in read_requests(sys.argv[2]):
+            sys.stdout.buffer.write(encode_request(obj))
         sys.stdout.buffer.flush()
         return 0
 
@@ -345,4 +354,8 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except ValueError as e:
+        print(f"binary-client: {e}", file=sys.stderr)
+        sys.exit(1)

@@ -1,14 +1,14 @@
 // Deterministic chaos harness for the supervised serve plane.
 //
 // Drives a real multi-process shard fleet (MAT2C_BIN_PATH workers sharing
-// one artifact store) through a seeded schedule of
+// one artifact store and one --isa-file server default) through a seeded
+// schedule of
 //
-//   * cold + repeat compile floods across tenants,
+//   * cold + repeat compile floods,
 //   * kill -9 of scheduled shards mid-load,
 //   * in-process worker crashes (MAT2C_FAULT=crash:compile:N in the worker
 //     environment — every worker incarnation aborts at its Nth compile),
-//   * a zero-downtime ISA hot-reload (the --isa-file is rewritten and
-//     broadcast mid-flight), and
+//   * a warm-restart proof (repeats after the kills compile nothing), and
 //   * a torn-response-frame fleet (MAT2C_FAULT=torn:frame.write:N), where a
 //     worker truncates a frame mid-write and dies,
 //
@@ -135,23 +135,19 @@ void writeIsaFile(const fs::path& path, const isa::IsaDescription& isa) {
   }
 }
 
-/// Checks one answered probe against the expectation table; `allowedIsas`
-/// lists the ISA names a response may legitimately carry at this point in
-/// the schedule (a reload in flight means old OR new, never anything else).
-void checkProbe(const Probe& probe,
-                const std::map<std::string, std::map<std::string, Expected>>& table,
-                const std::vector<std::string>& allowedIsas) {
+/// Checks one answered probe against the expectation table, keyed by kernel;
+/// every response must carry the fleet's server-default ISA `isaName`.
+void checkProbe(const Probe& probe, const std::map<std::string, Expected>& table,
+                const std::string& isaName) {
   CHAOS_CHECK(probe.answered, "request %s was dropped (never answered)", probe.id.c_str());
   if (!probe.answered) return;
   const BinaryResponse& r = probe.response;
   CHAOS_CHECK(r.ok, "request %s failed: %s", probe.id.c_str(), r.error.c_str());
   if (!r.ok) return;
-  bool isaAllowed = false;
-  for (const auto& name : allowedIsas) isaAllowed = isaAllowed || name == r.isa;
-  CHAOS_CHECK(isaAllowed, "request %s answered with unexpected ISA '%s'",
+  CHAOS_CHECK(r.isa == isaName, "request %s answered with unexpected ISA '%s'",
               probe.id.c_str(), r.isa.c_str());
-  if (!isaAllowed) return;
-  const Expected& e = table.at(probe.kernel).at(r.isa);
+  if (r.isa != isaName) return;
+  const Expected& e = table.at(probe.kernel);
   CHAOS_CHECK(r.cBytes == e.cBytes,
               "request %s (%s on %s): cBytes %llu != oracle %llu", probe.id.c_str(),
               probe.kernel.c_str(), r.isa.c_str(),
@@ -165,14 +161,12 @@ void checkProbe(const Probe& probe,
               r.idiomRewrites, e.idiomRewrites);
 }
 
-WireRequest wireFor(const kernels::KernelSpec& k, const std::string& id,
-                    const std::string& tenant = "") {
+WireRequest wireFor(const kernels::KernelSpec& k, const std::string& id) {
   WireRequest w;
   w.id = id;
   w.source = k.source;
   w.entry = k.entry;
   w.args = argsTokenFor(k.argSpecs);
-  w.tenant = tenant;
   return w;  // isa stays "" = the server default (the workers' --isa-file)
 }
 
@@ -182,32 +176,21 @@ int runMainFleet(std::uint64_t seed, const fs::path& root) {
   std::vector<kernels::KernelSpec> corpus = {
       kernels::makeFir(64, 16), kernels::makeMatmul(8, 8, 8), kernels::makeCdot(64),
       kernels::makeFramePow(8, 16)};
-  // Fresh content for the post-reload phase: same kernels, different sizes,
-  // so they MUST cold-compile under whatever ISA is then current.
-  std::vector<kernels::KernelSpec> freshCorpus = {kernels::makeFir(48, 12),
-                                                  kernels::makeCdot(48)};
 
-  isa::IsaDescription oldIsa = isa::IsaDescription::preset("dspx");
-  isa::IsaDescription newIsa = isa::IsaDescription::preset("dspx_w4");
+  // The server default is not the dspx preset, so a shard (original or
+  // restarted) that ignored its --isa-file would answer with the wrong ISA.
+  isa::IsaDescription defaultIsa = isa::IsaDescription::preset("dspx_w4");
 
-  // Oracle table first: every (kernel, isa) pair this schedule can produce,
-  // each anchored to the interpreter before the fleet sees a single request.
-  std::map<std::string, std::map<std::string, Expected>> oracle;
-  for (const auto& k : corpus) {
-    oracle[k.name][oldIsa.name()] = oracleFor(k, oldIsa);
-    oracle[k.name][newIsa.name()] = oracleFor(k, newIsa);
-  }
-  for (const auto& k : freshCorpus) {
-    std::string key = k.name + "#fresh";
-    oracle[key][oldIsa.name()] = oracleFor(k, oldIsa);
-    oracle[key][newIsa.name()] = oracleFor(k, newIsa);
-  }
+  // Oracle table first, each entry anchored to the interpreter before the
+  // fleet sees a single request.
+  std::map<std::string, Expected> oracle;
+  for (const auto& k : corpus) oracle[k.name] = oracleFor(k, defaultIsa);
   if (gFailures > 0) return 1;  // a broken oracle invalidates everything else
 
   fs::path store = root / "store";
   fs::path isaFile = root / "default.isa";
   fs::create_directories(store);
-  writeIsaFile(isaFile, oldIsa);
+  writeIsaFile(isaFile, defaultIsa);
 
   ShardSupervisor::Config config;
   config.shards = 3;
@@ -232,23 +215,20 @@ int runMainFleet(std::uint64_t seed, const fs::path& root) {
 
   ResponseLog log;
   std::vector<std::shared_ptr<Probe>> probes;
-  auto submit = [&](const kernels::KernelSpec& k, const std::string& id,
-                    const std::string& oracleKey, const std::string& tenant = "") {
+  auto submit = [&](const kernels::KernelSpec& k, const std::string& id) {
     auto probe = std::make_shared<Probe>();
     probe->id = id;
-    probe->kernel = oracleKey;
+    probe->kernel = k.name;
     probes.push_back(probe);
-    fleet.submit(wireFor(k, id, tenant), log.handlerFor(probe));
+    fleet.submit(wireFor(k, id), log.handlerFor(probe));
   };
 
   // --- Phase 1: cold flood. Workers crash at their 3rd compile, so even
   // this phase exercises abort-mid-compile + redispatch + store warmup.
-  std::size_t coldEnd;
   {
     int n = 0;
-    for (const auto& k : corpus) submit(k, "cold" + std::to_string(++n), k.name);
+    for (const auto& k : corpus) submit(k, "cold" + std::to_string(++n));
     fleet.drainPending();
-    coldEnd = probes.size();
   }
 
   // --- Phase 2: repeat flood with kill -9 of seeded shards mid-load.
@@ -257,8 +237,7 @@ int runMainFleet(std::uint64_t seed, const fs::path& root) {
     int kills = 0;
     for (int step = 0; step < 24; ++step) {
       const auto& k = corpus[static_cast<std::size_t>(step) % corpus.size()];
-      std::string tenant = (splitmix64(seed ^ step) & 1) ? "flood" : "victim";
-      submit(k, "rep" + std::to_string(step), k.name, tenant);
+      submit(k, "rep" + std::to_string(step));
       if (step == 8 || step == 16) {
         // The victim shard is chosen by the seed, not by the clock.
         std::vector<int> pids = fleet.shardPids();
@@ -277,28 +256,9 @@ int runMainFleet(std::uint64_t seed, const fs::path& root) {
   // --- Phase 3: warm-restart proof. Every kernel is in the shared store by
   // now; repeats must be served without compiling (cached), whatever mix of
   // original and restarted workers answers them.
-  std::size_t warmEnd;
   {
     int n = 0;
-    for (const auto& k : corpus) submit(k, "warm" + std::to_string(++n), k.name);
-    fleet.drainPending();
-    warmEnd = probes.size();
-  }
-
-  // --- Phase 4: zero-downtime ISA hot-reload. Old-content repeats are
-  // submitted BEFORE the broadcast (they must finish on the old fingerprint
-  // — per-shard FIFO: the reload admin frame is written after them), fresh
-  // content after it must cold-compile on the NEW ISA.
-  {
-    int n = 0;
-    for (const auto& k : corpus) submit(k, "pre_reload" + std::to_string(++n), k.name);
-    writeIsaFile(isaFile, newIsa);
-    int reached = fleet.broadcastReload();
-    CHAOS_CHECK(reached >= 1, "reload broadcast reached no shard");
-    n = 0;
-    for (const auto& k : freshCorpus) {
-      submit(k, "post_reload" + std::to_string(++n), k.name + "#fresh");
-    }
+    for (const auto& k : corpus) submit(k, "warm" + std::to_string(++n));
     fleet.drainPending();
   }
 
@@ -306,40 +266,28 @@ int runMainFleet(std::uint64_t seed, const fs::path& root) {
   fleet.shutdown();
 
   // --- The differential ledger. Every submitted request must be answered,
-  // correct, and on an ISA the schedule allows at its point in time.
+  // correct, and on the server-default ISA.
   std::lock_guard<std::mutex> lock(log.mu_);
   for (std::size_t i = 0; i < probes.size(); ++i) {
     const Probe& p = *probes[i];
-    bool preReload = i < warmEnd || p.id.rfind("pre_reload", 0) == 0;
-    checkProbe(p, oracle,
-               preReload ? std::vector<std::string>{oldIsa.name()}
-                         : std::vector<std::string>{newIsa.name()});
-    if (i >= repeatEnd && i < warmEnd) {
+    checkProbe(p, oracle, defaultIsa.name());
+    if (i >= repeatEnd) {
       CHAOS_CHECK(p.response.cached,
                   "warm repeat %s recompiled after restart (cached=false): the "
                   "restarted shard did not come back warm from the store",
                   p.id.c_str());
     }
-    if (p.id.rfind("post_reload", 0) == 0) {
-      CHAOS_CHECK(!p.response.cached, "fresh post-reload request %s claims a cache hit",
-                  p.id.c_str());
-    }
   }
-  (void)coldEnd;
   CHAOS_CHECK(stats.completed == probes.size(), "completed %llu != submitted %zu",
               static_cast<unsigned long long>(stats.completed), probes.size());
   CHAOS_CHECK(stats.restarts >= 2, "expected the schedule to force restarts, saw %llu",
               static_cast<unsigned long long>(stats.restarts));
-  CHAOS_CHECK(stats.reloads == 1, "expected exactly one reload broadcast, saw %llu",
-              static_cast<unsigned long long>(stats.reloads));
   CHAOS_CHECK(stats.shardsEjected == 0, "no shard should exhaust maxRestarts, %d ejected",
               stats.shardsEjected);
   std::fprintf(stderr,
-               "chaos: main fleet: %zu requests, %llu restarts, %llu redispatched, "
-               "%llu reload broadcast(s)\n",
+               "chaos: main fleet: %zu requests, %llu restarts, %llu redispatched\n",
                probes.size(), static_cast<unsigned long long>(stats.restarts),
-               static_cast<unsigned long long>(stats.redispatched),
-               static_cast<unsigned long long>(stats.reloads));
+               static_cast<unsigned long long>(stats.redispatched));
   return gFailures == 0 ? 0 : 1;
 }
 
@@ -388,11 +336,8 @@ int runTornFrameFleet(std::uint64_t seed, const fs::path& root) {
   fleet.shutdown();
 
   std::lock_guard<std::mutex> lock(log.mu_);
-  std::map<std::string, std::map<std::string, Expected>> oracle;
-  oracle[k.name][dspx.name()] = expected;
-  for (const auto& probe : probes) {
-    checkProbe(*probe, oracle, {dspx.name()});
-  }
+  std::map<std::string, Expected> oracle{{k.name, expected}};
+  for (const auto& probe : probes) checkProbe(*probe, oracle, dspx.name());
   CHAOS_CHECK(stats.restarts >= 1, "a torn frame must kill and restart the worker");
   std::fprintf(stderr, "chaos: torn-frame fleet: %zu requests, %llu restarts\n",
                probes.size(), static_cast<unsigned long long>(stats.restarts));

@@ -145,7 +145,6 @@ int main(int argc, char** argv) {
     wire.source = "function y = f(x)\ny = x;\nend\n";
     wire.entry = "f";
     wire.args = "1x8";
-    wire.tenant = "fuzz";
     wire.deadlineMillis = 50.0;
     binaryCorpus.push_back(
         service::encodeFrame(service::FrameType::Request, service::encodeBinaryRequest(wire)));

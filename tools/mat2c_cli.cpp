@@ -7,14 +7,14 @@
 //
 // `serve` answers JSON-lines (or, with --binary, length-prefixed M2CB frame)
 // compile requests from a file or stdin, streaming one response per request
-// in input order, then prints cache/throughput stats. --shards N puts N
-// worker processes behind a restarting supervisor. docs/service.md
-// has the wire formats, persistence, hot ISA reload and the supervisor.
+// in input order, then prints cache/throughput stats. --isa-file names the
+// server-default target, read once at process start. --shards N puts N
+// worker processes behind a restarting supervisor. docs/service.md has the
+// wire formats, persistence and the supervisor.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -36,9 +36,9 @@
 #include "driver/kernels.hpp"
 #include "dse/dse.hpp"
 #include "service/compile_service.hpp"
-#include "service/isa_registry.hpp"
 #include "service/protocol.hpp"
 #include "service/supervisor.hpp"
+#include "support/diagnostics.hpp"
 #include "support/fault_injection.hpp"
 #include "support/string_utils.hpp"
 #include "tune/tune.hpp"
@@ -207,7 +207,7 @@ struct ServeOptions {
   double defaultDeadlineMillis = 0.0;  // applied to requests without their own
   std::string statsPath;
   std::string metricsPath;
-  std::string isaFile;    ///< server-default ISA with hot reload ("" = dspx)
+  std::string isaFile;    ///< server-default ISA, read at startup ("" = dspx)
   int shards = 0;         ///< >0: supervisor mode (N worker processes)
   int maxRestarts = 8;
   std::uint64_t seed = 1;
@@ -236,12 +236,9 @@ const Flag<ServeOptions> kServeFlags[] = {
     {"--max-store-bytes", Arg::Int, "<n>", "artifact-store byte cap (0 = none)",
      [](ServeOptions& o, const FlagValue& v) { o.config.maxStoreBytes = v.number; }, 0,
      1LL << 50, kForward},
-    {"--tenant-inflight", Arg::Int, "<n>", "per-tenant concurrent-compile cap (0 = none)",
-     [](ServeOptions& o, const FlagValue& v) { o.config.tenantInflightCap = v.number; }, 0,
-     1 << 20, kForward},
     {"--binary", Arg::None, "", "M2CB frames instead of JSON lines, both ways",
      store<&ServeOptions::binary>},
-    {"--isa-file", Arg::Text, "<file>", "default target, reloaded on SIGHUP or admin reload",
+    {"--isa-file", Arg::Text, "<file>", "default target of requests without isa, read at start",
      store<&ServeOptions::isaFile>, 0, 0, kForward},
     {"--shards", Arg::Int, "<n>", "n worker processes behind a supervisor",
      store<&ServeOptions::shards>, 1, 256},
@@ -398,12 +395,21 @@ bool writeFile(const std::string& path, const std::string& text, bool announce =
 std::optional<isa::IsaDescription> resolveIsa(const std::string& preset,
                                               const std::string& file) {
   if (!file.empty()) {
-    try {
-      return service::IsaRegistry::parseFile(file);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "mat2c: %s\n", e.what());
+    std::ifstream in(file, std::ios::binary);
+    if (!in) {
+      std::fprintf(stderr, "mat2c: cannot open ISA file '%s'\n", file.c_str());
       return std::nullopt;
     }
+    std::stringstream text;
+    text << in.rdbuf();
+    DiagnosticEngine diags;
+    isa::IsaDescription parsed = isa::IsaDescription::parse(text.str(), diags);
+    if (diags.hasErrors()) {
+      std::fprintf(stderr, "mat2c: bad ISA file '%s': %s\n", file.c_str(),
+                   diags.renderAll().c_str());
+      return std::nullopt;
+    }
+    return parsed;
   }
   try {
     return isa::IsaDescription::preset(preset);
@@ -679,9 +685,6 @@ int cmdCompile(int argc, char** argv) {
 
 // --- serve -----------------------------------------------------------------
 
-volatile std::sig_atomic_t gSighup = 0;
-void sighupHandler(int) { gSighup = 1; }
-
 /// Input-order response stream, shared by both serve modes. Ingest opens one
 /// slot per request; answers land in any order (an in-band error at once, a
 /// CompileService future, a shard's callback), and the writer thread emits
@@ -817,14 +820,10 @@ service::BinaryResponse adminResponse(std::string id, std::string info) {
 /// What tells the two serve modes apart: who answers admin requests and
 /// where compile requests go. ingest() and ResponseWriter do the rest.
 struct ServeBackend {
-  /// healthz / stats / reload, answered synchronously with ingest — so a
-  /// reload orders naturally against compiles: requests already submitted
-  /// keep the ISA they were stamped with, later ones see the new one.
+  /// healthz / stats, answered synchronously with ingest.
   std::function<service::BinaryResponse(const service::WireRequest&)> admin;
   /// Routes one compile request; its answer must land in `slot`.
   std::function<void(const service::WireRequest&, const ResponseWriter::SlotPtr&)> submit;
-  /// SIGHUP: re-read the server-default ISA.
-  std::function<void()> reload;
 };
 
 /// The one serve ingest loop: reads M2CB request frames (--binary) or JSON
@@ -848,10 +847,6 @@ void ingest(std::istream& in, const ServeOptions& opt, const ServeBackend& backe
       rc = 0;
     }
     if (rc == 0) break;
-    if (gSighup) {
-      gSighup = 0;
-      backend.reload();
-    }
     service::WireRequest wire;
     std::string position = (opt.binary ? "frame" : "line") + std::to_string(n);
     if (opt.binary) {
@@ -882,7 +877,7 @@ void ingest(std::istream& in, const ServeOptions& opt, const ServeBackend& backe
     if (wire.id.empty()) wire.id = position;
     if (wire.admin.empty()) {
       backend.submit(wire, out.open());
-    } else if (wire.admin == "healthz" || wire.admin == "stats" || wire.admin == "reload") {
+    } else if (wire.admin == "healthz" || wire.admin == "stats") {
       out.answer(out.open(), backend.admin(wire));
     } else {
       reject(wire.id, "unknown admin command '" + wire.admin + "'", ErrorKind::ParseError);
@@ -903,21 +898,11 @@ bool writeServeReports(const ServeOptions& opt, const std::string& stats,
 }
 
 /// Single-process serve: compiles on this process's CompileService.
-int runServeSingle(const ServeOptions& opt, std::istream& in) {
-  std::optional<service::IsaRegistry> registry;
-  if (!opt.isaFile.empty()) {
-    try {
-      registry.emplace(service::IsaRegistry::parseFile(opt.isaFile), opt.isaFile);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "mat2c: %s\n", e.what());
-      return 1;
-    }
-  }
-  service::CompileService::Config config = opt.config;
-  if (registry) config.isaRegistry = &*registry;
-
-  service::CompileService serviceInstance(config);
-  if (!config.storeDir.empty() && serviceInstance.artifactStore() &&
+/// `defaultIsa` is the target of requests that name none.
+int runServeSingle(const ServeOptions& opt, std::istream& in,
+                   const isa::IsaDescription& defaultIsa) {
+  service::CompileService serviceInstance(opt.config);
+  if (!opt.config.storeDir.empty() && serviceInstance.artifactStore() &&
       !serviceInstance.artifactStore()->ok()) {
     // Degraded, not fatal: the service keeps compiling from memory, every
     // write-behind counts a putFailure, and healthz reports degraded.
@@ -932,20 +917,7 @@ int runServeSingle(const ServeOptions& opt, std::istream& in) {
     if (wire.admin == "healthz") {
       return adminResponse(wire.id, service::healthzText(serviceInstance.stats()));
     }
-    if (wire.admin == "stats") {
-      return adminResponse(wire.id, service::statsJson(serviceInstance.stats(), millisSince(t0)));
-    }
-    if (!registry) {
-      return errorResponse(wire.id, "reload requires --isa-file", ErrorKind::ParseError);
-    }
-    std::string why = registry->reload();
-    if (!why.empty()) {
-      return errorResponse(wire.id, "reload failed (previous ISA kept): " + why,
-                           ErrorKind::ParseError);
-    }
-    return adminResponse(wire.id, "reloaded '" + opt.isaFile + "' as '" +
-                                      registry->snapshot().isa->name() + "' (version " +
-                                      std::to_string(registry->version()) + ")");
+    return adminResponse(wire.id, service::statsJson(serviceInstance.stats(), millisSince(t0)));
   };
   backend.submit = [&](const service::WireRequest& wire, const ResponseWriter::SlotPtr& slot) {
     service::CompileRequest request;
@@ -954,20 +926,9 @@ int runServeSingle(const ServeOptions& opt, std::istream& in) {
       out.answer(slot, errorResponse(wire.id, "bad request: " + error, ErrorKind::ParseError));
       return;
     }
+    if (wire.isa.empty() && wire.isaText.empty()) request.options.isa = defaultIsa;
     if (request.deadlineMillis <= 0) request.deadlineMillis = opt.defaultDeadlineMillis;
     out.await(slot, serviceInstance.submit(std::move(request)));
-  };
-  backend.reload = [&] {
-    if (!registry) return;
-    std::string why = registry->reload();
-    if (why.empty()) {
-      std::fprintf(stderr, "mat2c: SIGHUP: reloaded '%s' (version %llu)\n",
-                   opt.isaFile.c_str(),
-                   static_cast<unsigned long long>(registry->version()));
-    } else {
-      std::fprintf(stderr, "mat2c: SIGHUP: reload failed (previous ISA kept): %s\n",
-                   why.c_str());
-    }
   };
   ingest(in, opt, backend, out);
   out.finish();
@@ -1012,11 +973,6 @@ int runServeSupervisor(const ServeOptions& opt, std::istream& in) {
   ResponseWriter out(opt.binary, /*faultPoint=*/false);
   ServeBackend backend;
   backend.admin = [&](const service::WireRequest& wire) {
-    if (wire.admin == "reload") {
-      return adminResponse(wire.id, "reload broadcast to " +
-                                        std::to_string(supervisor.broadcastReload()) +
-                                        " shard(s)");
-    }
     service::ShardSupervisor::Stats s = supervisor.stats();
     if (wire.admin == "stats") {
       return adminResponse(wire.id, service::statsJson(s, millisSince(t0)));
@@ -1034,10 +990,6 @@ int runServeSupervisor(const ServeOptions& opt, std::istream& in) {
       out.answer(slot, decoded, raw);
     });
   };
-  backend.reload = [&] {
-    int n = supervisor.broadcastReload();
-    std::fprintf(stderr, "mat2c: SIGHUP: reload broadcast to %d shard(s)\n", n);
-  };
   ingest(in, opt, backend, out);
   out.finish();
   supervisor.shutdown();
@@ -1049,12 +1001,10 @@ int runServeSupervisor(const ServeOptions& opt, std::istream& in) {
   }
   std::fprintf(stderr,
                "mat2c: supervised %d shard(s): %llu request(s), %llu restart(s), "
-               "%llu redispatch(es), %llu reload "
-               "broadcast(s), %zu failure(s), %.1f ms\n",
+               "%llu redispatch(es), %zu failure(s), %.1f ms\n",
                opt.shards, static_cast<unsigned long long>(ss.submitted),
                static_cast<unsigned long long>(ss.restarts),
-               static_cast<unsigned long long>(ss.redispatched),
-               static_cast<unsigned long long>(ss.reloads), out.failures(), wallMillis);
+               static_cast<unsigned long long>(ss.redispatched), out.failures(), wallMillis);
   return out.exitCode();
 }
 
@@ -1093,9 +1043,12 @@ int cmdServe(int argc, char** argv) {
   }
   std::istream& in = fromStdin ? std::cin : file;
 
-  std::signal(SIGHUP, sighupHandler);
+  // Parsed once here, also in supervisor mode, so a bad --isa-file fails at
+  // startup rather than in every shard; each shard re-reads it when it starts.
+  std::optional<isa::IsaDescription> defaultIsa = resolveIsa("dspx", opt.isaFile);
+  if (!defaultIsa) return 1;
   if (opt.shards > 0) return runServeSupervisor(opt, in);
-  return runServeSingle(opt, in);
+  return runServeSingle(opt, in, *defaultIsa);
 }
 
 }  // namespace
