@@ -3,145 +3,63 @@
 // compiled pipeline (both styles, several targets).
 #include <gtest/gtest.h>
 
-#include <random>
-#include <sstream>
-
 #include "driver/compiler.hpp"
 #include "driver/kernels.hpp"
+#include "property_programs.hpp"
 
 namespace mat2c {
 namespace {
 
 using sema::ArgSpec;
 
-/// Random elementwise expression over `x` (vector), `s` (scalar), and
-/// literals. Division is guarded so results stay finite.
-class ExprGen {
- public:
-  explicit ExprGen(unsigned seed) : rng_(seed) {}
-
-  std::string expr(int depth) {
-    if (depth <= 0) return leaf();
-    switch (rng_() % 8) {
-      case 0: return "(" + expr(depth - 1) + " + " + expr(depth - 1) + ")";
-      case 1: return "(" + expr(depth - 1) + " - " + expr(depth - 1) + ")";
-      case 2: return "(" + expr(depth - 1) + " .* " + expr(depth - 1) + ")";
-      case 3: return "(" + expr(depth - 1) + " ./ (abs(" + expr(depth - 1) + ") + 2))";
-      case 4: return "abs(" + expr(depth - 1) + ")";
-      case 5: return "(-" + expr(depth - 1) + ")";
-      case 6: return "cos(" + expr(depth - 1) + ")";
-      default: return "min(" + expr(depth - 1) + ", " + expr(depth - 1) + ")";
-    }
-  }
-
-  std::string leaf() {
-    switch (rng_() % 4) {
-      case 0: return "x";
-      case 1: return "s";
-      case 2: return std::to_string(static_cast<int>(rng_() % 7) - 3);
-      default: return "x";
-    }
-  }
-
-  std::mt19937 rng_;
-};
-
 class ElementwiseProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ElementwiseProperty, InterpreterAndVmAgree) {
   unsigned seed = GetParam();
-  ExprGen gen(seed);
-  std::string body = gen.expr(4);
-  std::string src = "function y = f(x, s)\ny = " + body + ";\nend\n";
-
-  std::int64_t n = 5 + seed % 13;
-  kernels::InputGen inputs(seed * 7 + 1);
-  std::vector<Matrix> args = {inputs.rowVector(n), Matrix::scalar(inputs.next())};
-  std::vector<ArgSpec> specs = {ArgSpec::row(n), ArgSpec::scalar()};
+  property::Program p = property::elementwise(seed);
 
   Compiler compiler;
   for (const char* isaName : {"dspx", "scalar"}) {
-    auto prop = compiler.compileSource(src, "f", specs, CompileOptions::proposed(isaName));
-    EXPECT_LE(validateAgainstInterpreter(src, "f", prop, args), 1e-9)
-        << "proposed/" << isaName << " seed=" << seed << " body: " << body;
+    auto prop = compiler.compileSource(p.source, "f", p.specs, CompileOptions::proposed(isaName));
+    EXPECT_LE(validateAgainstInterpreter(p.source, "f", prop, p.args), 1e-9)
+        << "proposed/" << isaName << " seed=" << seed << " source: " << p.source;
   }
-  auto base = compiler.compileSource(src, "f", specs, CompileOptions::coderLike());
-  EXPECT_LE(validateAgainstInterpreter(src, "f", base, args), 1e-9)
-      << "coder seed=" << seed << " body: " << body;
+  auto base = compiler.compileSource(p.source, "f", p.specs, CompileOptions::coderLike());
+  EXPECT_LE(validateAgainstInterpreter(p.source, "f", base, p.args), 1e-9)
+      << "coder seed=" << seed << " source: " << p.source;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ElementwiseProperty, ::testing::Range(0u, 32u));
+INSTANTIATE_TEST_SUITE_P(Seeds, ElementwiseProperty,
+                         ::testing::Range(0u, property::kElementwiseSeeds));
 
 /// Random scalar reduction loops with control flow.
 class LoopProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(LoopProperty, InterpreterAndVmAgree) {
-  unsigned seed = GetParam();
-  std::mt19937 rng(seed * 31 + 5);
-  std::ostringstream body;
-  body << "acc = " << static_cast<int>(rng() % 5) << ";\n";
-  body << "for k = 1:length(x)\n";
-  switch (rng() % 4) {
-    case 0:
-      body << "  acc = acc + x(k) * " << (1 + rng() % 3) << ";\n";
-      break;
-    case 1:
-      body << "  if x(k) > 0\n    acc = acc + x(k);\n  else\n    acc = acc - x(k);\n  end\n";
-      break;
-    case 2:
-      body << "  if mod(k, 2) == 0\n    continue\n  end\n  acc = acc + x(k) * x(k);\n";
-      break;
-    default:
-      body << "  acc = acc + x(k) * x(length(x) - k + 1);\n";
-      break;
-  }
-  body << "end\ny = acc;";
-  std::string src = "function y = f(x)\n" + body.str() + "\nend\n";
-
-  std::int64_t n = 4 + seed % 21;
-  kernels::InputGen inputs(seed + 100);
-  std::vector<Matrix> args = {inputs.rowVector(n)};
-
+  property::Program p = property::loop(GetParam());
   Compiler compiler;
-  auto prop = compiler.compileSource(src, "f", {ArgSpec::row(n)},
-                                     CompileOptions::proposed());
-  auto base = compiler.compileSource(src, "f", {ArgSpec::row(n)},
-                                     CompileOptions::coderLike());
-  EXPECT_LE(validateAgainstInterpreter(src, "f", prop, args), 1e-9) << src;
-  EXPECT_LE(validateAgainstInterpreter(src, "f", base, args), 1e-9) << src;
+  auto prop = compiler.compileSource(p.source, "f", p.specs, CompileOptions::proposed());
+  auto base = compiler.compileSource(p.source, "f", p.specs, CompileOptions::coderLike());
+  EXPECT_LE(validateAgainstInterpreter(p.source, "f", prop, p.args), 1e-9) << p.source;
+  EXPECT_LE(validateAgainstInterpreter(p.source, "f", base, p.args), 1e-9) << p.source;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, LoopProperty, ::testing::Range(0u, 24u));
+INSTANTIATE_TEST_SUITE_P(Seeds, LoopProperty, ::testing::Range(0u, property::kLoopSeeds));
 
 /// Random complex pipelines.
 class ComplexProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ComplexProperty, InterpreterAndVmAgree) {
-  unsigned seed = GetParam();
-  std::mt19937 rng(seed * 17 + 3);
-  const char* forms[] = {
-      "y = x .* conj(h);",
-      "y = real(x) + imag(h) * 1i;",
-      "y = abs(x) .* h;",
-      "y = x + conj(h) .* 2i;",
-      "y = complex(real(x), imag(h));",
-      "y = conj(x .* h);",
-  };
-  std::string src =
-      std::string("function y = f(x, h)\n") + forms[rng() % 6] + "\nend\n";
-  std::int64_t n = 3 + seed % 14;
-  kernels::InputGen inputs(seed + 500);
-  std::vector<Matrix> args = {inputs.complexRowVector(n), inputs.complexRowVector(n)};
-  std::vector<ArgSpec> specs = {ArgSpec::row(n, true), ArgSpec::row(n, true)};
-
+  property::Program p = property::complexPipeline(GetParam());
   Compiler compiler;
-  auto prop = compiler.compileSource(src, "f", specs, CompileOptions::proposed());
-  auto base = compiler.compileSource(src, "f", specs, CompileOptions::coderLike());
-  EXPECT_LE(validateAgainstInterpreter(src, "f", prop, args), 1e-9) << src;
-  EXPECT_LE(validateAgainstInterpreter(src, "f", base, args), 1e-9) << src;
+  auto prop = compiler.compileSource(p.source, "f", p.specs, CompileOptions::proposed());
+  auto base = compiler.compileSource(p.source, "f", p.specs, CompileOptions::coderLike());
+  EXPECT_LE(validateAgainstInterpreter(p.source, "f", prop, p.args), 1e-9) << p.source;
+  EXPECT_LE(validateAgainstInterpreter(p.source, "f", base, p.args), 1e-9) << p.source;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ComplexProperty, ::testing::Range(0u, 18u));
+INSTANTIATE_TEST_SUITE_P(Seeds, ComplexProperty,
+                         ::testing::Range(0u, property::kComplexSeeds));
 
 /// Cycle-model invariant: for any generated program, the Proposed style is
 /// never slower than CoderLike on the same target.
@@ -149,7 +67,7 @@ class CostDominanceProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(CostDominanceProperty, ProposedNeverSlower) {
   unsigned seed = GetParam();
-  ExprGen gen(seed + 77);
+  property::ExprGen gen(seed + 77);
   std::string src = "function y = f(x, s)\ny = " + gen.expr(3) + ";\nend\n";
   std::int64_t n = 32 + seed % 64;
   kernels::InputGen inputs(seed);
