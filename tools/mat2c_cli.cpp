@@ -405,7 +405,7 @@ std::optional<isa::IsaDescription> resolveIsa(const std::string& preset,
     DiagnosticEngine diags;
     isa::IsaDescription parsed = isa::IsaDescription::parse(text.str(), diags);
     if (diags.hasErrors()) {
-      std::fprintf(stderr, "mat2c: bad ISA file '%s': %s\n", file.c_str(),
+      std::fprintf(stderr, "mat2c: bad ISA file '%s': %s", file.c_str(),
                    diags.renderAll().c_str());
       return std::nullopt;
     }
@@ -940,10 +940,10 @@ int runServeSingle(const ServeOptions& opt, std::istream& in,
     return 1;
   }
   std::fprintf(stderr,
-               "mat2c: served %zu request(s) on %zu thread(s): %llu compile(s), "
+               "mat2c: served %llu request(s) on %zu thread(s): %llu compile(s), "
                "%llu cache hit(s) (%llu from store), %llu dedup join(s), "
                "%zu failure(s), %.1f ms, healthz: %s\n",
-               out.requests(), serviceInstance.threadCount(),
+               static_cast<unsigned long long>(stats.requests), serviceInstance.threadCount(),
                static_cast<unsigned long long>(stats.compiles),
                static_cast<unsigned long long>(stats.cacheHits),
                static_cast<unsigned long long>(stats.storeHits),
