@@ -228,6 +228,17 @@ TEST(MaxAbsDiff, EqualInfinitiesAgreeAndDifferentOnesDoNot) {
             kInf);
 }
 
+TEST(Matrix, RangeWithNonFiniteBounds) {
+  // A NaN bound is empty; an unbounded count throws instead of overflowing
+  // its cast to size_t.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(Matrix::range(nan, 1, 5).empty());
+  EXPECT_TRUE(Matrix::range(1, 1, nan).empty());
+  EXPECT_EQ(rangeLength(1, 1, 5), 5u);
+  EXPECT_THROW(rangeLength(1, 1, kInf), RuntimeError);
+  EXPECT_THROW(rangeLength(0, 1e-300, 1), RuntimeError);
+}
+
 TEST(MaxAbsDiff, ShapeMismatchThrows) {
   EXPECT_THROW(maxAbsDiff(Matrix::zeros(1, 2), Matrix::zeros(2, 1)), RuntimeError);
 }
