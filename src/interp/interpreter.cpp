@@ -219,10 +219,13 @@ std::size_t Interpreter::call(const Function& fn, std::span<const Matrix> args,
     throw RuntimeError("too many arguments to '" + fn.name + "'");
   if (nOut > fn.outs.size() && !(nOut == 1 && fn.outs.empty()))
     throw RuntimeError("too many outputs requested from '" + fn.name + "'");
-  if (++callDepth_ > 200) {
-    --callDepth_;
-    throw RuntimeError("recursion limit exceeded");
-  }
+  if (callDepth_ >= 200) throw RuntimeError("recursion limit exceeded");
+  // Every exit restores the depth, a throw from the body included.
+  struct DepthScope {
+    int& depth;
+    explicit DepthScope(int& d) : depth(++d) {}
+    ~DepthScope() { --depth; }
+  } depthScope(callDepth_);
 
   const Scope& scope = scopeOf(&fn);
   Frame frame(scope);
@@ -233,7 +236,6 @@ std::size_t Interpreter::call(const Function& fn, std::span<const Matrix> args,
   }
   // A break or continue outside any loop ends the body, as return does.
   execBlock(fn.body, frame);
-  --callDepth_;
 
   const std::size_t produced = std::min(nOut, fn.outs.size());
   for (std::size_t i = 0; i < produced; ++i) {
@@ -277,9 +279,29 @@ Interpreter::Flow Interpreter::execStmt(const Stmt& stmt, Frame& frame) {
     case NodeKind::Assign:
       execAssign(static_cast<const Assign&>(stmt), frame);
       return Flow::Normal;
-    case NodeKind::ExprStmt:
-      eval(*static_cast<const ExprStmt&>(stmt).expr, frame);
+    case NodeKind::ExprStmt: {
+      // A call statement may return nothing (disp(x);): a call to an unbound
+      // name asks for one output and drops whatever comes back. Any other
+      // expression is evaluated and dropped.
+      const Expr& e = *static_cast<const ExprStmt&>(stmt).expr;
+      const Expr& head =
+          e.kind == NodeKind::CallIndex ? *static_cast<const CallIndex&>(e).base : e;
+      if (head.kind == NodeKind::Ident) {
+        const Name& name = frame.scope[&head];
+        if (!frame.slots[name.slot].bound) {
+          step();  // the call node, as eval counts it
+          Matrix out;
+          if (&head == &e) {
+            invoke(name, {}, {&out, 1});
+          } else {
+            callWithArgs(static_cast<const CallIndex&>(e), name, frame, {&out, 1});
+          }
+          return Flow::Normal;
+        }
+      }
+      eval(e, frame);
       return Flow::Normal;
+    }
     case NodeKind::If: {
       const auto& s = static_cast<const If&>(stmt);
       for (const auto& b : s.branches) {

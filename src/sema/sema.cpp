@@ -107,11 +107,11 @@ void TypeInference::joinInto(Env& dst, const Env& src) {
   }
 }
 
-void TypeInference::processBlock(const std::vector<StmtPtr>& body, Env& env) {
-  for (const auto& s : body) processStmt(*s, env);
+void TypeInference::processBlock(const std::vector<StmtPtr>& body, Env& env, ExitEnvs* exits) {
+  for (const auto& s : body) processStmt(*s, env, exits);
 }
 
-void TypeInference::processStmt(const Stmt& stmt, Env& env) {
+void TypeInference::processStmt(const Stmt& stmt, Env& env, ExitEnvs* exits) {
   // Per-statement cooperative guard point, mirroring Parser::parseStatement.
   DeadlineGuard::poll("sema");
   fault::onAllocPoint();
@@ -175,14 +175,14 @@ void TypeInference::processStmt(const Stmt& stmt, Env& env) {
       for (const auto& b : s.branches) {
         inferExpr(*b.cond, env);
         Env branch = env;
-        processBlock(b.body, branch);
+        processBlock(b.body, branch, exits);
         outs.push_back(std::move(branch));
       }
       Env elseEnv = env;
-      processBlock(s.elseBody, elseEnv);
+      processBlock(s.elseBody, elseEnv, exits);
       env = std::move(elseEnv);
       for (const auto& o : outs) joinInto(env, o);
-      return;
+      break;
     }
     case NodeKind::For: {
       const auto& s = static_cast<const For&>(stmt);
@@ -193,7 +193,7 @@ void TypeInference::processStmt(const Stmt& stmt, Env& env) {
         Env body = env;
         body.vars[s.var] = Type::realScalar();
         body.consts.erase(s.var);
-        processBlock(s.body, body);
+        processBlock(s.body, body, exits);
         Env joined = env;
         joinInto(joined, body);
         if (joined == env) break;
@@ -202,21 +202,21 @@ void TypeInference::processStmt(const Stmt& stmt, Env& env) {
       }
       env.vars[s.var] = Type::realScalar();
       env.consts.erase(s.var);
-      return;
+      break;
     }
     case NodeKind::While: {
       const auto& s = static_cast<const While&>(stmt);
       for (int iter = 0; iter < 16; ++iter) {
         inferExpr(*s.cond, env);
         Env body = env;
-        processBlock(s.body, body);
+        processBlock(s.body, body, exits);
         Env joined = env;
         joinInto(joined, body);
         if (joined == env) break;
         env = std::move(joined);
         if (iter == 15) fail(s.loc, "type inference did not converge in while-loop");
       }
-      return;
+      break;
     }
     case NodeKind::Switch: {
       const auto& s = static_cast<const Switch&>(stmt);
@@ -226,14 +226,14 @@ void TypeInference::processStmt(const Stmt& stmt, Env& env) {
       for (const auto& c : s.cases) {
         inferExpr(*c.value, env);
         Env branch = env;
-        processBlock(c.body, branch);
+        processBlock(c.body, branch, exits);
         outs.push_back(std::move(branch));
       }
       Env other = env;
-      processBlock(s.otherwise, other);
+      processBlock(s.otherwise, other, exits);
       env = std::move(other);
       for (const auto& o : outs) joinInto(env, o);
-      return;
+      break;
     }
     case NodeKind::Break:
     case NodeKind::Continue:
@@ -242,6 +242,8 @@ void TypeInference::processStmt(const Stmt& stmt, Env& env) {
     default:
       fail(stmt.loc, "unsupported statement in compiled code");
   }
+  // Only the compound statements break out of the switch.
+  if (exits) (*exits)[&stmt] = env;
 }
 
 std::optional<double> TypeInference::constValue(const Expr& expr, Env& env,

@@ -263,6 +263,58 @@ TEST(Interp, DimensionMismatchThrows) {
   EXPECT_THROW(runScalar("x = [1 2] + [1 2 3];"), RuntimeError);
 }
 
+TEST(Interp, ExprStmtCallWithoutOutputs) {
+  // A call statement may return nothing; used as a value it may not.
+  const char* src =
+      "x = 1;\n"
+      "disp(x);\n"
+      "note(x);\n"
+      "x = x + 1;\n"
+      "function note(v)\n"
+      "disp(v);\n"
+      "end\n";
+  DiagnosticEngine diags;
+  auto prog = parseSource(src, diags);
+  ASSERT_FALSE(diags.hasErrors()) << diags.renderAll();
+  Interpreter interp(*prog);
+  EXPECT_DOUBLE_EQ(interp.runScript().at("x").scalarValue(), 2.0);
+  for (const char* bad : {"y = disp(1);", "y = note(1);\nfunction note(v)\nend\n"}) {
+    auto p = parseSource(bad, diags);
+    Interpreter i(*p);
+    try {
+      i.runScript();
+      ADD_FAILURE() << bad << " completed";
+    } catch (const RuntimeError& e) {
+      EXPECT_STREQ(e.what(), "expression produced no value") << bad;
+    }
+  }
+}
+
+TEST(Interp, RecursionDepthIsRestoredAfterAThrow) {
+  // Each call unwinds 61 frames by a throw; the depth must not leak into
+  // the next call on the same interpreter.
+  const char* src =
+      "function y = r(n)\n"
+      "if n <= 1\n  error('boom');\nend\n"
+      "y = r(n - 1);\n"
+      "end\n";
+  DiagnosticEngine diags;
+  auto prog = parseSource(src, diags);
+  ASSERT_FALSE(diags.hasErrors()) << diags.renderAll();
+  Interpreter interp(*prog);
+  auto message = [&](double n) -> std::string {
+    try {
+      interp.callFunction("r", {Matrix::scalar(n)});
+    } catch (const RuntimeError& e) {
+      return e.what();
+    }
+    return "completed";
+  };
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(message(61), "boom") << "call " << i;
+  EXPECT_EQ(message(201), "recursion limit exceeded");
+  EXPECT_EQ(message(200), "boom");
+}
+
 TEST(Interp, StepBudgetGuardsInfiniteLoop) {
   DiagnosticEngine diags;
   auto prog = parseSource("x = 1; while 1\nx = x + 1;\nend", diags);
