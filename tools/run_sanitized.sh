@@ -7,21 +7,23 @@
 # builds it, and runs the labeled tests under the sanitizer:
 #
 #   thread  (default) — TSan over the service/chaos/robustness/dse/tune/
-#           interp labels: the CompileService worker pool, the shard
+#           interp/lower labels: the CompileService worker pool, the shard
 #           supervisor's reader/monitor threads, the seeded chaos harness,
 #           dse::explore's parallel measurement jobs and tune::autotune's
 #           speculative candidate batches. Data races show up here, not in
 #           production.
 #   address — ASan+UBSan over the same labels (docs/robustness.md sweep);
 #           the interp label covers the interpreter's inline 1x1 Matrix
-#           storage and its slot frames.
+#           storage and its slot frames, the lower label the lowerer's
+#           recorded exit envs, which live in a scope vector that an
+#           inlined call grows.
 #
-# The label regex defaults to "chaos|robustness|service|dse|tune|interp"; pass
-# a second argument to narrow it (e.g. `tools/run_sanitized.sh thread chaos`).
+# The label regex defaults to "chaos|robustness|service|dse|tune|interp|lower";
+# pass a second argument to narrow it (e.g. `tools/run_sanitized.sh thread chaos`).
 set -eu
 
 kind="${1:-thread}"
-labels="${2:-chaos|robustness|service|dse|tune|interp}"
+labels="${2:-chaos|robustness|service|dse|tune|interp|lower}"
 case "$kind" in
   thread|address) ;;
   *) echo "usage: $0 [thread|address] [ctest -L regex]" >&2; exit 2 ;;
