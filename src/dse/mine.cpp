@@ -14,6 +14,7 @@
 
 #include "dse/dse.hpp"
 #include "lir/select.hpp"
+#include "lir/walk.hpp"
 #include "support/string_utils.hpp"
 
 namespace mat2c::dse {
@@ -163,12 +164,12 @@ struct Miner {
 
   /// Emits every pattern of size 2..4 rooted at each node of `e`'s tree.
   void mineExpr(const Expr& e, double dyn) {
-    for (const auto& p : patternsFrom(e, kMaxPatternSize))
-      if (patSize(p) >= 2) addInstance(p, nullptr, isa::Op::AddF, dyn);
-    if (e.a) mineExpr(*e.a, dyn);
-    if (e.b) mineExpr(*e.b, dyn);
-    if (e.c) mineExpr(*e.c, dyn);
-    // Index subtrees are skipped: patterns never extend into address math.
+    lir::walkExpr(e, [&](const Expr& x) {
+      for (const auto& p : patternsFrom(x, kMaxPatternSize))
+        if (patSize(p) >= 2) addInstance(p, nullptr, isa::Op::AddF, dyn);
+      // A load's index is skipped: patterns never extend into address math.
+      return x.kind != ExprKind::Load;
+    });
   }
 
   void mineStore(const Stmt& s, double dyn) {
@@ -181,34 +182,20 @@ struct Miner {
       addInstance(p, &s, storeOp, dyn);
   }
 
+  /// Mines every executed statement's value (a Store's with the store
+  /// itself as the pattern root) and every executed If/While condition.
   void mineBlock(const std::vector<lir::StmtPtr>& body) {
-    for (const auto& sp : body) {
-      const Stmt& s = *sp;
+    lir::walkStmts(body, [&](const Stmt& s) {
       double dyn = dynOf(s);
-      switch (s.kind) {
-        case StmtKind::DeclScalar:
-        case StmtKind::Assign:
-          if (s.value && dyn > 0) mineExpr(*s.value, dyn);
-          break;
-        case StmtKind::Store:
-          if (dyn > 0) mineStore(s, dyn);
-          break;
-        case StmtKind::For:
-          mineBlock(s.body);
-          break;
-        case StmtKind::While:
-          if (s.cond && dyn > 0) mineExpr(*s.cond, dyn);
-          mineBlock(s.body);
-          break;
-        case StmtKind::If:
-          if (s.cond && dyn > 0) mineExpr(*s.cond, dyn);
-          mineBlock(s.body);
-          mineBlock(s.elseBody);
-          break;
-        default:
-          break;
+      if (dyn <= 0) return;
+      if (s.kind == StmtKind::Store) {
+        mineStore(s, dyn);
+      } else if (s.kind == StmtKind::DeclScalar || s.kind == StmtKind::Assign) {
+        if (s.value) mineExpr(*s.value, dyn);
+      } else if (s.kind == StmtKind::If || s.kind == StmtKind::While) {
+        mineExpr(*s.cond, dyn);
       }
-    }
+    });
   }
 };
 

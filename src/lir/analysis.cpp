@@ -1,5 +1,7 @@
 #include "lir/analysis.hpp"
 
+#include "lir/walk.hpp"
+
 namespace mat2c::lir {
 
 bool exprEquals(const Expr& a, const Expr& b) {
@@ -26,78 +28,45 @@ bool exprEquals(const Expr& a, const Expr& b) {
 }
 
 void substituteVar(ExprPtr& e, const std::string& name, const Expr& replacement) {
-  if (e->kind == ExprKind::VarRef && e->name == name) {
-    e = replacement.clone();
-    return;
-  }
-  if (e->index) substituteVar(e->index, name, replacement);
-  if (e->a) substituteVar(e->a, name, replacement);
-  if (e->b) substituteVar(e->b, name, replacement);
-  if (e->c) substituteVar(e->c, name, replacement);
+  walkSlots(e, [&](ExprPtr& x) {
+    if (x->kind != ExprKind::VarRef || x->name != name) return true;
+    x = replacement.clone();
+    return false;
+  });
 }
 
 void substituteVar(Stmt& s, const std::string& name, const Expr& replacement) {
-  if (s.value) substituteVar(s.value, name, replacement);
-  if (s.index) substituteVar(s.index, name, replacement);
-  if (s.lo) substituteVar(s.lo, name, replacement);
-  if (s.hi) substituteVar(s.hi, name, replacement);
-  if (s.cond) substituteVar(s.cond, name, replacement);
-  for (auto& st : s.body) {
-    // A nested declaration of the same name shadows; stop substituting its
-    // scope. (Bounds/init of the shadowing stmt were handled above.)
-    if ((st->kind == StmtKind::DeclScalar || st->kind == StmtKind::For) && st->name == name) {
-      if (st->value) substituteVar(st->value, name, replacement);
-      if (st->lo) substituteVar(st->lo, name, replacement);
-      if (st->hi) substituteVar(st->hi, name, replacement);
-      continue;
-    }
-    substituteVar(*st, name, replacement);
-  }
-  for (auto& st : s.elseBody) {
-    if ((st->kind == StmtKind::DeclScalar || st->kind == StmtKind::For) && st->name == name) {
-      if (st->value) substituteVar(st->value, name, replacement);
-      if (st->lo) substituteVar(st->lo, name, replacement);
-      if (st->hi) substituteVar(st->hi, name, replacement);
-      continue;
-    }
-    substituteVar(*st, name, replacement);
-  }
+  walkStmts(s, [&](Stmt& st) {
+    forEachExpr(st, [&](ExprPtr& e) { substituteVar(e, name, replacement); });
+    // A nested For over the same name shadows it: its bounds (above) are in
+    // the outer scope, its body is not.
+    return &st == &s || st.kind != StmtKind::For || st.name != name;
+  });
 }
-
-namespace {
-
-void renameInExpr(ExprPtr& e, const std::string& from, const std::string& to) {
-  if (e->kind == ExprKind::VarRef && e->name == from) e->name = to;
-  if (e->index) renameInExpr(e->index, from, to);
-  if (e->a) renameInExpr(e->a, from, to);
-  if (e->b) renameInExpr(e->b, from, to);
-  if (e->c) renameInExpr(e->c, from, to);
-}
-
-}  // namespace
 
 void renameVar(Stmt& s, const std::string& from, const std::string& to) {
-  if ((s.kind == StmtKind::DeclScalar || s.kind == StmtKind::Assign ||
-       s.kind == StmtKind::For) &&
-      s.name == from) {
-    s.name = to;
-  }
-  if (s.value) renameInExpr(s.value, from, to);
-  if (s.index) renameInExpr(s.index, from, to);
-  if (s.lo) renameInExpr(s.lo, from, to);
-  if (s.hi) renameInExpr(s.hi, from, to);
-  if (s.cond) renameInExpr(s.cond, from, to);
-  for (auto& st : s.body) renameVar(*st, from, to);
-  for (auto& st : s.elseBody) renameVar(*st, from, to);
+  walkNodes(
+      s,
+      [&](Stmt& st) {
+        if ((st.kind == StmtKind::DeclScalar || st.kind == StmtKind::Assign ||
+             st.kind == StmtKind::For) &&
+            st.name == from) {
+          st.name = to;
+        }
+      },
+      [&](Expr& e) {
+        if (e.kind == ExprKind::VarRef && e.name == from) e.name = to;
+      });
+}
+
+bool intersects(const std::set<std::string>& a, const std::set<std::string>& b) {
+  for (const auto& x : a)
+    if (b.count(x)) return true;
+  return false;
 }
 
 bool AccessInfo::independentOf(const AccessInfo& other) const {
   if (hasLoopControl || other.hasLoopControl) return false;
-  auto intersects = [](const std::set<std::string>& a, const std::set<std::string>& b) {
-    for (const auto& x : a)
-      if (b.count(x)) return true;
-    return false;
-  };
   if (intersects(scalarWrites, other.scalarWrites)) return false;
   if (intersects(scalarWrites, other.scalarReads)) return false;
   if (intersects(scalarReads, other.scalarWrites)) return false;
@@ -107,16 +76,14 @@ bool AccessInfo::independentOf(const AccessInfo& other) const {
   return true;
 }
 
-void collectAccess(const Expr& e, AccessInfo& out) {
+namespace {
+
+void noteExpr(const Expr& e, AccessInfo& out) {
   if (e.kind == ExprKind::VarRef) out.scalarReads.insert(e.name);
   if (e.kind == ExprKind::Load) out.arrayReads.insert(e.name);
-  if (e.index) collectAccess(*e.index, out);
-  if (e.a) collectAccess(*e.a, out);
-  if (e.b) collectAccess(*e.b, out);
-  if (e.c) collectAccess(*e.c, out);
 }
 
-void collectAccess(const Stmt& s, AccessInfo& out) {
+void noteStmt(const Stmt& s, AccessInfo& out) {
   switch (s.kind) {
     case StmtKind::DeclScalar:
       out.scalarWrites.insert(s.name);
@@ -135,28 +102,45 @@ void collectAccess(const Stmt& s, AccessInfo& out) {
     case StmtKind::While: out.hasWhile = true; break;
     default: break;
   }
-  if (s.value) collectAccess(*s.value, out);
-  if (s.index) collectAccess(*s.index, out);
-  if (s.lo) collectAccess(*s.lo, out);
-  if (s.hi) collectAccess(*s.hi, out);
-  if (s.cond) collectAccess(*s.cond, out);
-  for (const auto& st : s.body) collectAccess(*st, out);
-  for (const auto& st : s.elseBody) collectAccess(*st, out);
+}
+
+}  // namespace
+
+void collectAccess(const Expr& e, AccessInfo& out) {
+  walkExpr(e, [&](const Expr& x) { noteExpr(x, out); });
+}
+
+void collectAccess(const Stmt& s, AccessInfo& out) {
+  walkNodes(
+      s, [&](const Stmt& st) { noteStmt(st, out); },
+      [&](const Expr& x) { noteExpr(x, out); });
 }
 
 std::set<std::string> varReads(const Expr& e) {
-  AccessInfo info;
-  collectAccess(e, info);
-  return info.scalarReads;
+  std::set<std::string> reads;
+  walkExpr(e, [&](const Expr& x) {
+    if (x.kind == ExprKind::VarRef) reads.insert(x.name);
+  });
+  return reads;
+}
+
+std::set<std::string> varReads(const std::vector<StmtPtr>& block) {
+  std::set<std::string> reads;
+  walkNodes(
+      block, [](const Stmt&) {},
+      [&](const Expr& x) {
+        if (x.kind == ExprKind::VarRef) reads.insert(x.name);
+      });
+  return reads;
 }
 
 bool containsLoad(const Expr& e) {
-  if (e.kind == ExprKind::Load) return true;
-  if (e.index && containsLoad(*e.index)) return true;
-  if (e.a && containsLoad(*e.a)) return true;
-  if (e.b && containsLoad(*e.b)) return true;
-  if (e.c && containsLoad(*e.c)) return true;
-  return false;
+  bool found = false;
+  walkExpr(e, [&](const Expr& x) {
+    found = found || x.kind == ExprKind::Load;
+    return !found;
+  });
+  return found;
 }
 
 }  // namespace mat2c::lir

@@ -7,7 +7,9 @@
 // regions (dependence tests for fusion, invariance tests for LICM). They are
 // deliberately syntactic: every LIR right-hand side is pure, so two
 // structurally equal expressions evaluated under the same variable bindings
-// produce the same value.
+// produce the same value. Every walk here goes through lir/walk.hpp, the
+// one statement of which fields hold children and in what order; a pass
+// that needs a walk these summaries do not give uses those templates too.
 #pragma once
 
 #include <set>
@@ -52,11 +54,16 @@ struct AccessInfo {
   bool independentOf(const AccessInfo& other) const;
 };
 
+/// True when the two sets share a name.
+bool intersects(const std::set<std::string>& a, const std::set<std::string>& b);
+
 void collectAccess(const Expr& e, AccessInfo& out);
 void collectAccess(const Stmt& s, AccessInfo& out);
 
 /// Every variable name read by the expression.
 std::set<std::string> varReads(const Expr& e);
+/// Every variable name read anywhere in the block.
+std::set<std::string> varReads(const std::vector<StmtPtr>& block);
 
 /// True when the tree contains a Load.
 bool containsLoad(const Expr& e);

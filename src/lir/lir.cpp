@@ -1,5 +1,7 @@
 #include "lir/lir.hpp"
 
+#include "lir/walk.hpp"
+
 namespace mat2c::lir {
 
 const char* toString(Scalar s) {
@@ -374,29 +376,23 @@ Affine affineOf(const Expr& e) {
   }
 }
 
-namespace {
-
-void countStmt(const Stmt& s, FunctionStats& stats) {
-  stats.statements++;
-  switch (s.kind) {
-    case StmtKind::For:
-    case StmtKind::While: stats.loops++; break;
-    case StmtKind::DeclScalar: stats.decls++; break;
-    case StmtKind::Store: stats.stores++; break;
-    case StmtKind::BoundsCheck: stats.boundsChecks++; break;
-    default: break;
-  }
-  for (const auto& inner : s.body) countStmt(*inner, stats);
-  for (const auto& inner : s.elseBody) countStmt(*inner, stats);
-}
-
-}  // namespace
-
-FunctionStats collectStats(const Function& fn) {
+FunctionStats collectStats(const std::vector<StmtPtr>& block) {
   FunctionStats stats;
-  for (const auto& s : fn.body) countStmt(*s, stats);
+  walkStmts(block, [&](const Stmt& s) {
+    stats.statements++;
+    switch (s.kind) {
+      case StmtKind::For:
+      case StmtKind::While: stats.loops++; break;
+      case StmtKind::DeclScalar: stats.decls++; break;
+      case StmtKind::Store: stats.stores++; break;
+      case StmtKind::BoundsCheck: stats.boundsChecks++; break;
+      default: break;
+    }
+  });
   return stats;
 }
+
+FunctionStats collectStats(const Function& fn) { return collectStats(fn.body); }
 
 Affine affineSub(const Affine& a, const Affine& b) {
   Affine r;

@@ -219,6 +219,7 @@ struct FunctionStats {
   friend bool operator==(const FunctionStats&, const FunctionStats&) = default;
 };
 FunctionStats collectStats(const Function& fn);
+FunctionStats collectStats(const std::vector<StmtPtr>& block);
 
 /// Affine view of an i64 expression: sum(coeff_i * var_i) + constant.
 /// Used by slice lowering (static trip counts) and by the vectorizer

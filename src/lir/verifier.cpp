@@ -1,6 +1,7 @@
 // Structural verifier for LIR functions. Run after lowering and after each
 // optimization pass in tests; catches type/lane inconsistencies and
 // references to undeclared names before they turn into silent VM garbage.
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -22,6 +23,35 @@ std::optional<ComplexRule> builtinRule(UnOp op) {
 #include "sema/builtins.def"
     default: return std::nullopt;
   }
+}
+
+/// The slots a statement kind has, and the ones it must fill. lir/walk.hpp
+/// visits whatever slots are set, so a slot outside the layout would be
+/// walked as if it belonged to the statement.
+enum Slot : unsigned { kValue = 1, kIndex = 2, kLo = 4, kHi = 8, kCond = 16, kBody = 32, kElse = 64 };
+constexpr const char* kSlotNames[] = {"value", "index", "lo", "hi", "cond", "body", "else body"};
+
+struct SlotLayout {
+  const char* kind;  // as problems name it
+  unsigned has = 0;
+  unsigned required = 0;
+};
+
+SlotLayout layoutOf(StmtKind kind) {
+  switch (kind) {
+    case StmtKind::DeclScalar: return {"decl", kValue};
+    case StmtKind::Assign: return {"assign", kValue, kValue};
+    case StmtKind::Store: return {"store", kValue | kIndex, kValue | kIndex};
+    case StmtKind::For: return {"for", kLo | kHi | kBody, kLo | kHi};
+    case StmtKind::If: return {"if", kCond | kBody | kElse, kCond};
+    case StmtKind::While: return {"while", kCond | kBody, kCond};
+    case StmtKind::Break: return {"break"};
+    case StmtKind::Continue: return {"continue"};
+    case StmtKind::BoundsCheck: return {"bounds check", kIndex, kIndex};
+    case StmtKind::AllocMark: return {"alloc mark"};
+    case StmtKind::Comment: return {"comment"};
+  }
+  return {"statement"};
 }
 
 class Verifier {
@@ -168,7 +198,28 @@ class Verifier {
     scalars_ = std::move(saved);
   }
 
+  /// Reports every slot `s` must fill but leaves empty and every slot it
+  /// fills that its kind does not have; false when a required one is empty.
+  bool checkSlots(const Stmt& s) {
+    const bool filled[] = {s.value != nullptr, s.index != nullptr, s.lo != nullptr,
+                           s.hi != nullptr,    s.cond != nullptr,  !s.body.empty(),
+                           !s.elseBody.empty()};
+    SlotLayout layout = layoutOf(s.kind);
+    bool complete = true;
+    for (unsigned i = 0; i < std::size(filled); ++i) {
+      unsigned slot = 1u << i;
+      if ((layout.required & slot) && !filled[i]) {
+        err(std::string(layout.kind) + " without " + kSlotNames[i]);
+        complete = false;
+      }
+      if (filled[i] && !(layout.has & slot))
+        err(std::string(layout.kind) + " with a stray " + kSlotNames[i]);
+    }
+    return complete;
+  }
+
   void checkStmt(const Stmt& s, bool inLoop) {
+    if (!checkSlots(s)) return;
     switch (s.kind) {
       case StmtKind::DeclScalar:
         if (s.value) {

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "lir/walk.hpp"
 #include "sema/builtins.hpp"
 
 namespace mat2c::lower {
@@ -910,11 +911,9 @@ ExprPtr Lowerer::scalarize(const Expr& e, const std::string& idxVar, const Shape
 
 void Lowerer::appendLoadChecks(const lir::Expr& e, std::vector<StmtPtr>& out) {
   if (!emitChecks()) return;
-  if (e.kind == lir::ExprKind::Load) out.push_back(lir::boundsCheck(e.name, e.index->clone()));
-  if (e.index) appendLoadChecks(*e.index, out);
-  if (e.a) appendLoadChecks(*e.a, out);
-  if (e.b) appendLoadChecks(*e.b, out);
-  if (e.c) appendLoadChecks(*e.c, out);
+  lir::walkExpr(e, [&](const lir::Expr& x) {
+    if (x.kind == lir::ExprKind::Load) out.push_back(lir::boundsCheck(x.name, x.index->clone()));
+  });
 }
 
 void Lowerer::emitElementwiseLoop(const std::string& dst, const Type& dstType,

@@ -9,6 +9,7 @@
 #include <map>
 #include <string>
 
+#include "lir/walk.hpp"
 #include "opt/passes.hpp"
 
 namespace mat2c::opt {
@@ -83,17 +84,12 @@ class Eliminator {
             tracked = true;
           }
         }
-        visit(s.body);
+        forEachBlock(s, [&](auto& inner) { visit(inner); });
         if (tracked) vars_.erase(s.name);
         out.push_back(std::move(sp));
         continue;
       }
-      if (s.kind == StmtKind::If || s.kind == StmtKind::While) {
-        visit(s.body);
-        visit(s.elseBody);
-        out.push_back(std::move(sp));
-        continue;
-      }
+      forEachBlock(s, [&](auto& inner) { visit(inner); });
       if (s.kind == StmtKind::BoundsCheck) {
         Scalar elem{};
         std::int64_t numel = 0;

@@ -3,6 +3,7 @@
 #include <map>
 
 #include "lir/analysis.hpp"
+#include "lir/walk.hpp"
 #include "opt/passes.hpp"
 
 namespace mat2c::opt {
@@ -35,25 +36,13 @@ ExprPtr rebuildAffine(const Affine& a) {
 }
 
 std::size_t exprSize(const Expr& e) {
-  std::size_t n = 1;
-  if (e.index) n += exprSize(*e.index);
-  if (e.a) n += exprSize(*e.a);
-  if (e.b) n += exprSize(*e.b);
-  if (e.c) n += exprSize(*e.c);
+  std::size_t n = 0;
+  walkExpr(e, [&](const Expr&) { ++n; });
   return n;
 }
 
-void foldExpr(ExprPtr& e);
-
-void foldChildren(Expr& e) {
-  if (e.index) foldExpr(e.index);
-  if (e.a) foldExpr(e.a);
-  if (e.b) foldExpr(e.b);
-  if (e.c) foldExpr(e.c);
-}
-
 void foldExpr(ExprPtr& e) {
-  foldChildren(*e);
+  forEachOperand(*e, [](ExprPtr& k) { foldExpr(k); });
 
   // Canonicalize i64 affine expressions when it shrinks them.
   if (e->type == VType::i64() && e->kind == ExprKind::Binary) {
@@ -163,14 +152,8 @@ void foldExpr(ExprPtr& e) {
   }
 }
 
-void foldStmt(Stmt& s) {
-  if (s.value) foldExpr(s.value);
-  if (s.index) foldExpr(s.index);
-  if (s.lo) foldExpr(s.lo);
-  if (s.hi) foldExpr(s.hi);
-  if (s.cond) foldExpr(s.cond);
-  for (auto& st : s.body) foldStmt(*st);
-  for (auto& st : s.elseBody) foldStmt(*st);
+void foldBlock(std::vector<StmtPtr>& block) {
+  walkStmts(block, [](Stmt& s) { forEachExpr(s, [](ExprPtr& e) { foldExpr(e); }); });
 }
 
 }  // namespace
@@ -190,45 +173,40 @@ struct I64Const {
   bool constInit = false;
 };
 
-void scanConsts(const std::vector<lir::StmtPtr>& block,
-                std::map<std::string, I64Const>& consts) {
-  for (const auto& s : block) {
-    if (s->kind == lir::StmtKind::DeclScalar) {
-      auto& c = consts[s->name];
+std::map<std::string, I64Const> scanConsts(const std::vector<lir::StmtPtr>& block) {
+  std::map<std::string, I64Const> consts;
+  walkStmts(block, [&](const lir::Stmt& s) {
+    if (s.kind == lir::StmtKind::DeclScalar) {
+      auto& c = consts[s.name];
       ++c.decls;
-      if (s->declType.scalar == lir::Scalar::I64 && s->declType.lanes == 1 && s->value &&
-          s->value->kind == lir::ExprKind::ConstI) {
+      if (s.declType.scalar == lir::Scalar::I64 && s.declType.lanes == 1 && s.value &&
+          s.value->kind == lir::ExprKind::ConstI) {
         c.constInit = true;
-        c.value = s->value->ival;
+        c.value = s.value->ival;
       }
-    } else if (s->kind == lir::StmtKind::For) {
-      ++consts[s->name].decls;
-    } else if (s->kind == lir::StmtKind::Assign) {
-      consts[s->name].assigned = true;
+    } else if (s.kind == lir::StmtKind::For) {
+      ++consts[s.name].decls;
+    } else if (s.kind == lir::StmtKind::Assign) {
+      consts[s.name].assigned = true;
     }
-    scanConsts(s->body, consts);
-    scanConsts(s->elseBody, consts);
-  }
+  });
+  return consts;
 }
 
 }  // namespace
 
 void constFold(lir::Function& fn) {
-  for (auto& s : fn.body) foldStmt(*s);
+  foldBlock(fn.body);
 
-  std::map<std::string, I64Const> consts;
-  scanConsts(fn.body, consts);
   bool propagated = false;
-  for (const auto& [name, c] : consts) {
+  for (const auto& [name, c] : scanConsts(fn.body)) {
     if (c.decls != 1 || c.assigned || !c.constInit) continue;
     lir::ExprPtr lit = lir::constI(c.value);
     for (auto& s : fn.body) substituteVar(*s, name, *lit);
     propagated = true;
   }
   // Propagation exposes fresh constant arithmetic (e.g. `vend - 0`).
-  if (propagated) {
-    for (auto& s : fn.body) foldStmt(*s);
-  }
+  if (propagated) foldBlock(fn.body);
 }
 
 }  // namespace mat2c::opt

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "lir/analysis.hpp"
+#include "lir/walk.hpp"
 #include "opt/passes.hpp"
 
 namespace mat2c::opt {
@@ -94,8 +95,7 @@ struct Cse {
     simulate(block, lifetimes, /*rewrite=*/false);
     simulate(block, lifetimes, /*rewrite=*/true);
     for (auto& s : block) {
-      processBlock(s->body);
-      processBlock(s->elseBody);
+      forEachBlock(*s, [&](auto& inner) { processBlock(inner); });
     }
   }
 
@@ -130,10 +130,7 @@ struct Cse {
 
     std::function<void(ExprPtr&, std::size_t)> walk = [&](ExprPtr& e, std::size_t stmtIdx) {
       if (!eligible(*e)) {
-        if (e->index) walk(e->index, stmtIdx);
-        if (e->a) walk(e->a, stmtIdx);
-        if (e->b) walk(e->b, stmtIdx);
-        if (e->c) walk(e->c, stmtIdx);
+        forEachOperand(*e, [&](ExprPtr& k) { walk(k, stmtIdx); });
         return;
       }
       std::string key = lir::print(*e);
@@ -160,10 +157,7 @@ struct Cse {
       entry.arrayDeps = std::move(ei.arrayReads);
       if (!rewrite) lifetimes.emplace_back();
 
-      if (e->index) walk(e->index, stmtIdx);
-      if (e->a) walk(e->a, stmtIdx);
-      if (e->b) walk(e->b, stmtIdx);
-      if (e->c) walk(e->c, stmtIdx);
+      forEachOperand(*e, [&](ExprPtr& k) { walk(k, stmtIdx); });
 
       if (rewrite) {
         Lifetime& lt = lifetimes[entry.ordinal];
@@ -196,11 +190,7 @@ struct Cse {
         fwdScalarDeps.insert(fwdVar);
       }
 
-      if (s.value) walk(s.value, idx);
-      if (s.index) walk(s.index, idx);
-      if (s.cond) walk(s.cond, idx);
-      if (s.lo) walk(s.lo, idx);
-      if (s.hi) walk(s.hi, idx);
+      forEachExpr(s, [&](ExprPtr& e) { walk(e, idx); });
 
       switch (s.kind) {
         case StmtKind::DeclScalar:

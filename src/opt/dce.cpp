@@ -6,10 +6,11 @@
 // target is never read — and is not a function output — can be dropped.
 // Iterates to a fixpoint since removing an assignment removes its operand
 // reads.
-#include <map>
 #include <set>
 #include <string>
 
+#include "lir/analysis.hpp"
+#include "lir/walk.hpp"
 #include "opt/passes.hpp"
 
 namespace mat2c::opt {
@@ -18,40 +19,15 @@ using namespace lir;
 
 namespace {
 
-void countReadsExpr(const Expr& e, std::map<std::string, int>& reads) {
-  if (e.kind == ExprKind::VarRef) reads[e.name]++;
-  if (e.index) countReadsExpr(*e.index, reads);
-  if (e.a) countReadsExpr(*e.a, reads);
-  if (e.b) countReadsExpr(*e.b, reads);
-  if (e.c) countReadsExpr(*e.c, reads);
-}
-
-void countReadsStmt(const Stmt& s, std::map<std::string, int>& reads) {
-  if (s.value) countReadsExpr(*s.value, reads);
-  if (s.index) countReadsExpr(*s.index, reads);
-  if (s.cond) countReadsExpr(*s.cond, reads);
-  if (s.lo) countReadsExpr(*s.lo, reads);
-  if (s.hi) countReadsExpr(*s.hi, reads);
-  for (const auto& st : s.body) countReadsStmt(*st, reads);
-  for (const auto& st : s.elseBody) countReadsStmt(*st, reads);
-}
-
-bool sweepBlock(std::vector<StmtPtr>& block, const std::map<std::string, int>& reads,
+bool sweepBlock(std::vector<StmtPtr>& block, const std::set<std::string>& reads,
                 const std::set<std::string>& keep) {
   bool changed = false;
   std::vector<StmtPtr> out;
   out.reserve(block.size());
   for (auto& sp : block) {
-    changed |= sweepBlock(sp->body, reads, keep);
-    changed |= sweepBlock(sp->elseBody, reads, keep);
-    bool dead = false;
-    if (sp->kind == StmtKind::Assign || sp->kind == StmtKind::DeclScalar) {
-      const std::string& name = sp->name;
-      if (!keep.count(name)) {
-        auto it = reads.find(name);
-        dead = it == reads.end() || it->second == 0;
-      }
-    }
+    forEachBlock(*sp, [&](auto& inner) { changed |= sweepBlock(inner, reads, keep); });
+    bool dead = (sp->kind == StmtKind::Assign || sp->kind == StmtKind::DeclScalar) &&
+                !keep.count(sp->name) && !reads.count(sp->name);
     if (dead) {
       changed = true;
     } else {
@@ -71,37 +47,33 @@ int eliminateDeadScalars(lir::Function& fn) {
   }
   int rounds = 0;
   for (; rounds < 32; ++rounds) {
-    std::map<std::string, int> reads;
-    for (const auto& s : fn.body) countReadsStmt(*s, reads);
-    if (!sweepBlock(fn.body, reads, keep)) break;
+    if (!sweepBlock(fn.body, varReads(fn.body), keep)) break;
   }
   return rounds;
 }
 
 namespace {
 
-void countArrayRefs(const Expr& e, std::map<std::string, int>& loads) {
-  if (e.kind == ExprKind::Load) loads[e.name]++;
-  if (e.index) countArrayRefs(*e.index, loads);
-  if (e.a) countArrayRefs(*e.a, loads);
-  if (e.b) countArrayRefs(*e.b, loads);
-  if (e.c) countArrayRefs(*e.c, loads);
-}
+/// The arrays a block loads (Load), marks (BoundsCheck/AllocMark) and
+/// stores to.
+struct ArrayRefs {
+  std::set<std::string> loads, marks, stores;
+};
 
-void countArrayRefs(const std::vector<StmtPtr>& block, std::map<std::string, int>& loads,
-                    std::map<std::string, int>& other) {
-  for (const auto& s : block) {
-    if (s->kind == StmtKind::BoundsCheck || s->kind == StmtKind::AllocMark) {
-      other[s->name]++;
-    }
-    if (s->value) countArrayRefs(*s->value, loads);
-    if (s->index) countArrayRefs(*s->index, loads);
-    if (s->cond) countArrayRefs(*s->cond, loads);
-    if (s->lo) countArrayRefs(*s->lo, loads);
-    if (s->hi) countArrayRefs(*s->hi, loads);
-    countArrayRefs(s->body, loads, other);
-    countArrayRefs(s->elseBody, loads, other);
-  }
+ArrayRefs arrayRefs(const std::vector<StmtPtr>& block) {
+  ArrayRefs refs;
+  walkNodes(
+      block,
+      [&](const Stmt& s) {
+        if (s.kind == StmtKind::BoundsCheck || s.kind == StmtKind::AllocMark) {
+          refs.marks.insert(s.name);
+        }
+        if (s.kind == StmtKind::Store) refs.stores.insert(s.name);
+      },
+      [&](const Expr& e) {
+        if (e.kind == ExprKind::Load) refs.loads.insert(e.name);
+      });
+  return refs;
 }
 
 int sweepDeadStores(std::vector<StmtPtr>& block, const std::set<std::string>& deadArrays) {
@@ -109,8 +81,7 @@ int sweepDeadStores(std::vector<StmtPtr>& block, const std::set<std::string>& de
   std::vector<StmtPtr> out;
   out.reserve(block.size());
   for (auto& sp : block) {
-    removed += sweepDeadStores(sp->body, deadArrays);
-    removed += sweepDeadStores(sp->elseBody, deadArrays);
+    forEachBlock(*sp, [&](auto& inner) { removed += sweepDeadStores(inner, deadArrays); });
     bool drop = false;
     if (sp->kind == StmtKind::Store && deadArrays.count(sp->name)) {
       drop = true;
@@ -141,46 +112,30 @@ int eliminateDeadStores(lir::Function& fn) {
   // Iterate: removing the stores of a never-loaded array can empty a loop,
   // and removing that loop can orphan another array's only loads.
   for (int round = 0; round < 16; ++round) {
-    std::map<std::string, int> loads, other;
-    countArrayRefs(fn.body, loads, other);
+    ArrayRefs refs = arrayRefs(fn.body);
     // Only function-local arrays qualify: outputs escape to the caller and
-    // writes through array parameters are visible there too.
+    // writes through array parameters are visible there too. An AllocMark or
+    // BoundsCheck models a runtime effect on the array (growth bookkeeping /
+    // a trap); keep such arrays untouched.
     std::set<std::string> deadArrays;
     for (const auto& a : fn.arrays) {
-      auto it = loads.find(a.name);
-      bool neverLoaded = it == loads.end() || it->second == 0;
-      // An AllocMark or BoundsCheck models a runtime effect on the array
-      // (growth bookkeeping / a trap); keep such arrays untouched.
-      if (neverLoaded && !other.count(a.name)) deadArrays.insert(a.name);
+      if (!refs.loads.count(a.name) && !refs.marks.count(a.name)) deadArrays.insert(a.name);
     }
     int n = sweepDeadStores(fn.body, deadArrays);
     if (n == 0) break;
     removed += n;
   }
   // Drop local array declarations nothing references anymore.
-  {
-    std::map<std::string, int> loads, other;
-    countArrayRefs(fn.body, loads, other);
-    std::map<std::string, int> stores;
-    std::function<void(const std::vector<StmtPtr>&)> countStores =
-        [&](const std::vector<StmtPtr>& block) {
-          for (const auto& s : block) {
-            if (s->kind == StmtKind::Store) stores[s->name]++;
-            countStores(s->body);
-            countStores(s->elseBody);
-          }
-        };
-    countStores(fn.body);
-    std::vector<ArrayDecl> kept;
-    for (auto& a : fn.arrays) {
-      if (loads.count(a.name) || other.count(a.name) || stores.count(a.name)) {
-        kept.push_back(std::move(a));
-      } else {
-        ++removed;
-      }
+  ArrayRefs refs = arrayRefs(fn.body);
+  std::vector<ArrayDecl> kept;
+  for (auto& a : fn.arrays) {
+    if (refs.loads.count(a.name) || refs.marks.count(a.name) || refs.stores.count(a.name)) {
+      kept.push_back(std::move(a));
+    } else {
+      ++removed;
     }
-    fn.arrays = std::move(kept);
   }
+  fn.arrays = std::move(kept);
   return removed;
 }
 

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "lir/analysis.hpp"
+#include "lir/walk.hpp"
 #include "opt/passes.hpp"
 
 namespace mat2c::opt {
@@ -44,38 +45,27 @@ struct ArrAccess {
   bool write = false;
 };
 
-void collectArrAccessesExpr(const Expr& e, std::vector<ArrAccess>& out) {
-  if (e.kind == ExprKind::Load) {
-    out.push_back({e.name, affineOf(*e.index), e.type.lanes, false});
-  }
-  if (e.index) collectArrAccessesExpr(*e.index, out);
-  if (e.a) collectArrAccessesExpr(*e.a, out);
-  if (e.b) collectArrAccessesExpr(*e.b, out);
-  if (e.c) collectArrAccessesExpr(*e.c, out);
-}
-
 void collectArrAccesses(const std::vector<StmtPtr>& body, std::vector<ArrAccess>& out) {
-  for (const auto& s : body) {
-    if (s->kind == StmtKind::Store) {
-      out.push_back({s->name, affineOf(*s->index),
-                     s->value ? s->value->type.lanes : 1, true});
-    }
-    if (s->kind == StmtKind::BoundsCheck) {
-      out.push_back({s->name, affineOf(*s->index), 1, false});
-    }
-    if (s->kind == StmtKind::AllocMark) {
-      // Unknown extent touched; represent as a non-affine write so any
-      // sharing with the other loop rejects fusion.
-      out.push_back({s->name, Affine{}, 1, true});
-    }
-    if (s->value) collectArrAccessesExpr(*s->value, out);
-    if (s->index) collectArrAccessesExpr(*s->index, out);
-    if (s->cond) collectArrAccessesExpr(*s->cond, out);
-    if (s->lo) collectArrAccessesExpr(*s->lo, out);
-    if (s->hi) collectArrAccessesExpr(*s->hi, out);
-    collectArrAccesses(s->body, out);
-    collectArrAccesses(s->elseBody, out);
-  }
+  walkNodes(
+      body,
+      [&](const Stmt& s) {
+        if (s.kind == StmtKind::Store) {
+          out.push_back({s.name, affineOf(*s.index), s.value ? s.value->type.lanes : 1, true});
+        }
+        if (s.kind == StmtKind::BoundsCheck) {
+          out.push_back({s.name, affineOf(*s.index), 1, false});
+        }
+        if (s.kind == StmtKind::AllocMark) {
+          // Unknown extent touched; represent as a non-affine write so any
+          // sharing with the other loop rejects fusion.
+          out.push_back({s.name, Affine{}, 1, true});
+        }
+      },
+      [&](const Expr& e) {
+        if (e.kind == ExprKind::Load) {
+          out.push_back({e.name, affineOf(*e.index), e.type.lanes, false});
+        }
+      });
 }
 
 bool affineEqual(const Expr& a, const Expr& b) {
@@ -87,20 +77,13 @@ bool affineEqual(const Expr& a, const Expr& b) {
   return true;
 }
 
-bool intersects(const std::set<std::string>& a, const std::set<std::string>& b) {
-  for (const auto& x : a)
-    if (b.count(x)) return true;
-  return false;
-}
-
 struct Fuser {
   int fused = 0;
   int freshId = 0;
 
   void visitBlock(std::vector<StmtPtr>& block) {
     for (auto& sp : block) {
-      visitBlock(sp->body);
-      visitBlock(sp->elseBody);
+      forEachBlock(*sp, [&](auto& inner) { visitBlock(inner); });
     }
     for (std::size_t i = 0; i < block.size(); ++i) {
       if (block[i]->kind != StmtKind::For) continue;

@@ -2,6 +2,7 @@
 // fused MAC instructions (fma.f64, cmac.c64). These are exactly the "custom
 // instructions" the paper's ASIP exposes for DSP inner loops.
 #include "lir/select.hpp"
+#include "lir/walk.hpp"
 #include "opt/passes.hpp"
 
 namespace mat2c::opt {
@@ -10,19 +11,9 @@ using namespace lir;
 
 namespace {
 
-int rewriteExpr(ExprPtr& e, const isa::IsaDescription& isa, bool reassoc);
-
-int rewriteChildren(Expr& e, const isa::IsaDescription& isa, bool reassoc) {
-  int n = 0;
-  if (e.index) n += rewriteExpr(e.index, isa, reassoc);
-  if (e.a) n += rewriteExpr(e.a, isa, reassoc);
-  if (e.b) n += rewriteExpr(e.b, isa, reassoc);
-  if (e.c) n += rewriteExpr(e.c, isa, reassoc);
-  return n;
-}
-
 int rewriteExpr(ExprPtr& e, const isa::IsaDescription& isa, bool reassoc) {
-  int n = rewriteChildren(*e, isa, reassoc);
+  int n = 0;
+  forEachOperand(*e, [&](ExprPtr& k) { n += rewriteExpr(k, isa, reassoc); });
   if (e->kind != ExprKind::Binary || e->binOp != BinOp::Add) return n;
   if (!(e->type.scalar == Scalar::F64 || e->type.scalar == Scalar::C64)) return n;
   // The target must have the fma a rewrite builds.
@@ -69,23 +60,13 @@ int rewriteExpr(ExprPtr& e, const isa::IsaDescription& isa, bool reassoc) {
   return n + 1;
 }
 
-int rewriteStmt(Stmt& s, const isa::IsaDescription& isa, bool reassoc) {
-  int n = 0;
-  if (s.value) n += rewriteExpr(s.value, isa, reassoc);
-  if (s.index) n += rewriteExpr(s.index, isa, reassoc);
-  if (s.cond) n += rewriteExpr(s.cond, isa, reassoc);
-  if (s.lo) n += rewriteExpr(s.lo, isa, reassoc);
-  if (s.hi) n += rewriteExpr(s.hi, isa, reassoc);
-  for (auto& st : s.body) n += rewriteStmt(*st, isa, reassoc);
-  for (auto& st : s.elseBody) n += rewriteStmt(*st, isa, reassoc);
-  return n;
-}
-
 }  // namespace
 
 int recognizeIdioms(lir::Function& fn, const isa::IsaDescription& isa, bool reassociate) {
   int n = 0;
-  for (auto& s : fn.body) n += rewriteStmt(*s, isa, reassociate);
+  walkStmts(fn.body, [&](Stmt& s) {
+    forEachExpr(s, [&](ExprPtr& e) { n += rewriteExpr(e, isa, reassociate); });
+  });
   return n;
 }
 

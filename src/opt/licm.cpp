@@ -19,11 +19,13 @@
 //    original program did not). i64 expressions are never touched: the
 //    target's AGUs make index arithmetic free, and materializing it into
 //    registers would only obscure the emitted C.
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "lir/analysis.hpp"
+#include "lir/walk.hpp"
 #include "opt/passes.hpp"
 
 namespace mat2c::opt {
@@ -60,8 +62,7 @@ struct Licm {
 
   void visitBlock(std::vector<StmtPtr>& block) {
     for (std::size_t i = 0; i < block.size(); ++i) {
-      visitBlock(block[i]->body);
-      visitBlock(block[i]->elseBody);
+      forEachBlock(*block[i], [&](auto& inner) { visitBlock(inner); });
       if (block[i]->kind != StmtKind::For) continue;
       std::vector<StmtPtr> pre, post;
       processLoop(*block[i], pre, post);
@@ -101,39 +102,26 @@ struct Licm {
     Scalar elem;
     std::int64_t numel = 0;
     if (!fn.arrayInfo(array, elem, numel)) return false;
+    auto inBounds = [&](const Expr& index) {
+      return index.kind == ExprKind::ConstI && index.ival >= 0 && index.ival < numel;
+    };
     bool ok = true;
-    std::function<void(const Expr&)> checkExpr = [&](const Expr& e) {
-      if (e.kind == ExprKind::Load && e.name == array) {
-        if (e.type.lanes != 1 || e.index->kind != ExprKind::ConstI ||
-            e.index->ival < 0 || e.index->ival >= numel) {
-          ok = false;
-        }
-      }
-      if (e.index) checkExpr(*e.index);
-      if (e.a) checkExpr(*e.a);
-      if (e.b) checkExpr(*e.b);
-      if (e.c) checkExpr(*e.c);
-    };
-    std::function<void(const Stmt&)> checkStmt = [&](const Stmt& s) {
-      if ((s.kind == StmtKind::BoundsCheck || s.kind == StmtKind::AllocMark) &&
-          s.name == array) {
-        ok = false;
-      }
-      if (s.kind == StmtKind::Store && s.name == array) {
-        if (!s.value || s.value->type.lanes != 1 || s.index->kind != ExprKind::ConstI ||
-            s.index->ival < 0 || s.index->ival >= numel) {
-          ok = false;
-        }
-      }
-      if (s.value) checkExpr(*s.value);
-      if (s.index && !(s.kind == StmtKind::Store && s.name == array)) checkExpr(*s.index);
-      if (s.cond) checkExpr(*s.cond);
-      if (s.lo) checkExpr(*s.lo);
-      if (s.hi) checkExpr(*s.hi);
-      for (const auto& st : s.body) checkStmt(*st);
-      for (const auto& st : s.elseBody) checkStmt(*st);
-    };
-    for (const auto& s : loop.body) checkStmt(*s);
+    walkNodes(
+        loop.body,
+        [&](const Stmt& s) {
+          if (s.name != array) return;
+          if (s.kind == StmtKind::BoundsCheck || s.kind == StmtKind::AllocMark) ok = false;
+          if (s.kind == StmtKind::Store &&
+              (!s.value || s.value->type.lanes != 1 || !inBounds(*s.index))) {
+            ok = false;
+          }
+        },
+        [&](const Expr& e) {
+          if (e.kind == ExprKind::Load && e.name == array &&
+              (e.type.lanes != 1 || !inBounds(*e.index))) {
+            ok = false;
+          }
+        });
     return ok;
   }
 
@@ -149,30 +137,17 @@ struct Licm {
       // Collect touched element indices in first-touch order.
       std::vector<std::int64_t> touched;
       std::map<std::int64_t, std::string> names;
-      std::function<void(const Expr&)> scanExpr = [&](const Expr& e) {
-        if (e.kind == ExprKind::Load && e.name == array && !names.count(e.index->ival)) {
-          touched.push_back(e.index->ival);
-          names[e.index->ival] = "";
-        }
-        if (e.index) scanExpr(*e.index);
-        if (e.a) scanExpr(*e.a);
-        if (e.b) scanExpr(*e.b);
-        if (e.c) scanExpr(*e.c);
+      auto touch = [&](const std::string& name, const Expr& index) {
+        if (name == array && names.emplace(index.ival, "").second) touched.push_back(index.ival);
       };
-      std::function<void(const Stmt&)> scanStmt = [&](const Stmt& s) {
-        if (s.kind == StmtKind::Store && s.name == array && !names.count(s.index->ival)) {
-          touched.push_back(s.index->ival);
-          names[s.index->ival] = "";
-        }
-        if (s.value) scanExpr(*s.value);
-        if (s.index && !(s.kind == StmtKind::Store && s.name == array)) scanExpr(*s.index);
-        if (s.cond) scanExpr(*s.cond);
-        if (s.lo) scanExpr(*s.lo);
-        if (s.hi) scanExpr(*s.hi);
-        for (const auto& st : s.body) scanStmt(*st);
-        for (const auto& st : s.elseBody) scanStmt(*st);
-      };
-      for (const auto& s : loop.body) scanStmt(*s);
+      walkNodes(
+          loop.body,
+          [&](const Stmt& s) {
+            if (s.kind == StmtKind::Store) touch(s.name, *s.index);
+          },
+          [&](const Expr& e) {
+            if (e.kind == ExprKind::Load) touch(e.name, *e.index);
+          });
       if (touched.empty()) continue;
 
       for (std::int64_t k : touched) {
@@ -183,33 +158,23 @@ struct Licm {
         ++hoisted;
       }
 
-      // Rewrite in-loop accesses to the scalars.
-      std::function<void(ExprPtr&)> rewriteExpr = [&](ExprPtr& e) {
-        if (e->kind == ExprKind::Load && e->name == array) {
-          e = varRef(names[e->index->ival], type);
-          return;
-        }
-        if (e->index) rewriteExpr(e->index);
-        if (e->a) rewriteExpr(e->a);
-        if (e->b) rewriteExpr(e->b);
-        if (e->c) rewriteExpr(e->c);
-      };
-      std::function<void(Stmt&)> rewriteStmt = [&](Stmt& s) {
-        if (s.value) rewriteExpr(s.value);
-        if (s.cond) rewriteExpr(s.cond);
-        if (s.lo) rewriteExpr(s.lo);
-        if (s.hi) rewriteExpr(s.hi);
+      // Rewrite in-loop accesses to the scalars. A promoted Store becomes an
+      // Assign before its slots are walked, so its index is dropped, not
+      // rewritten.
+      walkStmts(loop.body, [&](Stmt& s) {
         if (s.kind == StmtKind::Store && s.name == array) {
           s.kind = StmtKind::Assign;
           s.name = names[s.index->ival];
           s.index.reset();
-        } else if (s.index) {
-          rewriteExpr(s.index);
         }
-        for (auto& st : s.body) rewriteStmt(*st);
-        for (auto& st : s.elseBody) rewriteStmt(*st);
-      };
-      for (auto& s : loop.body) rewriteStmt(*s);
+        forEachExpr(s, [&](ExprPtr& e) {
+          walkSlots(e, [&](ExprPtr& x) {
+            if (x->kind != ExprKind::Load || x->name != array) return true;
+            x = varRef(names[x->index->ival], type);
+            return false;
+          });
+        });
+      });
     }
   }
 
@@ -224,19 +189,18 @@ struct Licm {
   /// Every Load inside `e` is provably in bounds (constant index within the
   /// static extent).
   bool loadsProvablyInBounds(const Expr& e) const {
-    if (e.kind == ExprKind::Load) {
+    auto inBounds = [&](const Expr& ld) {
       Scalar elem;
       std::int64_t numel = 0;
-      if (!fn.arrayInfo(e.name, elem, numel)) return false;
-      if (e.index->kind != ExprKind::ConstI) return false;
-      std::int64_t last = e.index->ival + e.type.lanes - 1;
-      if (e.index->ival < 0 || last >= numel) return false;
-    }
-    if (e.index && !loadsProvablyInBounds(*e.index)) return false;
-    if (e.a && !loadsProvablyInBounds(*e.a)) return false;
-    if (e.b && !loadsProvablyInBounds(*e.b)) return false;
-    if (e.c && !loadsProvablyInBounds(*e.c)) return false;
-    return true;
+      return fn.arrayInfo(ld.name, elem, numel) && ld.index->kind == ExprKind::ConstI &&
+             ld.index->ival >= 0 && ld.index->ival + ld.type.lanes - 1 < numel;
+    };
+    bool ok = true;
+    walkExpr(e, [&](const Expr& x) {
+      ok = ok && (x.kind != ExprKind::Load || inBounds(x));
+      return ok;
+    });
+    return ok;
   }
 
   bool invariant(const Expr& e, const AccessInfo& loopInfo) const {
@@ -268,60 +232,38 @@ struct Licm {
     std::vector<ExprPtr> candidates;
     std::vector<std::string> keys;
 
-    std::function<void(const Expr&, bool)> scanExpr = [&](const Expr& e, bool uncond) {
-      if (hoistableKind(e) &&
-          (e.type.scalar == Scalar::F64 || e.type.scalar == Scalar::C64) &&
-          invariant(e, info) &&
-          (!containsLoad(e) ||
-           loadsProvablyInBounds(e) || (uncond && safeSpeculation))) {
-        std::string key = lir::print(e);
-        for (const auto& k : keys) {
-          if (k == key) return;  // already a candidate
-        }
+    bool uncond = true;  // the statement being scanned runs every iteration
+    auto scanExpr = [&](const Expr& e) {
+      if (!(hoistableKind(e) &&
+            (e.type.scalar == Scalar::F64 || e.type.scalar == Scalar::C64) &&
+            invariant(e, info) &&
+            (!containsLoad(e) || loadsProvablyInBounds(e) || (uncond && safeSpeculation)))) {
+        return true;
+      }
+      std::string key = lir::print(e);
+      if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
         keys.push_back(std::move(key));
         candidates.push_back(e.clone());
-        return;  // take the largest subtree; children come along
       }
-      if (e.index) scanExpr(*e.index, uncond);
-      if (e.a) scanExpr(*e.a, uncond);
-      if (e.b) scanExpr(*e.b, uncond);
-      if (e.c) scanExpr(*e.c, uncond);
+      return false;  // take the largest subtree; children come along
     };
-    std::function<void(const Stmt&, bool)> scanStmt = [&](const Stmt& s, bool uncond) {
-      if (s.value) scanExpr(*s.value, uncond);
-      if (s.index) scanExpr(*s.index, uncond);
-      if (s.cond) scanExpr(*s.cond, uncond);
-      if (s.lo) scanExpr(*s.lo, uncond);
-      if (s.hi) scanExpr(*s.hi, uncond);
-      for (const auto& st : s.body) scanStmt(*st, false);
-      for (const auto& st : s.elseBody) scanStmt(*st, false);
-    };
-    for (const auto& s : loop.body) scanStmt(*s, true);
+    for (const auto& top : loop.body) {
+      walkNodes(*top, [&](const Stmt& s) { uncond = &s == top.get(); }, scanExpr);
+    }
 
     for (auto& e : candidates) {
       std::string name = fresh("inv");
       VType type = e->type;
       // Replace every structural occurrence in the loop body.
-      std::function<void(ExprPtr&)> replaceExpr = [&](ExprPtr& x) {
-        if (exprEquals(*x, *e)) {
-          x = varRef(name, type);
-          return;
-        }
-        if (x->index) replaceExpr(x->index);
-        if (x->a) replaceExpr(x->a);
-        if (x->b) replaceExpr(x->b);
-        if (x->c) replaceExpr(x->c);
-      };
-      std::function<void(Stmt&)> replaceStmt = [&](Stmt& s) {
-        if (s.value) replaceExpr(s.value);
-        if (s.index) replaceExpr(s.index);
-        if (s.cond) replaceExpr(s.cond);
-        if (s.lo) replaceExpr(s.lo);
-        if (s.hi) replaceExpr(s.hi);
-        for (auto& st : s.body) replaceStmt(*st);
-        for (auto& st : s.elseBody) replaceStmt(*st);
-      };
-      for (auto& s : loop.body) replaceStmt(*s);
+      walkStmts(loop.body, [&](Stmt& s) {
+        forEachExpr(s, [&](ExprPtr& x) {
+          walkSlots(x, [&](ExprPtr& y) {
+            if (!exprEquals(*y, *e)) return true;
+            y = varRef(name, type);
+            return false;
+          });
+        });
+      });
       pre.push_back(declScalar(name, type, std::move(e)));
       ++hoisted;
     }

@@ -9,9 +9,10 @@
 // statement and (b) the first reference inside the loop is an unconditional
 // whole-value write — i.e. the value provably does not carry across
 // iterations.
-#include <map>
 #include <string>
 
+#include "lir/analysis.hpp"
+#include "lir/walk.hpp"
 #include "opt/passes.hpp"
 
 namespace mat2c::opt {
@@ -20,37 +21,23 @@ using namespace lir;
 
 namespace {
 
-void countRefsExpr(const Expr& e, std::map<std::string, int>& counts) {
-  if (e.kind == ExprKind::VarRef) counts[e.name]++;
-  if (e.index) countRefsExpr(*e.index, counts);
-  if (e.a) countRefsExpr(*e.a, counts);
-  if (e.b) countRefsExpr(*e.b, counts);
-  if (e.c) countRefsExpr(*e.c, counts);
-}
-
-void countRefsStmt(const Stmt& s, std::map<std::string, int>& counts) {
-  if (s.kind == StmtKind::DeclScalar || s.kind == StmtKind::Assign) counts[s.name]++;
-  if (s.kind == StmtKind::For) counts[s.name]++;  // induction var defines itself
-  if (s.value) countRefsExpr(*s.value, counts);
-  if (s.index) countRefsExpr(*s.index, counts);
-  if (s.cond) countRefsExpr(*s.cond, counts);
-  if (s.lo) countRefsExpr(*s.lo, counts);
-  if (s.hi) countRefsExpr(*s.hi, counts);
-  for (const auto& st : s.body) countRefsStmt(*st, counts);
-  for (const auto& st : s.elseBody) countRefsStmt(*st, counts);
-}
-
-int refsIn(const Stmt& s, const std::string& name) {
-  std::map<std::string, int> counts;
-  countRefsStmt(s, counts);
-  auto it = counts.find(name);
-  return it == counts.end() ? 0 : it->second;
-}
-
-bool exprReferences(const Expr& e, const std::string& name) {
-  std::map<std::string, int> counts;
-  countRefsExpr(e, counts);
-  return counts.count(name) != 0;
+/// True when `s` reads `name` or defines it (DeclScalar/Assign target, For
+/// induction variable).
+bool mentions(const Stmt& s, const std::string& name) {
+  bool found = false;
+  walkNodes(
+      s,
+      [&](const Stmt& st) {
+        bool defines = st.kind == StmtKind::DeclScalar || st.kind == StmtKind::Assign ||
+                       st.kind == StmtKind::For;
+        found = found || (defines && st.name == name);
+        return !found;
+      },
+      [&](const Expr& e) {
+        found = found || (e.kind == ExprKind::VarRef && e.name == name);
+        return !found;
+      });
+  return found;
 }
 
 /// Finds where a declaration of `name` may sink inside `body`:
@@ -67,9 +54,8 @@ struct SinkPoint {
 SinkPoint findSinkPoint(std::vector<StmtPtr>& body, const std::string& name) {
   for (auto& sp : body) {
     Stmt& s = *sp;
-    int refs = refsIn(s, name);
-    if (refs == 0) continue;
-    if (s.kind == StmtKind::Assign && s.name == name && !exprReferences(*s.value, name)) {
+    if (!mentions(s, name)) continue;
+    if (s.kind == StmtKind::Assign && s.name == name && !varReads(*s.value).count(name)) {
       return {&body, &s};
     }
     if (s.kind == StmtKind::For) {
@@ -81,7 +67,7 @@ SinkPoint findSinkPoint(std::vector<StmtPtr>& body, const std::string& name) {
           seen = true;
           continue;
         }
-        if (seen && refsIn(*other, name) > 0) escapes = true;
+        if (seen && mentions(*other, name)) escapes = true;
       }
       if (escapes) return {};
       return findSinkPoint(s.body, name);
@@ -95,8 +81,7 @@ bool sinkInBlock(std::vector<StmtPtr>& block) {
   bool anyChange = false;
   // Recurse first.
   for (auto& sp : block) {
-    anyChange |= sinkInBlock(sp->body);
-    anyChange |= sinkInBlock(sp->elseBody);
+    forEachBlock(*sp, [&](auto& inner) { anyChange |= sinkInBlock(inner); });
   }
 
   bool changed = true;
@@ -110,8 +95,7 @@ bool sinkInBlock(std::vector<StmtPtr>& block) {
       bool eligible = true;
       for (std::size_t j = 0; j < block.size() && eligible; ++j) {
         if (j == i) continue;
-        int refs = refsIn(*block[j], name);
-        if (refs == 0) continue;
+        if (!mentions(*block[j], name)) continue;
         if (host || block[j]->kind != StmtKind::For) {
           eligible = false;
         } else {

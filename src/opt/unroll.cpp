@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "lir/analysis.hpp"
+#include "lir/walk.hpp"
 #include "opt/passes.hpp"
 
 namespace mat2c::opt {
@@ -50,35 +51,14 @@ bool carriesRecurrence(const std::vector<StmtPtr>& body) {
   for (const auto& name : info.scalarWrites) {
     if (info.scalarDecls.count(name)) continue;
     // Find an assignment to `name` and classify it.
-    std::function<bool(const std::vector<StmtPtr>&)> scan =
-        [&](const std::vector<StmtPtr>& block) -> bool {
-      for (const auto& s : block) {
-        if (s->kind == StmtKind::Assign && s->name == name && !isReductionForm(*s)) {
-          return true;
-        }
-        if (scan(s->body) || scan(s->elseBody)) return true;
-      }
-      return false;
-    };
-    if (scan(body)) return true;
+    bool found = false;
+    walkStmts(body, [&](const Stmt& s) {
+      found = found || (s.kind == StmtKind::Assign && s.name == name && !isReductionForm(s));
+      return !found;
+    });
+    if (found) return true;
   }
   return false;
-}
-
-void collectDeclNames(const std::vector<StmtPtr>& body, std::vector<std::string>& out) {
-  for (const auto& s : body) {
-    if (s->kind == StmtKind::DeclScalar || s->kind == StmtKind::For) out.push_back(s->name);
-    collectDeclNames(s->body, out);
-    collectDeclNames(s->elseBody, out);
-  }
-}
-
-std::size_t countStmts(const std::vector<StmtPtr>& body) {
-  std::size_t n = 0;
-  for (const auto& s : body) {
-    n += 1 + countStmts(s->body) + countStmts(s->elseBody);
-  }
-  return n;
 }
 
 struct Unroller {
@@ -92,8 +72,7 @@ struct Unroller {
     std::vector<StmtPtr> out;
     out.reserve(block.size());
     for (auto& sp : block) {
-      visitBlock(sp->body);
-      visitBlock(sp->elseBody);
+      forEachBlock(*sp, [&](auto& inner) { visitBlock(inner); });
       if (sp->kind == StmtKind::For && tryUnroll(*sp, out)) {
         ++unrolled;
         continue;  // the loop was expanded into `out`
@@ -118,7 +97,7 @@ struct Unroller {
     // Resource guard: skip (don't error) when the expansion would push the
     // function past the statement budget — the loop just stays rolled.
     if (maxStatements > 0) {
-      std::size_t bodyStmts = countStmts(loop.body);
+      std::size_t bodyStmts = collectStats(loop.body).statements;
       std::size_t expanded = static_cast<std::size_t>(trip) * bodyStmts;
       std::size_t removed = bodyStmts + 1;  // the loop statement and its body
       if (current + expanded > maxStatements + removed) return false;
@@ -126,7 +105,9 @@ struct Unroller {
     }
 
     std::vector<std::string> declNames;
-    collectDeclNames(loop.body, declNames);
+    walkStmts(loop.body, [&](const Stmt& s) {
+      if (s.kind == StmtKind::DeclScalar || s.kind == StmtKind::For) declNames.push_back(s.name);
+    });
 
     for (std::int64_t t = 0; t < trip; ++t) {
       ExprPtr ivValue = constI(lo + t * step);
@@ -152,7 +133,7 @@ struct Unroller {
 
 int unrollRecurrences(lir::Function& fn, int maxTrip, std::size_t maxStatements) {
   Unroller u{maxTrip, maxStatements};
-  if (maxStatements > 0) u.current = countStmts(fn.body);
+  if (maxStatements > 0) u.current = collectStats(fn).statements;
   u.visitBlock(fn.body);
   return u.unrolled;
 }

@@ -13,6 +13,7 @@
 #include <set>
 
 #include "lir/select.hpp"
+#include "lir/walk.hpp"
 #include "opt/passes.hpp"
 
 namespace mat2c::opt {
@@ -80,14 +81,10 @@ bool LoopVectorizer::isVarying(const Expr& e) const {
       return false;
     case ExprKind::VarRef:
       return e.name == loop_.name || varyingVars_.count(e.name) != 0;
-    case ExprKind::Load:
-      return isVarying(*e.index);
     default: {
+      // A load varies with its index, any other node with an operand.
       bool v = false;
-      if (e.a) v = v || isVarying(*e.a);
-      if (e.b) v = v || isVarying(*e.b);
-      if (e.c) v = v || isVarying(*e.c);
-      if (e.index) v = v || isVarying(*e.index);
+      forEachOperand(e, [&](const ExprPtr& k) { v = v || isVarying(*k); });
       return v;
     }
   }
@@ -144,7 +141,6 @@ bool LoopVectorizer::analyzeExpr(const Expr& e) {
       if (c != 0 && name != loop_.name && varyingVars_.count(name)) return false;
     }
     loadIdx_[e.name].push_back(a);
-    return analyzeExpr(*e.index);
   }
   if (e.kind == ExprKind::Unary && varying) {
     // Value-use of the induction variable (tof64(i)) needs an iota op we do
@@ -153,10 +149,9 @@ bool LoopVectorizer::analyzeExpr(const Expr& e) {
       if (isVarying(*e.a)) return false;
     }
   }
-  if (e.a && !analyzeExpr(*e.a)) return false;
-  if (e.b && !analyzeExpr(*e.b)) return false;
-  if (e.c && !analyzeExpr(*e.c)) return false;
-  return true;
+  bool ok = true;
+  forEachOperand(e, [&](const ExprPtr& k) { ok = ok && analyzeExpr(*k); });
+  return ok;
 }
 
 bool LoopVectorizer::analyze() {
@@ -424,11 +419,12 @@ bool LoopVectorizer::run(std::vector<StmtPtr>& replacement) {
 // -- driver -------------------------------------------------------------------
 
 bool containsLoop(const std::vector<StmtPtr>& body) {
-  for (const auto& s : body) {
-    if (s->kind == StmtKind::For || s->kind == StmtKind::While) return true;
-    if (containsLoop(s->body) || containsLoop(s->elseBody)) return true;
-  }
-  return false;
+  bool found = false;
+  walkStmts(body, [&](const Stmt& s) {
+    found = found || s.kind == StmtKind::For || s.kind == StmtKind::While;
+    return !found;
+  });
+  return found;
 }
 
 void visitBlock(std::vector<StmtPtr>& block, const Function& fn,
@@ -437,8 +433,7 @@ void visitBlock(std::vector<StmtPtr>& block, const Function& fn,
   out.reserve(block.size());
   for (auto& sp : block) {
     // Recurse first so inner loops are handled before outer ones.
-    visitBlock(sp->body, fn, isa, stats, counter);
-    visitBlock(sp->elseBody, fn, isa, stats, counter);
+    forEachBlock(*sp, [&](auto& inner) { visitBlock(inner, fn, isa, stats, counter); });
     if (sp->kind == StmtKind::For && !containsLoop(sp->body)) {
       ++stats.loopsConsidered;
       LoopVectorizer lv(fn, isa, *sp, counter++);

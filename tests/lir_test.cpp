@@ -1,7 +1,13 @@
-// LIR structure tests: builders, printing, verification, affine analysis.
+// LIR structure tests: builders, printing, verification, traversal, affine
+// analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "lir/lir.hpp"
+#include "lir/walk.hpp"
 
 namespace mat2c::lir {
 namespace {
@@ -128,6 +134,247 @@ TEST(Lir, TypeToString) {
   EXPECT_EQ(toString(VType::f64()), "f64");
   EXPECT_EQ(toString(VType::c64(4)), "c64x4");
   EXPECT_EQ(toString(VType::i64()), "i64");
+}
+
+// -- statement slot layout ---------------------------------------------------
+
+/// One statement whose slots break its kind's layout, and the problems the
+/// verifier reports for it. Every row sits in a for body, next to a declared
+/// scalar `x` and output array `y`, so nothing else is wrong.
+struct SlotRow {
+  const char* name;
+  StmtPtr (*make)();
+  std::vector<std::string> problems;
+};
+
+TEST(Lir, VerifyReportsMissingAndStraySlotsPerStatementKind) {
+  std::vector<SlotRow> rows;
+  rows.push_back({"decl+index", [] {
+                    StmtPtr s = declScalar("t", VType::f64());
+                    s->index = constI(0);
+                    return s;
+                  },
+                  {"decl with a stray index"}});
+  rows.push_back({"assign-value", [] { return assign("x", nullptr); }, {"assign without value"}});
+  rows.push_back({"store-index", [] { return store("y", nullptr, constF(1.0)); },
+                  {"store without index"}});
+  rows.push_back({"store-value", [] { return store("y", constI(0), nullptr); },
+                  {"store without value"}});
+  rows.push_back({"for-lo-hi", [] { return forLoop("i", nullptr, nullptr, 1, {}); },
+                  {"for without lo", "for without hi"}});
+  rows.push_back({"for+cond", [] {
+                    StmtPtr s = forLoop("i", constI(0), constI(2), 1, {});
+                    s->cond = binary(BinOp::Lt, constI(0), constI(1), VType::b1());
+                    return s;
+                  },
+                  {"for with a stray cond"}});
+  rows.push_back({"if-cond", [] { return ifStmt(nullptr, {}); }, {"if without cond"}});
+  rows.push_back({"while-cond+else", [] {
+                    StmtPtr s = whileStmt(nullptr, {});
+                    s->elseBody.push_back(comment("e"));
+                    return s;
+                  },
+                  {"while without cond", "while with a stray else body"}});
+  rows.push_back({"break+value", [] {
+                    StmtPtr s = breakStmt();
+                    s->value = constF(1.0);
+                    return s;
+                  },
+                  {"break with a stray value"}});
+  rows.push_back({"continue+body", [] {
+                    StmtPtr s = continueStmt();
+                    s->body.push_back(comment("b"));
+                    return s;
+                  },
+                  {"continue with a stray body"}});
+  rows.push_back({"boundscheck-index", [] { return boundsCheck("y", nullptr); },
+                  {"bounds check without index"}});
+  rows.push_back({"allocmark+hi", [] {
+                    StmtPtr s = allocMark("y");
+                    s->hi = constI(4);
+                    return s;
+                  },
+                  {"alloc mark with a stray hi"}});
+  rows.push_back({"comment+lo", [] {
+                    StmtPtr s = comment("c");
+                    s->lo = constI(0);
+                    return s;
+                  },
+                  {"comment with a stray lo"}});
+
+  std::vector<StmtKind> covered;
+  for (const auto& row : rows) {
+    Function fn;
+    fn.name = "f";
+    fn.outs.push_back({"y", Scalar::F64, true, 1, 4});
+    fn.body.push_back(declScalar("x", VType::f64(), constF(0.0)));
+    std::vector<StmtPtr> body;
+    body.push_back(row.make());
+    covered.push_back(body.back()->kind);
+    fn.body.push_back(forLoop("k", constI(0), constI(4), 1, std::move(body)));
+    EXPECT_EQ(verify(fn), row.problems) << row.name;
+  }
+  for (StmtKind k : {StmtKind::DeclScalar, StmtKind::Assign, StmtKind::Store, StmtKind::For,
+                     StmtKind::If, StmtKind::While, StmtKind::Break, StmtKind::Continue,
+                     StmtKind::BoundsCheck, StmtKind::AllocMark, StmtKind::Comment}) {
+    EXPECT_NE(std::find(covered.begin(), covered.end(), k), covered.end())
+        << "no row for StmtKind " << static_cast<int>(k);
+  }
+}
+
+// -- traversal (lir/walk.hpp) --------------------------------------------------
+
+/// The slots forEachOperand visits, as offsets into the node.
+std::vector<const ExprPtr*> operandSlots(const Expr& e) {
+  std::vector<const ExprPtr*> out;
+  forEachOperand(e, [&](const ExprPtr& k) { out.push_back(&k); });
+  return out;
+}
+
+TEST(LirWalk, OperandSlotsAreTheSetOnesInIndexABCOrder) {
+  auto x = [] { return varRef("x", VType::f64()); };
+  ExprPtr cf = constF(1.0), ci = constI(1), v = x();
+  EXPECT_TRUE(operandSlots(*cf).empty());
+  EXPECT_TRUE(operandSlots(*ci).empty());
+  EXPECT_TRUE(operandSlots(*v).empty());
+  ExprPtr ld = load("A", constI(0), VType::f64());
+  EXPECT_EQ(operandSlots(*ld), std::vector<const ExprPtr*>{&ld->index});
+  ExprPtr un = unary(UnOp::Neg, x(), VType::f64());
+  EXPECT_EQ(operandSlots(*un), std::vector<const ExprPtr*>{&un->a});
+  ExprPtr bin = binary(BinOp::Add, x(), x(), VType::f64());
+  EXPECT_EQ(operandSlots(*bin), (std::vector<const ExprPtr*>{&bin->a, &bin->b}));
+  ExprPtr f = fma(x(), x(), x(), VType::f64());
+  EXPECT_EQ(operandSlots(*f), (std::vector<const ExprPtr*>{&f->a, &f->b, &f->c}));
+  ExprPtr sp = splat(x(), 4);
+  EXPECT_EQ(operandSlots(*sp), std::vector<const ExprPtr*>{&sp->a});
+  ExprPtr red = reduce(ReduceOp::Add, splat(x(), 4));
+  EXPECT_EQ(operandSlots(*red), std::vector<const ExprPtr*>{&red->a});
+
+  // The documented order holds even on a node no constructor builds.
+  Expr all{};
+  all.kind = ExprKind::Fma;
+  all.c = x();
+  all.b = x();
+  all.a = x();
+  all.index = constI(0);
+  EXPECT_EQ(operandSlots(all),
+            (std::vector<const ExprPtr*>{&all.index, &all.a, &all.b, &all.c}));
+}
+
+/// The slots forEachExpr visits.
+std::vector<const ExprPtr*> exprSlots(const Stmt& s) {
+  std::vector<const ExprPtr*> out;
+  forEachExpr(s, [&](const ExprPtr& e) { out.push_back(&e); });
+  return out;
+}
+
+TEST(LirWalk, StatementSlotsAreTheSetOnesInValueIndexLoHiCondOrder) {
+  auto one = [] { return constF(1.0); };
+  auto b1 = [] { return binary(BinOp::Lt, constI(0), constI(1), VType::b1()); };
+  StmtPtr decl = declScalar("t", VType::f64(), one());
+  EXPECT_EQ(exprSlots(*decl), std::vector<const ExprPtr*>{&decl->value});
+  EXPECT_TRUE(exprSlots(*declScalar("t", VType::f64())).empty());
+  StmtPtr asg = assign("t", one());
+  EXPECT_EQ(exprSlots(*asg), std::vector<const ExprPtr*>{&asg->value});
+  StmtPtr st = store("y", constI(0), one());
+  EXPECT_EQ(exprSlots(*st), (std::vector<const ExprPtr*>{&st->value, &st->index}));
+  StmtPtr loop = forLoop("i", constI(0), constI(4), 1, {});
+  EXPECT_EQ(exprSlots(*loop), (std::vector<const ExprPtr*>{&loop->lo, &loop->hi}));
+  StmtPtr branch = ifStmt(b1(), {});
+  EXPECT_EQ(exprSlots(*branch), std::vector<const ExprPtr*>{&branch->cond});
+  StmtPtr wh = whileStmt(b1(), {});
+  EXPECT_EQ(exprSlots(*wh), std::vector<const ExprPtr*>{&wh->cond});
+  StmtPtr bc = boundsCheck("y", constI(0));
+  EXPECT_EQ(exprSlots(*bc), std::vector<const ExprPtr*>{&bc->index});
+  EXPECT_TRUE(exprSlots(*breakStmt()).empty());
+  EXPECT_TRUE(exprSlots(*continueStmt()).empty());
+  EXPECT_TRUE(exprSlots(*allocMark("y")).empty());
+  EXPECT_TRUE(exprSlots(*comment("c")).empty());
+
+  // Nested blocks: body, then elseBody, empty ones included.
+  std::vector<const std::vector<StmtPtr>*> blocks;
+  forEachBlock(*branch, [&](const std::vector<StmtPtr>& b) { blocks.push_back(&b); });
+  EXPECT_EQ(blocks, (std::vector<const std::vector<StmtPtr>*>{&branch->body, &branch->elseBody}));
+}
+
+/// for (i = 0; i < 4) { if (i < 2) { y[i] = x[i]; } else { // e } }
+std::vector<StmtPtr> nestedBlock() {
+  auto i = [] { return varRef("i", VType::i64()); };
+  std::vector<StmtPtr> thenBody, elseBody, loopBody, block;
+  thenBody.push_back(store("y", i(), load("x", i(), VType::f64())));
+  elseBody.push_back(comment("e"));
+  loopBody.push_back(ifStmt(binary(BinOp::Lt, i(), constI(2), VType::b1()),
+                            std::move(thenBody), std::move(elseBody)));
+  block.push_back(forLoop("i", constI(0), constI(4), 1, std::move(loopBody)));
+  return block;
+}
+
+std::string kindName(StmtKind k) {
+  const char* names[] = {"decl",  "assign",   "store", "for",   "if",     "while",
+                         "break", "continue", "check", "alloc", "comment"};
+  return names[static_cast<int>(k)];
+}
+
+/// Pre-order trace of walkNodes: statements by kind, expressions printed.
+/// `stopAt` names the statement kind or expression text whose children are
+/// skipped.
+std::vector<std::string> trace(const std::vector<StmtPtr>& block, const std::string& stopAt) {
+  std::vector<std::string> out;
+  walkNodes(
+      block,
+      [&](const Stmt& s) {
+        out.push_back(kindName(s.kind));
+        return out.back() != stopAt;
+      },
+      [&](const Expr& e) {
+        out.push_back(print(e));
+        return out.back() != stopAt;
+      });
+  return out;
+}
+
+TEST(LirWalk, PreOrderVisitsEveryNodeInAFixedOrder) {
+  std::vector<StmtPtr> block = nestedBlock();
+  EXPECT_EQ(trace(block, ""),
+            (std::vector<std::string>{"for", "0", "4", "if", "(i < 2)", "i", "2", "store", "x[i]",
+                                      "i", "i", "comment"}));
+
+  std::vector<std::string> stmts;
+  walkStmts(block, [&](const Stmt& s) { stmts.push_back(kindName(s.kind)); });
+  EXPECT_EQ(stmts, (std::vector<std::string>{"for", "if", "store", "comment"}));
+}
+
+TEST(LirWalk, StoppingTheDescentSkipsTheSubtree) {
+  std::vector<StmtPtr> block = nestedBlock();
+  // A statement: its expressions and nested blocks are skipped.
+  EXPECT_EQ(trace(block, "if"), (std::vector<std::string>{"for", "0", "4", "if"}));
+  // An expression: its operands are skipped, its siblings are not.
+  EXPECT_EQ(trace(block, "x[i]"),
+            (std::vector<std::string>{"for", "0", "4", "if", "(i < 2)", "i", "2", "store", "x[i]",
+                                      "i", "comment"}));
+  EXPECT_EQ(trace(block, "(i < 2)"),
+            (std::vector<std::string>{"for", "0", "4", "if", "(i < 2)", "store", "x[i]", "i", "i",
+                                      "comment"}));
+}
+
+TEST(LirWalk, WalkSlotsReplacesInPlaceAndDescendsIntoTheNewNode) {
+  // x -> y everywhere; 1.0 -> (x * 2.0), whose x the walk reaches only when
+  // it descends into the node that replaced the 1.0.
+  auto rewrite = [](bool descend) {
+    ExprPtr e = binary(BinOp::Add, varRef("x", VType::f64()), constF(1.0), VType::f64());
+    walkSlots(e, [&](ExprPtr& slot) {
+      if (slot->kind == ExprKind::VarRef) {
+        slot = varRef("y", VType::f64());
+      } else if (slot->kind == ExprKind::ConstF && slot->fval == 1.0) {
+        slot = binary(BinOp::Mul, varRef("x", VType::f64()), constF(2.0), VType::f64());
+        return descend;
+      }
+      return true;
+    });
+    return print(*e);
+  };
+  EXPECT_EQ(rewrite(true), "(y + (y * 2.0))");
+  EXPECT_EQ(rewrite(false), "(y + (x * 2.0))");
 }
 
 // -- affine analysis ---------------------------------------------------------

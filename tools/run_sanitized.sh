@@ -7,7 +7,7 @@
 # builds it, and runs the labeled tests under the sanitizer:
 #
 #   thread  (default) — TSan over the service/chaos/robustness/dse/tune/
-#           interp/lower labels: the CompileService worker pool, the shard
+#           interp/lower/opt labels: the CompileService worker pool, the shard
 #           supervisor's reader/monitor threads, the seeded chaos harness,
 #           dse::explore's parallel measurement jobs and tune::autotune's
 #           speculative candidate batches. Data races show up here, not in
@@ -16,14 +16,15 @@
 #           the interp label covers the interpreter's inline 1x1 Matrix
 #           storage and its slot frames, the lower label the lowerer's
 #           recorded exit envs, which live in a scope vector that an
-#           inlined call grows.
+#           inlined call grows, and the opt label the passes that replace
+#           LIR expression slots in place.
 #
-# The label regex defaults to "chaos|robustness|service|dse|tune|interp|lower";
+# The label regex defaults to "chaos|robustness|service|dse|tune|interp|lower|opt";
 # pass a second argument to narrow it (e.g. `tools/run_sanitized.sh thread chaos`).
 set -eu
 
 kind="${1:-thread}"
-labels="${2:-chaos|robustness|service|dse|tune|interp|lower}"
+labels="${2:-chaos|robustness|service|dse|tune|interp|lower|opt}"
 case "$kind" in
   thread|address) ;;
   *) echo "usage: $0 [thread|address] [ctest -L regex]" >&2; exit 2 ;;
