@@ -10,12 +10,23 @@
 // the line to put in the fixture. Regenerate only for a change meant to
 // move the generated code: empty the fixture, then run
 // `./build/tests/test_c_digest | grep '^c-digest' | cut -d' ' -f2- | sort`.
+//
+// The C digest sees only the end of the pass pipeline, so two passes whose
+// changes cancel out would still pass it. Corpus/PassDigest.* hashes the
+// LIR dump after every pass of the same cases against
+// tests/fixtures/pass_digests.txt, one "<case> <pass>=<digest> ..." line
+// per case, and names the first pass whose output moved. A missing or
+// different entry prints "pass-digest <case> <pass>=<digest> ...";
+// regenerate the same way with
+// `./build/tests/test_c_digest --gtest_filter='Corpus/PassDigest*' |
+// grep '^pass-digest' | cut -d' ' -f2- | sort`.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <sstream>
 
 #include "driver/compiler.hpp"
 #include "driver/kernels.hpp"
@@ -66,7 +77,7 @@ std::string digestOf(const std::string& text) {
 }
 
 /// tests/fixtures/c_digests.txt: one "<case> <digest>" line per case.
-const std::map<std::string, std::string>& fixtureDigests() {
+const std::map<std::string, std::string>& cFixture() {
   static const std::map<std::string, std::string> digests = [] {
     std::map<std::string, std::string> out;
     std::ifstream in(MAT2C_C_DIGESTS);
@@ -87,13 +98,67 @@ TEST_P(CDigest, CCodeAndLirDumpAreUnchanged) {
       spec.source, spec.entry, spec.argSpecs,
       c.coder ? CompileOptions::coderLike(c.preset) : CompileOptions::proposed(c.preset));
   std::string digest = digestOf(unit.cCode() + "\n-- lir --\n" + unit.lirDump());
-  const auto& want = fixtureDigests();
+  const auto& want = cFixture();
   auto it = want.find(c.name);
   EXPECT_TRUE(it != want.end() && it->second == digest)
       << "c-digest " << c.name << " " << digest;
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, CDigest, ::testing::ValuesIn(digestCases()),
+                         [](const auto& info) { return info.param.name; });
+
+/// A case's per-pass digests, "<pass>=<digest>" in pipeline order.
+using PassDigests = std::vector<std::string>;
+
+/// tests/fixtures/pass_digests.txt: one "<case> <pass>=<digest> ..." line
+/// per case.
+const std::map<std::string, PassDigests>& passFixture() {
+  static const std::map<std::string, PassDigests> digests = [] {
+    std::map<std::string, PassDigests> out;
+    std::ifstream in(MAT2C_PASS_DIGESTS);
+    std::string line;
+    while (std::getline(in, line)) {
+      std::istringstream fields(line);
+      std::string name, pass;
+      if (!(fields >> name)) continue;
+      PassDigests& passes = out[name];
+      while (fields >> pass) passes.push_back(pass);
+    }
+    return out;
+  }();
+  return digests;
+}
+
+class PassDigest : public ::testing::TestWithParam<DigestCase> {};
+
+TEST_P(PassDigest, LirAfterEachPassIsUnchanged) {
+  const DigestCase& c = GetParam();
+  kernels::KernelSpec spec = kSuites[c.suite].second()[c.kernel];
+  CompileOptions options =
+      c.coder ? CompileOptions::coderLike(c.preset) : CompileOptions::proposed(c.preset);
+  PassDigests got;
+  options.tracePasses = [&](const opt::PassRecord& rec, const lir::Function& fn) {
+    got.push_back(rec.name + "=" + digestOf(lir::print(fn)));
+  };
+  Compiler compiler;
+  compiler.compileSource(spec.source, spec.entry, spec.argSpecs, options);
+
+  std::string line;
+  for (const auto& pass : got) line += " " + pass;
+  const auto& fixture = passFixture();
+  auto it = fixture.find(c.name);
+  if (it != fixture.end() && it->second == got) return;
+  std::string moved = "(no fixture line)";
+  if (it != fixture.end()) {
+    const PassDigests& want = it->second;
+    std::size_t k = 0;
+    while (k < want.size() && k < got.size() && want[k] == got[k]) ++k;
+    moved = k < got.size() ? got[k].substr(0, got[k].find('=')) : "(pass list shrank)";
+  }
+  ADD_FAILURE() << "first pass that moved: " << moved << "\npass-digest " << c.name << line;
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, PassDigest, ::testing::ValuesIn(digestCases()),
                          [](const auto& info) { return info.param.name; });
 
 }  // namespace
