@@ -24,8 +24,14 @@
 // replays the simulation and rewrites, materializing temporaries only for
 // lifetimes phase 1 proved profitable. All right-hand sides are pure, so
 // replacing a re-evaluation with a register read is always value-preserving.
-#include <map>
-#include <optional>
+//
+// An expression's key is its lir::PrintNumbering number, computed bottom-up
+// once per node, for each topmost eligible subtree before the walk enters
+// it: equal keys mean equal printed text. The numbering carries a version
+// per name, which a scalar assignment or an array store bumps, so the key
+// of an expression that reads a killed name differs from every key made
+// before the kill, and a kill scans no entries. The one kill a key cannot
+// express, of the variable an entry is bound to, is checked on lookup.
 #include <string>
 #include <vector>
 
@@ -59,32 +65,37 @@ struct Lifetime {
 };
 
 struct Entry {
+  std::uint64_t region = 0;  // the Region::id it is live in
   std::size_t ordinal = 0;
   std::size_t originStmt = 0;
-  std::optional<std::string> bound;
-  std::set<std::string> scalarDeps;
-  std::set<std::string> arrayDeps;
+  // The variable holding the value, and its scalar version when it took
+  // the value; a later assignment to it kills the entry.
+  const PrintNumbering::Name* bound = nullptr;
+  std::uint32_t boundVersion = 0;
 };
 
 struct Cse {
   std::set<std::string> usedNames;
   int freshId = 0;
   int replaced = 0;
+  PrintNumbering numbering;
+  // The statement being walked: every node of its expression slots in
+  // pre-order, and the walk's position in that list.
+  std::vector<PrintNumbering::Node> nodes;
+  std::size_t cursor = 0;
+  // Available expressions by key. An entry is live only in the region
+  // (and availability span) whose id it carries, so regions share the
+  // table and emptying a region's availability is taking a new id.
+  std::vector<Entry> entries;
+  std::uint64_t nextRegion = 0;
 
-  explicit Cse(const Function& fn) {
-    AccessInfo all;
-    for (const auto& s : fn.body) collectAccess(*s, all);
-    for (const auto& n : all.scalarReads) usedNames.insert(n);
-    for (const auto& n : all.scalarWrites) usedNames.insert(n);
-    for (const auto& p : fn.params) usedNames.insert(p.name);
-    for (const auto& o : fn.outs) usedNames.insert(o.name);
-    for (const auto& a : fn.arrays) usedNames.insert(a.name);
-  }
+  explicit Cse(const Function& fn) : usedNames(lir::usedNames(fn, "c")) {}
 
   std::string fresh() {
     std::string name;
     do {
-      name = "c" + std::to_string(freshId++) + "_cse";
+      name.clear();
+      name.append("c").append(std::to_string(freshId++)).append("_cse");
     } while (usedNames.count(name));
     usedNames.insert(name);
     return name;
@@ -99,158 +110,184 @@ struct Cse {
     }
   }
 
-  // One deterministic pass over the region. Phase 1 (rewrite=false) fills
-  // `lifetimes` (indexed by creation ordinal); phase 2 (rewrite=true) makes
-  // the same creation/invalidation decisions and applies the rewrites.
-  void simulate(std::vector<StmtPtr>& block, std::vector<Lifetime>& lifetimes, bool rewrite) {
-    std::map<std::string, Entry> entries;
+  /// One region's rewrite state.
+  struct Region {
+    std::vector<Lifetime>& lifetimes;
+    bool rewrite;
+    std::uint64_t id;
     std::size_t ordinal = 0;
     // Temps to insert, paired with the statement index they precede;
     // indices are nondecreasing in creation order.
     std::vector<std::pair<std::size_t, StmtPtr>> inserts;
+  };
 
-    auto invalidateScalar = [&](const std::string& x) {
-      for (auto it = entries.begin(); it != entries.end();) {
-        if (it->second.scalarDeps.count(x) || (it->second.bound && *it->second.bound == x)) {
-          it = entries.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    };
-    auto invalidateArray = [&](const std::string& a) {
-      for (auto it = entries.begin(); it != entries.end();) {
-        if (it->second.arrayDeps.count(a)) {
-          it = entries.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    };
+  /// The live entry under `key`, or null.
+  Entry* find(const Region& r, std::uint32_t key) {
+    if (key >= entries.size()) return nullptr;
+    Entry& e = entries[key];
+    if (e.region != r.id) return nullptr;
+    if (e.bound && e.bound->scalarVersion != e.boundVersion) return nullptr;
+    return &e;
+  }
 
-    std::function<void(ExprPtr&, std::size_t)> walk = [&](ExprPtr& e, std::size_t stmtIdx) {
-      if (!eligible(*e)) {
-        forEachOperand(*e, [&](ExprPtr& k) { walk(k, stmtIdx); });
-        return;
-      }
-      std::string key = lir::print(*e);
-      auto it = entries.find(key);
-      if (it != entries.end()) {
-        // Reuse. Do not descend: the children ride along with the register.
-        if (!rewrite) {
-          lifetimes[it->second.ordinal].reuses++;
-        } else {
-          const Lifetime& lt = lifetimes[it->second.ordinal];
-          e = varRef(lt.name, e->type);
-          ++replaced;
-        }
-        return;
-      }
-      // Creation: record deps from the untouched subtree, then visit
-      // children (their rewrites feed a materialized temp's initializer).
-      Entry entry;
-      entry.ordinal = ordinal++;
-      entry.originStmt = stmtIdx;
-      AccessInfo ei;
-      collectAccess(*e, ei);
-      entry.scalarDeps = std::move(ei.scalarReads);
-      entry.arrayDeps = std::move(ei.arrayReads);
-      if (!rewrite) lifetimes.emplace_back();
+  void insert(const Region& r, std::uint32_t key, Entry entry) {
+    if (key >= entries.size()) entries.resize(numbering.size());
+    entry.region = r.id;
+    entries[key] = entry;
+  }
 
-      forEachOperand(*e, [&](ExprPtr& k) { walk(k, stmtIdx); });
+  /// Walks a tree above its eligible subtrees. Keys are needed only from
+  /// the topmost eligible nodes down, so each of those is numbered, still
+  /// untouched, when the walk first reaches it.
+  void walk(ExprPtr& e, std::size_t stmtIdx, Region& r) {
+    if (!eligible(*e)) {
+      forEachOperand(*e, [&](ExprPtr& k) { walk(k, stmtIdx, r); });
+      return;
+    }
+    nodes.clear();
+    numbering.number(*e, &nodes);
+    cursor = 0;
+    walkKeyed(e, stmtIdx, r);
+  }
 
-      if (rewrite) {
-        Lifetime& lt = lifetimes[entry.ordinal];
-        if (lt.reuses > 0 && !lt.bound) {
-          lt.name = fresh();
-          VType type = e->type;
-          StmtPtr decl = declScalar(lt.name, type, std::move(e));
-          e = varRef(lt.name, type);
-          inserts.emplace_back(stmtIdx, std::move(decl));
-        }
+  /// Walks a node of the tree `nodes` numbers, at `cursor`.
+  void walkKeyed(ExprPtr& e, std::size_t stmtIdx, Region& r) {
+    const PrintNumbering::Node node = nodes[cursor++];
+    if (!eligible(*e)) {
+      forEachOperand(*e, [&](ExprPtr& k) { walkKeyed(k, stmtIdx, r); });
+      return;
+    }
+    if (Entry* found = find(r, node.number)) {
+      // Reuse. Do not descend: the children ride along with the register.
+      cursor += node.size - 1;
+      if (!r.rewrite) {
+        r.lifetimes[found->ordinal].reuses++;
+      } else {
+        const Lifetime& lt = r.lifetimes[found->ordinal];
+        e = varRef(lt.name, e->type);
+        ++replaced;
       }
-      entries.emplace(std::move(key), std::move(entry));
-    };
+      return;
+    }
+    // Creation: visit children (their rewrites feed a materialized temp's
+    // initializer), then make the entry under the untouched subtree's key.
+    Entry entry;
+    entry.ordinal = r.ordinal++;
+    entry.originStmt = stmtIdx;
+    if (!r.rewrite) r.lifetimes.emplace_back();
+
+    forEachOperand(*e, [&](ExprPtr& k) { walkKeyed(k, stmtIdx, r); });
+
+    if (r.rewrite) {
+      Lifetime& lt = r.lifetimes[entry.ordinal];
+      if (lt.reuses > 0 && !lt.bound) {
+        lt.name = fresh();
+        VType type = e->type;
+        StmtPtr decl = declScalar(lt.name, type, std::move(e));
+        e = varRef(lt.name, type);
+        r.inserts.emplace_back(stmtIdx, std::move(decl));
+      }
+    }
+    insert(r, node.number, entry);
+  }
+
+  // One deterministic pass over the region. Phase 1 (rewrite=false) fills
+  // `lifetimes` (indexed by creation ordinal); phase 2 (rewrite=true) makes
+  // the same creation/invalidation decisions and applies the rewrites.
+  void simulate(std::vector<StmtPtr>& block, std::vector<Lifetime>& lifetimes, bool rewrite) {
+    Region r{lifetimes, rewrite, ++nextRegion, 0, {}};
 
     for (std::size_t idx = 0; idx < block.size(); ++idx) {
       Stmt& s = *block[idx];
 
-      // Snapshot pre-walk facts both phases must agree on.
-      std::string rhsKey =
-          (s.value && eligible(*s.value)) ? lir::print(*s.value) : std::string();
+      // Facts of the untouched statement, which both phases agree on.
+      bool defines = s.kind == StmtKind::DeclScalar || s.kind == StmtKind::Assign;
+      PrintNumbering::Name* target = defines ? &numbering.name(s.name) : nullptr;
+      // The rhs's entry can take the target as its holder, unless it reads
+      // the target: then the assignment kills it.
+      bool rhsBindable = defines && s.value && eligible(*s.value) &&
+                         !readsVar(*s.value, s.name);
       bool storeForwards = s.kind == StmtKind::Store && s.value &&
                            s.value->kind == ExprKind::VarRef;
-      std::string fwdKey, fwdVar;
-      std::set<std::string> fwdScalarDeps;
+      // `A[i] = v` makes A[i] available as v after the store kills A.
+      std::uint32_t fwdKey = 0;
       if (storeForwards) {
-        ExprPtr probe = load(s.name, s.index->clone(), s.value->type);
-        fwdKey = lir::print(*probe);
-        fwdVar = s.value->name;
-        fwdScalarDeps = varReads(*probe);
-        fwdScalarDeps.insert(fwdVar);
+        fwdKey = numbering.numberLoad(s.name, *s.index, s.value->type.lanes,
+                                      &numbering.name(s.name));
       }
 
-      forEachExpr(s, [&](ExprPtr& e) { walk(e, idx); });
+      forEachExpr(s, [&](ExprPtr& e) { walk(e, idx, r); });
 
       switch (s.kind) {
         case StmtKind::DeclScalar:
         case StmtKind::Assign: {
-          invalidateScalar(s.name);
-          if (!rhsKey.empty()) {
-            auto it = entries.find(rhsKey);
-            if (it != entries.end() && it->second.originStmt == idx && !it->second.bound) {
-              it->second.bound = s.name;
-              if (!rewrite) {
-                lifetimes[it->second.ordinal].bound = true;
-              } else {
-                lifetimes[it->second.ordinal].name = s.name;
-              }
+          ++target->scalarVersion;
+          if (!rhsBindable) break;
+          // The rhs is the statement's one slot and eligible, so the walk
+          // numbered it last, as a whole: nodes[0] is its root.
+          Entry* entry = find(r, nodes[0].number);
+          if (entry && entry->originStmt == idx && !entry->bound) {
+            entry->bound = target;
+            entry->boundVersion = target->scalarVersion;
+            if (!rewrite) {
+              lifetimes[entry->ordinal].bound = true;
+            } else {
+              lifetimes[entry->ordinal].name = s.name;
             }
           }
           break;
         }
         case StmtKind::Store: {
-          invalidateArray(s.name);
-          if (storeForwards && !entries.count(fwdKey)) {
+          ++numbering.name(s.name).arrayVersion;
+          if (storeForwards && !find(r, fwdKey)) {
             Entry entry;
-            entry.ordinal = ordinal++;
+            entry.ordinal = r.ordinal++;
             entry.originStmt = idx;
-            entry.bound = fwdVar;
-            entry.scalarDeps = fwdScalarDeps;
-            entry.arrayDeps = {s.name};
+            entry.bound = &numbering.name(s.value->name);
+            entry.boundVersion = entry.bound->scalarVersion;
             if (!rewrite) {
               lifetimes.emplace_back();
               lifetimes.back().bound = true;
             } else {
-              lifetimes[entry.ordinal].name = fwdVar;
+              lifetimes[entry.ordinal].name = s.value->name;
             }
-            entries.emplace(fwdKey, std::move(entry));
+            insert(r, fwdKey, entry);
           }
           break;
         }
-        case StmtKind::AllocMark: invalidateArray(s.name); break;
+        case StmtKind::AllocMark: ++numbering.name(s.name).arrayVersion; break;
         case StmtKind::For:
         case StmtKind::If:
         case StmtKind::While:
         case StmtKind::Break:
-        case StmtKind::Continue: entries.clear(); break;
+        case StmtKind::Continue: r.id = ++nextRegion; break;
         default: break;
       }
     }
 
-    if (rewrite && !inserts.empty()) {
+    if (rewrite && !r.inserts.empty()) {
       std::vector<StmtPtr> out;
-      out.reserve(block.size() + inserts.size());
+      out.reserve(block.size() + r.inserts.size());
       std::size_t next = 0;
       for (std::size_t idx = 0; idx < block.size(); ++idx) {
-        while (next < inserts.size() && inserts[next].first == idx) {
-          out.push_back(std::move(inserts[next].second));
+        while (next < r.inserts.size() && r.inserts[next].first == idx) {
+          out.push_back(std::move(r.inserts[next].second));
           ++next;
         }
         out.push_back(std::move(block[idx]));
       }
       block = std::move(out);
     }
+  }
+
+  /// True when `e` reads the scalar `name`.
+  static bool readsVar(const Expr& e, const std::string& name) {
+    bool found = false;
+    walkExpr(e, [&](const Expr& x) {
+      found = found || (x.kind == ExprKind::VarRef && x.name == name);
+      return !found;
+    });
+    return found;
   }
 };
 

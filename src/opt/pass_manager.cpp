@@ -35,6 +35,9 @@ PipelineReport PassPipeline::run(lir::Function& fn, const isa::IsaDescription& i
   using Clock = std::chrono::steady_clock;
   PipelineReport report;
   report.passes.reserve(passes_.size());
+  // Nothing touches the function between passes, so each pass starts from
+  // the statistics the previous one ended with.
+  lir::FunctionStats stats = lir::collectStats(fn);
   for (const auto& pass : passes_) {
     // Pass boundaries are the pipeline's cooperative guard points: compile
     // deadlines expire here, the fault injector targets them by pass name,
@@ -44,7 +47,7 @@ PipelineReport PassPipeline::run(lir::Function& fn, const isa::IsaDescription& i
 
     PassRecord rec;
     rec.name = pass.name;
-    rec.before = lir::collectStats(fn);
+    rec.before = stats;
     auto start = Clock::now();
     try {
       fault::atPassBoundary(pass.name);
@@ -59,7 +62,7 @@ PipelineReport PassPipeline::run(lir::Function& fn, const isa::IsaDescription& i
                             "pass '" + pass.name + "' failed: " + e.what(), pass.name);
     }
     rec.millis = std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-    rec.after = lir::collectStats(fn);
+    rec.after = stats = lir::collectStats(fn);
     report.totalMillis += rec.millis;
 #define MAT2C_ADD_COUNTER(field, total) report.total += rec.field;
     MAT2C_PASS_COUNTERS(MAT2C_ADD_COUNTER)

@@ -6,6 +6,9 @@
 #include <string>
 #include <vector>
 
+#include <cmath>
+
+#include "lir/analysis.hpp"
 #include "lir/lir.hpp"
 #include "lir/walk.hpp"
 
@@ -421,6 +424,69 @@ TEST(LirAffine, Subtraction) {
   ASSERT_TRUE(d.ok);
   EXPECT_EQ(d.constant, 3);
   EXPECT_EQ(d.coeff("i"), 0);
+}
+
+TEST(LirAnalysis, SubstituteVarStopsAtANestedRedeclaration) {
+  // for k = 0 .. 4 { y = x; if c { z = x; f64 x = x; w = x }; v = x }
+  auto x = [] { return varRef("x", VType::f64()); };
+  std::vector<StmtPtr> inner;
+  inner.push_back(assign("z", x()));
+  inner.push_back(declScalar("x", VType::f64(), x()));
+  inner.push_back(assign("w", x()));
+  std::vector<StmtPtr> body;
+  body.push_back(assign("y", x()));
+  body.push_back(ifStmt(varRef("c", VType::b1()), std::move(inner)));
+  body.push_back(assign("v", x()));
+  StmtPtr loop = forLoop("k", constI(0), constI(4), 1, std::move(body));
+
+  substituteVar(*loop, "x", *constF(2.0));
+  EXPECT_EQ(print(*loop),
+            "for k = 0 .. 4 {\n"
+            "  y = 2.0\n"
+            "  if c {\n"
+            "    z = 2.0\n"
+            "    f64 x = 2.0\n"  // the initializer reads the outer x
+            "    w = x\n"        // the rest of the block reads the new one
+            "  }\n"
+            "  v = 2.0\n"        // the redeclaration's block has ended
+            "}\n");
+}
+
+TEST(LirAnalysis, PrintNumberingMatchesPrintedText) {
+  PrintNumbering numbering;
+  auto same = [&](const Expr& a, const Expr& b) {
+    EXPECT_EQ(print(a) == print(b), numbering.number(a) == numbering.number(b))
+        << print(a) << " vs " << print(b);
+    return numbering.number(a) == numbering.number(b);
+  };
+  auto sum = [](ExprPtr a, ExprPtr b, VType t) {
+    return binary(BinOp::Add, std::move(a), std::move(b), t);
+  };
+  ExprPtr x = varRef("x", VType::f64());
+  // NaNs print alike, signed zeros do not.
+  EXPECT_TRUE(same(*constF(std::nan("1")), *constF(-std::nan("2"))));
+  EXPECT_FALSE(same(*constF(0.0), *constF(-0.0)));
+  EXPECT_FALSE(same(*constF(1.0), *constI(1)));
+  // The scalar type is not printed; a vector Load's lanes are.
+  EXPECT_TRUE(same(*sum(x->clone(), constF(1.0), VType::f64()),
+                   *sum(varRef("x", VType::c64()), constF(1.0), VType::c64())));
+  EXPECT_TRUE(same(*load("A", constI(0), VType::f64()), *load("A", constI(0), VType::c64())));
+  EXPECT_FALSE(same(*load("A", constI(0), VType::f64()), *load("A", constI(0), VType::f64(4))));
+  EXPECT_FALSE(same(*splat(x->clone(), 2), *splat(x->clone(), 4)));
+  // Operators differ by their printed text, operands by position.
+  EXPECT_FALSE(same(*sum(x->clone(), constF(1.0), VType::f64()),
+                    *sum(constF(1.0), x->clone(), VType::f64())));
+  EXPECT_FALSE(same(*unary(UnOp::Abs, x->clone(), VType::f64()),
+                    *unary(UnOp::Sqrt, x->clone(), VType::f64())));
+  // A version bump separates every later tree that reads the name.
+  std::uint32_t before = numbering.number(*load("A", varRef("i", VType::i64()), VType::f64()));
+  ++numbering.name("i").scalarVersion;
+  EXPECT_NE(before, numbering.number(*load("A", varRef("i", VType::i64()), VType::f64())));
+  std::uint32_t loaded = numbering.number(*load("A", constI(3), VType::f64()));
+  EXPECT_EQ(numbering.numberLoad("A", *constI(3), 1), loaded);
+  EXPECT_NE(numbering.numberLoad("A", *constI(3), 1, &numbering.name("A")), loaded);
+  ++numbering.name("A").arrayVersion;
+  EXPECT_NE(numbering.number(*load("A", constI(3), VType::f64())), loaded);
 }
 
 }  // namespace
