@@ -50,7 +50,9 @@ class LoopVectorizer {
   ExprPtr widen(ExprPtr e);
 
   std::string fresh(const std::string& hint) {
-    return "v" + std::to_string(counter_) + "_" + std::to_string(sub_++) + "_" + hint;
+    std::string name = "v";
+    name.append(std::to_string(counter_)).append("_").append(std::to_string(sub_++));
+    return name.append("_").append(hint);
   }
 
   bool reject(const std::string& why) {
