@@ -53,7 +53,8 @@ struct VectorizeStats {
 VectorizeStats vectorize(lir::Function& fn, const isa::IsaDescription& isa);
 
 /// Removes Assign/DeclScalar statements whose target is never read (pure
-/// right-hand sides make this always safe). Returns sweep rounds.
+/// right-hand sides make this always safe), in at most 32 removal levels.
+/// Returns the number of levels removed.
 int eliminateDeadScalars(lir::Function& fn);
 
 /// Dead-store/dead-loop cleanup: drops stores into local arrays that are
