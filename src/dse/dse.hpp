@@ -22,18 +22,24 @@
 //      loads unchanged.
 //
 // Structural dimensions (lanes, fma/cmul/cmac — these change what the
-// compiler emits) are compiled and VM-measured once per configuration;
-// cost-only dimensions (zol/agu, memory ports, fused-op subsets) are
-// rescored analytically from the measured per-op issue counts, which is
-// exact because the VM's total is exactly sum(count[op] * cost[op]).
+// compiler emits) are compiled once per configuration and kernel, and
+// VM-measured once per distinct compiled function: configurations that
+// compile a kernel to the same LIR share one run, since the VM's counts
+// depend on the LIR alone. Cost-only dimensions (zol/agu, memory ports,
+// fused-op subsets) are rescored analytically from the measured per-op
+// issue counts, which is exact because the VM's total is exactly
+// sum(count[op] * cost[op]).
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "driver/compiler.hpp"
 #include "driver/kernels.hpp"
 #include "isa/isa.hpp"
 #include "lir/lir.hpp"
@@ -149,6 +155,28 @@ double tileFused(const std::vector<IdiomInstance>& instances,
                  const std::vector<int>& selection, const isa::IsaDescription& variant,
                  vm::FusedCosting* out = nullptr);
 
+/// One kernel compiled for one structural configuration, and what the VM
+/// measured of it.
+struct KernelEval {
+  const kernels::KernelSpec* spec = nullptr;  // jobs of one kernel share it
+  std::shared_ptr<const CompiledUnit> unit;   // null when compiling threw
+  std::exception_ptr error;                   // what compiling or measuring threw
+  vm::CycleStats::PerOp countByOp{};          // per-op issue counts of the run
+  /// Mined with the run's statement profile; node pointers refer into
+  /// `unit`'s LIR, which the shared pointer keeps alive.
+  std::vector<IdiomInstance> instances;
+};
+
+/// Measures compiled jobs (VM run on spec->args + mineFunction) in one
+/// fork-join, with one VM run per distinct compiled function: a job whose
+/// spec and lir::print of its LIR equal an earlier job's takes that job's
+/// counts, instances and unit. A job whose own ISA cannot cost an op that
+/// run issued runs the VM itself, so it raises what the VM raises there.
+/// Jobs that already hold an error are skipped. Then rethrows the error of
+/// the lowest-index job that has one, the error a sequential
+/// compile-then-measure loop would throw first. Returns the VM runs made.
+int measureDistinct(std::vector<KernelEval>& jobs);
+
 struct PointScore {
   DesignPoint point;
   double geomean = 0.0;  // geomean speedup vs the scalar preset
@@ -177,6 +205,7 @@ struct ExploreResult {
   std::map<std::string, double> bestMaxAbsErr;  // oracle |err| at best point
   isa::IsaDescription bestIsa;
   int pointsEvaluated = 0;
+  int structuralVmRuns = 0;  // VM runs of the structural sweep (measureDistinct)
 };
 
 /// Runs the full mine -> synthesize -> explore loop. Throws StructuredError /

@@ -1,22 +1,27 @@
 // Layer 3 — design-space exploration and emission.
 //
 // Structural dimensions (SIMD width, fma/cmul/cmac) change what the compiler
-// emits, so each structural configuration is compiled and VM-measured once
-// per kernel (with the statement profile feeding the idiom miner). Cost-only
+// emits, so each structural configuration compiles every kernel. Many of
+// those compiles come out the same (a real-only kernel ignores cmul/cmac),
+// and the VM's counts and statement profile depend on the LIR alone (the
+// ISA only prices the ops), so the VM (with the statement profile feeding
+// the idiom miner) runs once per distinct compiled function. Cost-only
 // dimensions (zol/agu, memory-port width, fused-op subsets) are rescored
 // analytically from the measured per-op issue counts; that reconstruction is
 // exact because the VM total is exactly sum(count[op] * cost[op]) and zeroed
 // ops still record their counts.
 //
-// No measurement reads another's result, so the compile + VM (+ mining) jobs
-// and the winner's oracle checks fan out over forEachIndex
-// (support/parallel.hpp); every aggregation stays on the calling thread in
-// corpus order, so results are bit-identical to a sequential run.
+// No measurement reads another's result, so the compiles, the distinct VM
+// runs (+ mining) and the winner's oracle checks fan out over forEachIndex
+// (support/parallel.hpp); grouping and every aggregation stay on the calling
+// thread in corpus order, so results are bit-identical to a sequential run.
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "driver/compiler.hpp"
 #include "driver/report.hpp"
@@ -35,16 +40,10 @@ constexpr int kMemLaneChoices[] = {4, 8, 16};
 
 constexpr auto num = report::Table::num;  // %.<precision>f
 
-struct KernelEval {
-  vm::CycleStats::PerOp countByOp{};
-  std::vector<IdiomInstance> instances;
-  std::shared_ptr<CompiledUnit> unit;  // keeps instance node pointers alive
-};
-
 struct StructuralEval {
   DesignPoint base;  // lanes + features; zol/agu/mem fixed at the run config
   isa::IsaDescription isa;  // base as compiled and measured ("dse_probe")
-  std::vector<KernelEval> kernels;  // corpus order
+  const KernelEval* kernels = nullptr;  // its jobs, one per kernel in corpus order
 };
 
 /// Compiles with a Compiler of its own: Compiler keeps per-compile
@@ -93,7 +92,57 @@ void progressLine(const ExploreOptions& opts, const std::string& line) {
   if (opts.progress) *opts.progress << line << "\n";
 }
 
+/// Runs `job`'s unit on the VM with a statement profile and mines it.
+void measure(KernelEval& job) {
+  try {
+    vm::StmtProfile profile;
+    job.countByOp = runKernel(*job.unit, *job.spec, &profile).cycles.countByOp;
+    job.instances = mineFunction(job.unit->fn(), profile);
+  } catch (...) {
+    job.error = std::current_exception();
+  }
+}
+
 }  // namespace
+
+int measureDistinct(std::vector<KernelEval>& jobs) {
+  // Class representatives (the first job of each (spec, LIR) in job order),
+  // and each job's representative; `none` marks a job that holds an error.
+  const std::size_t none = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> runs, repOf(jobs.size(), none);
+  std::map<std::pair<const kernels::KernelSpec*, std::string>, std::size_t> firstByKey;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (jobs[j].error) continue;
+    auto [it, fresh] = firstByKey.try_emplace({jobs[j].spec, lir::print(jobs[j].unit->fn())}, j);
+    repOf[j] = it->second;
+    if (fresh) runs.push_back(j);
+  }
+  forEachIndex(runs.size(), [&](std::size_t i) { measure(jobs[runs[i]]); });
+
+  // A duplicate of a failed representative is left alone: the
+  // representative comes first, so its error is the one rethrown.
+  std::vector<std::size_t> ownRuns;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (repOf[j] == none || repOf[j] == j || jobs[repOf[j]].error) continue;
+    const KernelEval& rep = jobs[repOf[j]];
+    bool costable = true;
+    for (std::size_t op = 0; op < rep.countByOp.size(); ++op)
+      costable = costable && (rep.countByOp[op] == 0 ||
+                              jobs[j].unit->isa().costable(static_cast<isa::Op>(op)));
+    if (!costable) {
+      ownRuns.push_back(j);
+      continue;
+    }
+    jobs[j].countByOp = rep.countByOp;
+    jobs[j].instances = rep.instances;
+    jobs[j].unit = rep.unit;
+  }
+  forEachIndex(ownRuns.size(), [&](std::size_t i) { measure(jobs[ownRuns[i]]); });
+
+  for (const KernelEval& job : jobs)
+    if (job.error) std::rethrow_exception(job.error);
+  return static_cast<int>(runs.size() + ownRuns.size());
+}
 
 ExploreResult explore(const ExploreOptions& opts) {
   ExploreResult r;
@@ -102,7 +151,8 @@ ExploreResult explore(const ExploreOptions& opts) {
   if (corpus.empty()) throw std::invalid_argument("dse: empty corpus");
 
   // -- measured references (scalar baseline, hand-written dspx) and the
-  //    structural sweep (compile + measure + mine), one job per ISA x kernel
+  //    structural sweep (compile, then measure + mine each distinct
+  //    function), one job per ISA x kernel
   progressLine(opts, "dse: measuring scalar and dspx references over " +
                          std::to_string(corpus.size()) + " kernels");
   isa::IsaDescription scalarIsa = isa::IsaDescription::preset("scalar");
@@ -127,30 +177,35 @@ ExploreResult explore(const ExploreOptions& opts) {
       se.base = DesignPoint{w, std::max(1, w / 2), 8, fs.fma, fs.cmul, fs.cmac,
                             true, true, {}};
       se.isa = toIsa(se.base, "dse_probe");
-      se.kernels.resize(corpus.size());
       structurals.push_back(std::move(se));
     }
   }
 
   // Job order is the sequential loop's: (scalar, dspx) per kernel, then the
-  // structural points in (width, feature set) order, kernel by kernel.
+  // structural points in (width, feature set) order, kernel by kernel. A
+  // reference job compiles and runs; a structural job only compiles, and
+  // keeps its error for measureDistinct to order against the VM's.
   const std::size_t nk = corpus.size();
   std::vector<double> refCycles(2 * nk);  // [2k] scalar, [2k + 1] dspx
-  forEachIndex(2 * nk + structurals.size() * nk, [&](std::size_t job) {
+  std::vector<KernelEval> jobs(structurals.size() * nk);
+  forEachIndex(2 * nk + jobs.size(), [&](std::size_t job) {
     if (job < 2 * nk) {
       const kernels::KernelSpec& spec = corpus[job / 2];
       auto unit = compileKernel(spec, job % 2 == 0 ? scalarIsa : dspxIsa);
       refCycles[job] = runKernel(unit, spec).cycles.total;
       return;
     }
-    std::size_t s = (job - 2 * nk) / nk, k = (job - 2 * nk) % nk;
-    KernelEval& ke = structurals[s].kernels[k];
-    ke.unit = std::make_shared<CompiledUnit>(compileKernel(corpus[k], structurals[s].isa));
-    vm::StmtProfile profile;
-    auto run = runKernel(*ke.unit, corpus[k], &profile);
-    ke.countByOp = run.cycles.countByOp;
-    ke.instances = mineFunction(ke.unit->fn(), profile);
+    KernelEval& ke = jobs[job - 2 * nk];
+    ke.spec = &corpus[(job - 2 * nk) % nk];
+    try {
+      ke.unit = std::make_shared<const CompiledUnit>(
+          compileKernel(*ke.spec, structurals[(job - 2 * nk) / nk].isa));
+    } catch (...) {
+      ke.error = std::current_exception();
+    }
   });
+  r.structuralVmRuns = measureDistinct(jobs);
+  for (std::size_t s = 0; s < structurals.size(); ++s) structurals[s].kernels = &jobs[s * nk];
 
   std::vector<double> dspxSpeedups;
   for (std::size_t k = 0; k < nk; ++k) {
@@ -182,7 +237,7 @@ ExploreResult explore(const ExploreOptions& opts) {
   }
   if (!miningConfig) throw std::logic_error("dse: no featureless structural config");
   std::vector<std::vector<IdiomInstance>> perKernel;
-  for (const auto& ke : miningConfig->kernels) perKernel.push_back(ke.instances);
+  for (std::size_t k = 0; k < nk; ++k) perKernel.push_back(miningConfig->kernels[k].instances);
   std::vector<MinedIdiom> allIdioms = aggregateIdioms(perKernel);
   isa::IsaDescription costRef = toIsa(miningConfig->base, "dse_costref");
   r.candidates = synthesizeCandidates(allIdioms, costRef, opts.topCandidates);

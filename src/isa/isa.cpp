@@ -113,6 +113,15 @@ double IsaDescription::cost(Op op) const {
   return c;
 }
 
+bool IsaDescription::costable(Op op) const {
+  if (supports(op)) return true;
+  const OpInfo& m = opInfo(op);
+  if (m.expansion[0].count == 0) return false;
+  for (const Term& t : m.expansion)
+    if (t.count != 0 && !costable(t.op)) return false;
+  return true;
+}
+
 std::string IsaDescription::intrinsicName(Op op) const {
   auto it = intrinsicOverride_.find(op);
   if (it != intrinsicOverride_.end()) return it->second;

@@ -130,6 +130,9 @@ class IsaDescription {
   /// must not be emitted; asking for their cost throws. Never allocates
   /// unless it throws.
   double cost(Op op) const;
+  /// Whether cost(op) returns rather than throws: `op` is supported, or it
+  /// expands into ops that are.
+  bool costable(Op op) const;
 
   /// C spelling of the intrinsic for a supported custom op, e.g.
   /// "dspx_vfma_f64". Scalar f64/int ops map to plain C operators and have no

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
@@ -216,8 +217,11 @@ Folded foldExpr(ExprPtr& e, bool wantAffine) {
     if (e->unOp == UnOp::ToF64 && e->a->kind == ExprKind::ConstI) {
       return replace(constF(static_cast<double>(e->a->ival)));
     }
+    // Only integral values in i64 range convert exactly; for ±inf, NaN and
+    // out-of-range values the cast is undefined, so they are left to run
+    // time.
     if (e->unOp == UnOp::ToI64 && e->a->kind == ExprKind::ConstF &&
-        e->a->fval == std::floor(e->a->fval)) {
+        e->a->fval == std::floor(e->a->fval) && e->a->fval >= -0x1p63 && e->a->fval < 0x1p63) {
       return replace(constI(static_cast<std::int64_t>(e->a->fval)));
     }
     if (e->unOp == UnOp::Neg && e->a->kind == ExprKind::ConstF) {
@@ -293,7 +297,9 @@ Folded foldExpr(ExprPtr& e, bool wantAffine) {
         case BinOp::Mul: return replace(constI(a.ival * b.ival));
         case BinOp::Div:
           // Fold only exact divisions: (37/8)*8 must stay a strip-mine bound.
-          if (b.ival != 0 && a.ival % b.ival == 0) return replace(constI(a.ival / b.ival));
+          // INT64_MIN / -1 overflows (and traps on x86).
+          if (b.ival != 0 && !(b.ival == -1 && a.ival == INT64_MIN) && a.ival % b.ival == 0)
+            return replace(constI(a.ival / b.ival));
           break;
         default: break;
       }

@@ -13,8 +13,9 @@
 //     expression that reads it, storing to an array kills every expression
 //     that loads from it.
 //   * `x = E` makes E available as x (no temp needed); `A[i] = v` (v a
-//     scalar variable) makes `A[i]` available as v — the store-to-load
-//     forwarding that lets fused producer/consumer loops drop the reload.
+//     scalar variable, i not loading A) makes `A[i]` available as v — the
+//     store-to-load forwarding that lets fused producer/consumer loops drop
+//     the reload.
 //   * A repeated expression with no existing holder is materialized into a
 //     fresh scalar at its first occurrence; every later occurrence becomes a
 //     register reference.
@@ -206,9 +207,12 @@ struct Cse {
       // The rhs's entry can take the target as its holder, unless it reads
       // the target: then the assignment kills it.
       bool rhsBindable = defines && s.value && eligible(*s.value) &&
-                         !readsVar(*s.value, s.name);
+                         !reads(*s.value, ExprKind::VarRef, s.name);
+      // Not when the index loads the array: the store may change the
+      // index, so a later A[i] need not read the stored element.
       bool storeForwards = s.kind == StmtKind::Store && s.value &&
-                           s.value->kind == ExprKind::VarRef;
+                           s.value->kind == ExprKind::VarRef &&
+                           !reads(*s.index, ExprKind::Load, s.name);
       // `A[i] = v` makes A[i] available as v after the store kills A.
       std::uint32_t fwdKey = 0;
       if (storeForwards) {
@@ -280,11 +284,12 @@ struct Cse {
     }
   }
 
-  /// True when `e` reads the scalar `name`.
-  static bool readsVar(const Expr& e, const std::string& name) {
+  /// True when `e` reads `name` through a node of `kind` (VarRef for a
+  /// scalar, Load for an array).
+  static bool reads(const Expr& e, ExprKind kind, const std::string& name) {
     bool found = false;
     walkExpr(e, [&](const Expr& x) {
-      found = found || (x.kind == ExprKind::VarRef && x.name == name);
+      found = found || (x.kind == kind && x.name == name);
       return !found;
     });
     return found;

@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "driver/report.hpp"
+#include "lir/lir.hpp"
 #include "support/limits.hpp"
 #include "support/parallel.hpp"
 
@@ -76,7 +77,8 @@ constexpr std::size_t kMaxBatch = 64;
 
 /// What compiling and running one configuration produced, before the
 /// oracle. Failures are kept as exceptions so that commit() classifies them
-/// exactly where a sequential search would have thrown them.
+/// exactly where a sequential search would have thrown them. Without a
+/// unit, the run of one distinct function (Search::runs_).
 struct Score {
   std::optional<CompiledUnit> unit;
   std::exception_ptr compileError;
@@ -92,8 +94,10 @@ struct Score {
 /// The search order is sequential; the work is not. Before the first
 /// position whose score is missing, every fresh candidate from there to the
 /// end of the coordinate sweep (or the next kMaxBatch grid points), each
-/// derived from the current incumbent, is scored in one fork-join; the
-/// first fork-join also interprets the reference. Commits then walk the
+/// derived from the current incumbent, is compiled in one fork-join, and
+/// the VM runs in a second one, once per compiled function that no earlier
+/// score ran (many configurations compile to the same LIR); the first
+/// batch's VM fork-join also interprets the reference. Commits then walk the
 /// positions in order. An acceptance changes the incumbent, so the batch's
 /// candidates of later coordinates no longer match the positions they were
 /// scored for: their signatures miss, and the first miss scores a new
@@ -113,7 +117,8 @@ class Search {
     // the reference interpretation the first batch runs.
     const CompileOptions& base = input_.base;
     best_ = base;
-    Score baseScore = score(base);
+    Score baseScore = compile(base);
+    runDistinct({&baseScore});
     std::size_t outs =
         baseScore.unit && !baseScore.runError ? baseScore.unit->fn().outs.size() : 0;
     scored_.emplace(base.passSignature(), std::move(baseScore));
@@ -171,10 +176,10 @@ class Search {
     return false;
   }
 
-  /// Compiles and runs one configuration on a Compiler and Machine of its
-  /// own. Reads no search state that a commit writes, so the scores of one
-  /// batch run in parallel.
-  Score score(const CompileOptions& candOptions) const {
+  /// Compiles one configuration on a Compiler of its own. Reads no search
+  /// state that a commit writes, so the compiles of one batch run in
+  /// parallel.
+  Score compile(const CompileOptions& candOptions) const {
     Score s;
     CompileOptions attempt = candOptions;
     // Map the remaining search deadline onto the compile's own wall budget
@@ -190,41 +195,45 @@ class Search {
       s.unit = Compiler().compileSource(input_.source, input_.entry, input_.argSpecs, attempt);
     } catch (...) {
       s.compileError = std::current_exception();
-      return s;
-    }
-    try {
-      vm::RunResult run = s.unit->run(args_);
-      s.cycles = run.cycles.total;
-      s.outputs = std::move(run.outputs);
-    } catch (...) {
-      s.runError = std::current_exception();
     }
     return s;
   }
 
-  /// Scores, in one fork-join, each configuration of `batch` that neither
-  /// the memo nor the current batch holds, as many positions as the budget
-  /// has left (kMaxBatch at most). With `referenceOuts` > 0 the reference
-  /// interpretation is job 0, claimed first: it is the longest job. Scores
-  /// the new batch does not list are stale and dropped.
-  void speculate(const std::vector<CompileOptions>& batch, std::size_t referenceOuts = 0) {
-    std::size_t room = std::min<std::size_t>(
-        kMaxBatch, std::max(1, options_.budget - report_.candidatesTried));
-    std::unordered_map<std::string, Score> next;
-    std::vector<std::pair<const CompileOptions*, Score*>> fresh;
-    for (const CompileOptions& o : batch) {
-      std::string sig = o.passSignature();
-      if (memo_.count(sig) || next.count(sig)) continue;
-      if (next.size() == room) break;
-      auto old = scored_.find(sig);
-      bool have = old != scored_.end();
-      Score& slot = next.emplace(sig, have ? std::move(old->second) : Score{}).first->second;
-      if (!have) fresh.emplace_back(&o, &slot);
+  /// What tells two compiled functions' runs apart: the unit's ISA (the
+  /// degradation ladder may strip features from the requested one) and the
+  /// printed LIR.
+  static std::string runKey(const CompiledUnit& unit) {
+    return std::to_string(unit.isa().fingerprint()) + "\n" + lir::print(unit.fn());
+  }
+
+  /// Runs `unit` on a Machine of its own into `run`.
+  void measure(const CompiledUnit& unit, Score& run) const {
+    try {
+      vm::RunResult result = unit.run(args_);
+      run.cycles = result.cycles.total;
+      run.outputs = std::move(result.outputs);
+    } catch (...) {
+      run.runError = std::current_exception();
+    }
+  }
+
+  /// Gives each compiled score of `scores` the VM run of its function, in
+  /// one fork-join that runs each function no earlier score ran, once. With
+  /// `referenceOuts` > 0 the reference interpretation is job 0, claimed
+  /// first: it is the longest job.
+  void runDistinct(const std::vector<Score*>& scores, std::size_t referenceOuts = 0) {
+    std::vector<std::pair<Score*, const Score*>> takes;
+    std::vector<std::pair<const CompiledUnit*, Score*>> fresh;
+    for (Score* s : scores) {
+      if (!s->unit) continue;
+      auto [it, isNew] = runs_.try_emplace(runKey(*s->unit));
+      if (isNew) fresh.emplace_back(&*s->unit, &it->second);
+      takes.emplace_back(s, &it->second);
     }
     std::size_t first = referenceOuts > 0 ? 1 : 0;
     forEachIndex(first + fresh.size(), [&](std::size_t i) {
       if (i >= first) {
-        *fresh[i - first].second = score(*fresh[i - first].first);
+        measure(*fresh[i - first].first, *fresh[i - first].second);
         return;
       }
       try {
@@ -233,6 +242,39 @@ class Search {
         referenceError_ = std::current_exception();
       }
     });
+    report_.vmRuns += static_cast<int>(fresh.size());
+    for (auto [s, run] : takes) {
+      s->cycles = run->cycles;
+      s->outputs = run->outputs;
+      s->runError = run->runError;
+    }
+  }
+
+  /// Scores each configuration of `batch` that neither the memo nor the
+  /// current batch holds, as many positions as the budget has left
+  /// (kMaxBatch at most): compiles them in one fork-join, then runs them
+  /// with runDistinct(), beside the reference interpretation when
+  /// `referenceOuts` > 0. Scores the new batch does not list are stale and
+  /// dropped.
+  void speculate(const std::vector<CompileOptions>& batch, std::size_t referenceOuts = 0) {
+    std::size_t room = std::min<std::size_t>(
+        kMaxBatch, std::max(1, options_.budget - report_.candidatesTried));
+    std::unordered_map<std::string, Score> next;
+    std::vector<const CompileOptions*> options;
+    std::vector<Score*> fresh;
+    for (const CompileOptions& o : batch) {
+      std::string sig = o.passSignature();
+      if (memo_.count(sig) || next.count(sig)) continue;
+      if (next.size() == room) break;
+      auto old = scored_.find(sig);
+      bool have = old != scored_.end();
+      Score& slot = next.emplace(sig, have ? std::move(old->second) : Score{}).first->second;
+      if (have) continue;
+      options.push_back(&o);
+      fresh.push_back(&slot);
+    }
+    forEachIndex(fresh.size(), [&](std::size_t i) { *fresh[i] = compile(*options[i]); });
+    runDistinct(fresh, referenceOuts);
     scored_ = std::move(next);
   }
 
@@ -384,6 +426,7 @@ class Search {
 
   std::unordered_map<std::string, TuneCandidate> memo_;
   std::unordered_map<std::string, Score> scored_;  ///< the current batch, by signature
+  std::unordered_map<std::string, Score> runs_;    ///< every VM run, by runKey()
   TuneReport report_;
   CompileOptions best_;
   double bestCycles_ = std::numeric_limits<double>::infinity();

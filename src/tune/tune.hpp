@@ -19,10 +19,12 @@
 //      so revisits are pruned, and the whole search runs under an optional
 //      wall-clock deadline (DeadlineGuard) — on expiry the best
 //      configuration found so far wins. The rest of a sweep (or the next
-//      grid points) is scored speculatively in one parallel batch, the
-//      first batch beside the reference interpretation, and committed in
-//      search order: a candidate whose incumbent was replaced before its
-//      commit is scored again, so the report is the sequential search's.
+//      grid points) is scored speculatively: compiled in one parallel
+//      batch, then VM-run in a second, once per compiled function (ISA and
+//      LIR) that no earlier score ran, the first batch beside the reference
+//      interpretation. Scores are committed in search order: a candidate
+//      whose incumbent was replaced before its commit is scored again, so
+//      the report is the sequential search's.
 //   3. Scoring — each candidate compiles through the degradation-aware
 //      Compiler::compileSource path and runs on the VM cycle model with
 //      deterministic inputs; a candidate is accepted only when it is
@@ -101,6 +103,9 @@ struct TuneReport {
   /// went stale before their commit are discarded and not counted.
   int candidatesTried = 0;
   int candidatesPruned = 0;    ///< skipped via the signature memo
+  /// VM runs made: one per distinct compiled function (ISA and LIR), so
+  /// configurations that compile alike share one.
+  int vmRuns = 0;
   bool exhaustive = false;     ///< full grid fit under the budget
   bool budgetExhausted = false;
   bool deadlineExpired = false;

@@ -33,18 +33,6 @@ void book(CycleStats& s, Op op, double cost, bool intrinsic, double count) {
   if (intrinsic) s.intrinsicOpsExecuted += static_cast<std::uint64_t>(count);
 }
 
-/// Whether IsaDescription::cost(op) returns rather than throws: the op is
-/// supported, or it expands into ops that are. Asked for every op when a
-/// Machine is built, so filling its cost table never throws.
-bool costable(const isa::IsaDescription& isa, Op op) {
-  if (isa.supports(op)) return true;
-  const isa::OpInfo& m = isa::opInfo(op);
-  if (m.expansion[0].count == 0) return false;
-  for (const isa::Term& t : m.expansion)
-    if (t.count != 0 && !costable(isa, t.op)) return false;
-  return true;
-}
-
 const char* categoryOf(Op op) {
   switch (op) {
     case Op::LoadF: case Op::LoadC: case Op::VLoadF: case Op::VLoadC:
@@ -534,7 +522,7 @@ class Exec {
   void evalLoad(const Node& n) {
     ArrayStore& st = arrayFor(n.ref, n.e->name);
     std::int64_t base = evalIndex(n.a);
-    if (base < 0 || base + n.lanes > st.numel())
+    if (base < 0 || base > st.numel() - n.lanes)  // base + lanes could overflow
       throw RuntimeError("VM: load out of bounds on '" + n.e->name + "' at " +
                          std::to_string(base) + " (+" + std::to_string(n.lanes) + ") of " +
                          std::to_string(st.numel()));
@@ -802,7 +790,7 @@ class Exec {
         eval(v);
         ArrayStore& st = arrayFor(s.ref, s.s->name);
         std::int64_t base = evalIndex(s.index);
-        if (base < 0 || base + v.lanes > st.numel())
+        if (base < 0 || base > st.numel() - v.lanes)
           throw RuntimeError("VM: store out of bounds on '" + s.s->name + "' at " +
                              std::to_string(base));
         if (st.elem == Scalar::F64 && v.scalar == Scalar::C64)
@@ -925,7 +913,8 @@ std::map<std::string, double> CycleStats::byCategory() const {
 Machine::Machine(const isa::IsaDescription& isa) : isa_(isa) {
   for (int i = 0; i < isa::kNumOps; ++i) {
     auto op = static_cast<Op>(i);
-    costs_[i] = costable(isa, op) ? isa.cost(op) : std::numeric_limits<double>::quiet_NaN();
+    // Asking costable() first keeps filling the table from throwing.
+    costs_[i] = isa.costable(op) ? isa.cost(op) : std::numeric_limits<double>::quiet_NaN();
     intrinsic_[i] = isa.usesIntrinsic(op);
   }
 }

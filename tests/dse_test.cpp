@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 
 #include "driver/compiler.hpp"
 #include "driver/kernels.hpp"
@@ -255,6 +257,135 @@ TEST(DseExplore, FirstFailingJobInCorpusOrderIsRethrown) {
       EXPECT_EQ(e.what(), expected) << "run " << i;
     }
   }
+}
+
+/// The fir kernel with its body replaced by `prefix` dead statements and
+/// then `tail`.
+kernels::KernelSpec firWithBody(const std::string& name, int prefix, const std::string& tail) {
+  kernels::KernelSpec spec = kernels::makeFir(64, 4, 1);
+  spec.name = name;
+  spec.source = "function y = fir(x, h)\n";
+  for (int i = 0; i < prefix; ++i) spec.source += "t = x + " + std::to_string(i) + ";\n";
+  spec.source += tail + "\nend\n";
+  return spec;
+}
+
+/// Loads x(100) of a 64-element x: compiles, then fails in the VM.
+kernels::KernelSpec vmFailing(int prefix) {
+  return firWithBody("bad_vm", prefix, "y = x(100 + 0 * x(1));");
+}
+
+/// Calls an unknown function: fails to compile.
+kernels::KernelSpec compileFailing() {
+  return firWithBody("bad_compile", 0, "y = no_such_builtin(x, h);");
+}
+
+/// What `f` throws, as text.
+template <class F>
+std::string errorOf(const F& f) {
+  try {
+    f();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DseExplore, EarlierVmFailureBeatsLaterCompileFailure) {
+  // The VM-failing kernel's jobs come first, and a long prefix of dead
+  // statements makes them slow to compile; the later kernel fails to
+  // compile at once.
+  ExploreOptions opts = smallCorpusOptions();
+  opts.corpus = {kernels::makeFir(64, 4, 1), vmFailing(2000), compileFailing()};
+  std::string expected = errorOf([&] {
+    auto unit = compileKernel(opts.corpus[1], isa::IsaDescription::preset("scalar"));
+    unit.run(opts.corpus[1].args);
+  });
+  ASSERT_NE(expected.find("out of bounds"), std::string::npos) << expected;
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(errorOf([&] { explore(opts); }), expected) << "run " << i;
+}
+
+TEST(DseExplore, VmRunsOncePerDistinctFunction) {
+  // 4 widths x 6 feature sets x 9 kernels = 216 structural compiles, which
+  // come out as 67 distinct functions: e.g. a real-only kernel compiles
+  // the same with cmul/cmac on or off.
+  ExploreResult r = explore();
+  EXPECT_EQ(r.structuralVmRuns, 67);
+}
+
+/// A copy of `fn`: units of different ISAs over the same LIR.
+std::shared_ptr<lir::Function> copyOf(const lir::Function& fn) {
+  auto out = std::make_shared<lir::Function>();
+  out->name = fn.name;
+  out->params = fn.params;
+  out->outs = fn.outs;
+  out->arrays = fn.arrays;
+  for (const auto& s : fn.body) out->body.push_back(s->clone());
+  return out;
+}
+
+KernelEval jobOf(const kernels::KernelSpec& spec, CompiledUnit unit) {
+  KernelEval job;
+  job.spec = &spec;
+  job.unit = std::make_shared<const CompiledUnit>(std::move(unit));
+  return job;
+}
+
+TEST(DseMeasure, DuplicatesShareTheFirstRun) {
+  kernels::KernelSpec spec = kernels::makeCdot(512, 4);
+  CompiledUnit unit = compileKernel(spec, isa::IsaDescription::preset("dspx"));
+  isa::IsaDescription renamed = unit.isa();
+  renamed.setName("dspx_copy");
+  std::vector<KernelEval> jobs;
+  jobs.push_back(jobOf(spec, unit));
+  jobs.push_back(jobOf(spec, CompiledUnit(copyOf(unit.fn()), renamed, {})));
+  EXPECT_EQ(measureDistinct(jobs), 1);
+  EXPECT_EQ(jobs[1].unit, jobs[0].unit);
+  EXPECT_EQ(jobs[1].countByOp, jobs[0].countByOp);
+  EXPECT_EQ(jobs[1].instances.size(), jobs[0].instances.size());
+  EXPECT_EQ(jobs[0].countByOp, unit.run(spec.args).cycles.countByOp);
+}
+
+TEST(DseMeasure, DuplicateWhoseIsaCannotCostAnIssuedOpStillThrows) {
+  // The same LIR on the scalar preset, which has no vector ops: reusing
+  // the dspx run would hide the error its own VM run raises.
+  kernels::KernelSpec spec = kernels::makeCdot(512, 4);
+  CompiledUnit unit = compileKernel(spec, isa::IsaDescription::preset("dspx"));
+  CompiledUnit scalar(copyOf(unit.fn()), isa::IsaDescription::preset("scalar"), {});
+  std::string expected = errorOf([&] { scalar.run(spec.args); });
+  ASSERT_NE(expected.find("unsupported op"), std::string::npos) << expected;
+  std::vector<KernelEval> jobs;
+  jobs.push_back(jobOf(spec, unit));
+  jobs.push_back(jobOf(spec, scalar));
+  EXPECT_EQ(errorOf([&] { measureDistinct(jobs); }), expected);
+  EXPECT_FALSE(jobs[0].error);
+  EXPECT_TRUE(jobs[1].error);
+}
+
+TEST(DseMeasure, EarlierVmFailureBeatsLaterCompileFailure) {
+  kernels::KernelSpec bad = vmFailing(0), unknown = compileFailing();
+  const auto scalar = isa::IsaDescription::preset("scalar");
+  std::string vmError = errorOf([&] { compileKernel(bad, scalar).run(bad.args); });
+  std::string compileError = errorOf([&] { compileKernel(unknown, scalar); });
+  ASSERT_NE(vmError.find("out of bounds"), std::string::npos) << vmError;
+  ASSERT_NE(compileError.find("no_such_builtin"), std::string::npos) << compileError;
+  auto failedCompile = [&] {
+    KernelEval job;
+    job.spec = &unknown;
+    try {
+      compileKernel(unknown, scalar);
+    } catch (...) {
+      job.error = std::current_exception();
+    }
+    return job;
+  };
+  std::vector<KernelEval> jobs;
+  jobs.push_back(jobOf(bad, compileKernel(bad, scalar)));
+  jobs.push_back(failedCompile());
+  EXPECT_EQ(errorOf([&] { measureDistinct(jobs); }), vmError);
+  std::swap(jobs[0], jobs[1]);
+  jobs[1].error = nullptr;
+  EXPECT_EQ(errorOf([&] { measureDistinct(jobs); }), compileError);
 }
 
 TEST(DseExplore, RepeatedRunsAreIdentical) {

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "driver/compiler.hpp"
 #include "driver/kernels.hpp"
@@ -437,6 +439,72 @@ TEST(Cse, AVariableNamedInfIsNotTheInfiniteLiteral) {
   lir::Function fn = handBuilt(std::move(body));
   EXPECT_EQ(opt::eliminateCommonSubexprs(fn), 0);
   EXPECT_EQ(lir::print(*fn.body[2]), "f64 q = (a * inf)\n");  // not `q = p`
+}
+
+TEST(Cse, AStoreWhoseIndexLoadsTheArrayForwardsNothing) {
+  // y(1) = 3 changes y(y(1)) from y(1) to y(3): w is 6 * 2, not s * 2.
+  const std::string src =
+      "function w = f(y, s)\n"
+      "y(y(1)) = s;\n"
+      "w = y(y(1)) * 2;\n"
+      "end\n";
+  Matrix y = Matrix::zeros(1, 4);
+  const double values[] = {1, 5, 6, 7};
+  for (std::size_t k = 0; k < 4; ++k) y.set(k, Complex{values[k], 0.0});
+  const std::vector<Matrix> args = {y, Matrix::scalar(3.0)};
+  for (const CompileOptions& options :
+       {CompileOptions::proposed("dspx"), CompileOptions::coderLike("dspx")}) {
+    auto unit = Compiler().compileSource(src, "f", {ArgSpec::row(4), ArgSpec::scalar()}, options);
+    EXPECT_EQ(unit.run(args).outputs.at(0).scalarValue(), 12.0) << unit.lirDump();
+  }
+  EXPECT_EQ(interpretReference(src, "f", args, 1).at(0).scalarValue(), 12.0);
+}
+
+TEST(ConstFold, ToI64FoldsOnlyFiniteInRangeConstants) {
+  // A cast of ±inf, NaN or a value outside i64 is undefined: it stays for
+  // run time, and so no INT64_MIN reaches the division fold below.
+  auto idx = [](lir::ExprPtr e) { return lir::store("y", std::move(e), f64Var("a")); };
+  auto toi64 = [](double v) {
+    return lir::unary(lir::UnOp::ToI64, lir::constF(v), lir::VType::i64());
+  };
+  auto i64 = [](lir::BinOp op, lir::ExprPtr a, lir::ExprPtr b) {
+    return bin(op, std::move(a), std::move(b), lir::VType::i64());
+  };
+  std::vector<lir::StmtPtr> body;
+  for (double v : {4.0, -0x1p63, HUGE_VAL, -HUGE_VAL, std::nan(""), 1e300, 0x1p63, 2.5})
+    body.push_back(idx(toi64(v)));
+  // (3 * toi64(-1.0 / 0.0)) / -1: folding the cast made INT64_MIN / -1,
+  // whose fold trapped with SIGFPE.
+  auto negInf = bin(lir::BinOp::Div, lir::constF(-1.0), lir::constF(0.0));
+  body.push_back(idx(i64(
+      lir::BinOp::Div,
+      i64(lir::BinOp::Mul, lir::constI(3),
+          lir::unary(lir::UnOp::ToI64, std::move(negInf), lir::VType::i64())),
+      lir::constI(-1))));
+  const std::int64_t int64Min = std::numeric_limits<std::int64_t>::min();
+  body.push_back(idx(i64(lir::BinOp::Div, lir::constI(int64Min), lir::constI(-1))));
+  body.push_back(idx(i64(lir::BinOp::Div, lir::constI(int64Min), lir::constI(2))));
+  lir::Function fn = handBuilt(std::move(body));
+  opt::constFold(fn);
+  EXPECT_EQ(bodyOf(fn),
+            "  y[4] = a\n"
+            "  y[-9223372036854775808] = a\n"
+            "  y[toi64(inf)] = a\n"
+            "  y[toi64(-inf)] = a\n"
+            "  y[toi64(nan)] = a\n"
+            "  y[toi64(1.0000000000000001e+300)] = a\n"
+            "  y[toi64(9.2233720368547758e+18)] = a\n"
+            "  y[toi64(2.5)] = a\n"
+            "  y[((3 * toi64(-inf)) / -1)] = a\n"
+            "  y[(-9223372036854775808 / -1)] = a\n"
+            "  y[-4611686018427387904] = a\n"
+            "}\n");
+
+  // From source: x(1/0) used to compile to x[9223372036854775807].
+  auto unit = Compiler().compileSource("function y = f(x)\ny = x(1/0);\nend\n", "f",
+                                       {ArgSpec::row(8)});
+  EXPECT_EQ(unit.cCode().find("9223372036854775807"), std::string::npos);
+  EXPECT_NE(unit.lirDump().find("toi64(inf)"), std::string::npos) << unit.lirDump();
 }
 
 TEST(Licm, CandidatesReplaceInOrderAndAnEarlierOneWins) {

@@ -201,6 +201,20 @@ TEST(Autotune, RepeatedSearchesCommitTheSameCandidates) {
     EXPECT_EQ(describeAll(tune::autotune(input).report), first) << "run " << run;
 }
 
+TEST(Autotune, VmRunsOncePerDistinctFunction) {
+  // Of fir's 12 committed candidates, most compile to a function an
+  // earlier candidate (or a speculative score) already ran.
+  int tuned = 0;
+  for (const auto& spec : kernels::tuneCorpus()) {
+    if (spec.name != "fir") continue;
+    tune::TuneReport r = tune::autotune(inputFor(spec)).report;
+    EXPECT_EQ(r.candidatesTried, 12);
+    EXPECT_EQ(r.vmRuns, 4);
+    ++tuned;
+  }
+  EXPECT_EQ(tuned, 1);
+}
+
 // ---- Budgets and deadlines -----------------------------------------------
 
 TEST(Autotune, SearchSpaceSizeCountsTheGrid) {

@@ -211,6 +211,16 @@ TEST(VmFaults, StoreOutOfBounds) {
             "VM: store out of bounds on 'y' at 7");
 }
 
+TEST(VmFaults, IndexNearInt64MaxIsOutOfBounds) {
+  // index + lanes must not wrap round into range.
+  using namespace lir;
+  const std::int64_t huge = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(runError(handBuilt(stmts(store("y", constI(huge), constF(1))))),
+            "VM: store out of bounds on 'y' at 9223372036854775807");
+  EXPECT_EQ(runError(handBuilt(stmts(store("y", constI(0), load("y", constI(huge), VType::f64()))))),
+            "VM: load out of bounds on 'y' at 9223372036854775807 (+1) of 4");
+}
+
 TEST(VmFaults, BoundsCheckFailure) {
   using namespace lir;
   EXPECT_EQ(runError(handBuilt(stmts(boundsCheck("y", constI(3))))), "");

@@ -12,6 +12,9 @@
 // line format; regenerate only for a change meant to move the counts with
 // `./build/tests/test_work | grep '^work ' | cut -d' ' -f2- | sort`, then
 // restore the header comment.
+//
+// A VM run's allocations are checked against themselves: the same count at
+// every problem size, for fir, iir and cdot.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +23,7 @@
 #include <map>
 #include <new>
 #include <sstream>
+#include <utility>
 
 #include "driver/compiler.hpp"
 #include "driver/kernels.hpp"
@@ -107,6 +111,32 @@ TEST_P(CompileWork, AllocationsStayWithinBound) {
 
 INSTANTIATE_TEST_SUITE_P(Work, CompileWork, ::testing::ValuesIn(workCases()),
                          [](const auto& info) { return info.param.name; });
+
+TEST(VmWork, RunAllocationsDoNotDependOnN) {
+  // The VM resolves names to slots and sizes its arrays once per run, so a
+  // Machine::run allocates the same at every problem size. Compares counts
+  // of one build with each other, so it holds on any toolchain.
+  const std::pair<const char*, kernels::KernelSpec (*)(std::int64_t)> cases[] = {
+      {"fir", [](std::int64_t n) { return kernels::makeFir(n); }},
+      {"iir", [](std::int64_t n) { return kernels::makeIir(n); }},
+      {"cdot", [](std::int64_t n) { return kernels::makeCdot(n); }}};
+  for (const auto& [name, make] : cases) {
+    std::size_t first = 0;
+    for (std::int64_t n : {256, 512, 1024, 2048, 4096}) {
+      kernels::KernelSpec spec = make(n);
+      auto unit = Compiler().compileSource(spec.source, spec.entry, spec.argSpecs,
+                                           CompileOptions::proposed("dspx"));
+      unit.run(spec.args);  // the first run in a process also builds tables
+      std::size_t before = gAllocations.load();
+      vm::RunResult run = unit.run(spec.args);
+      std::size_t allocations = gAllocations.load() - before;
+      ASSERT_FALSE(run.outputs.empty());
+      if (n == 256) first = allocations;
+      EXPECT_EQ(allocations, first) << name << " at n = " << n;
+    }
+    std::cout << "vm-work " << name << " " << first << "\n";
+  }
+}
 
 }  // namespace
 }  // namespace mat2c
